@@ -53,8 +53,8 @@ Three series land in ``BENCH_throughput.json`` at the repository root:
 Assertions here are **deterministic**: they compare simulated-time ratios and
 message counts, which depend only on protocol structure, never on container
 CPU contention — so they are safe to enforce in CI smoke mode too. Wall-clock
-throughput is still measured (best of ``REPEATS`` runs) and recorded for the
-trajectory, but not asserted: under a noisy scheduler a wall ratio is a fact
+throughput is still measured (best of ``REPEATS`` seeds; the sim fields come
+from the first seed) and recorded for the trajectory, but not asserted: under a noisy scheduler a wall ratio is a fact
 about the machine, not the code. Set ``THROUGHPUT_SMOKE=1`` for a
 seconds-fast smoke run with small operation counts — CI uses this mode to
 publish the JSON as a workflow artifact without slowing the pipeline.
@@ -179,7 +179,10 @@ _AUDIT: dict[str, dict] = {}
 
 def _measure(app: str, batched: bool, shards: int = 1,
              service_time: float = 0.0) -> dict:
-    best = None
+    """Wall fields from the fastest of ``REPEATS`` seeds; sim fields from the
+    first seed (2022), so they depend on the code alone, not on which seed
+    the host happened to run fastest."""
+    reports = []
     for repeat in range(REPEATS):
         report = MultiClientWorkload(
             app, num_clients=OPS[app], ops_per_client=1, seed=2022 + repeat,
@@ -191,15 +194,16 @@ def _measure(app: str, batched: bool, shards: int = 1,
             f"{report.failed} operations failed: {report.failures[:3]}"
         )
         assert report.consistent, report.consistency_issues
-        if best is None or report.ops_per_sec > best.ops_per_sec:
-            best = report
+        reports.append(report)
+    seeded = reports[0]
+    fastest = max(reports, key=lambda report: report.ops_per_sec)
     return {
-        "ops": best.ops,
-        "ops_per_sec": round(best.ops_per_sec, 1),
-        "wall_seconds": round(best.wall_seconds, 4),
-        "messages_sent": best.messages_sent,
-        "sim_seconds": round(best.sim_seconds, 6),
-        "sim_ops_per_sec": round(best.sim_ops_per_sec, 1),
+        "ops": seeded.ops,
+        "ops_per_sec": round(fastest.ops_per_sec, 1),
+        "wall_seconds": round(fastest.wall_seconds, 4),
+        "messages_sent": seeded.messages_sent,
+        "sim_seconds": round(seeded.sim_seconds, 6),
+        "sim_ops_per_sec": round(seeded.sim_ops_per_sec, 1),
     }
 
 

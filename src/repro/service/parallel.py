@@ -67,7 +67,7 @@ def _worker_main(app: str, seed: int, ops: int, shards: int,
     from repro.crypto import rng as crypto_rng
     from repro.net.latency import lan_profile
     from repro.net.transport import Network
-    from repro.sim.workload import _ADAPTERS
+    from repro.sim.scenarios.apps import make_driver
 
     # The DRBG context stays entered for the worker's lifetime: the build
     # consumes the same draw sequence as the parent's build (identical keys),
@@ -75,8 +75,7 @@ def _worker_main(app: str, seed: int, ops: int, shards: int,
     rng_context = crypto_rng.deterministic(seed)
     rng_context.__enter__()
     try:
-        adapter = _ADAPTERS[app](seed, ops, shards=shards)
-        plane = adapter.plane
+        plane = make_driver(app, seed, ops, shards=shards).plane
         network = Network(clock=plane.clock, default_latency=lan_profile())
         servers = {}
         for shard in plane.shards:
@@ -113,7 +112,7 @@ class ParallelShardExecutor:
         app: workload application name (``keybackup``, ``prio``, ...).
         seed: the workload seed — workers rebuild their deployments under
             this seed, which is what makes their state match the parent's.
-        ops: total operation count (the adapters materialize per-op inputs).
+        ops: total operation count (the drivers materialize per-op inputs).
         shards: shard count of the service plane.
         workers: process count; shard ``i`` is owned by worker
             ``i % workers``, so extra workers beyond the shard count idle.
@@ -135,7 +134,9 @@ class ParallelShardExecutor:
         self._connections: list = []
         self._owner: dict[str, int] = {}        # address -> worker index
         self._seq_worker: dict[int, int] = {}   # in-flight seq -> worker
-        self._results: dict[int, bytes] = {}    # buffered out-of-turn results
+        # Out-of-turn responses, (payload, error text or None) per seq, kept
+        # for the caller that owns the seq.
+        self._results: dict[int, tuple] = {}
         self._started = False
 
     # ------------------------------------------------------------------
@@ -224,29 +225,32 @@ class ParallelShardExecutor:
         return seq
 
     def result(self, seq: int) -> bytes:
-        """Block until the response for ``seq`` arrives; return its bytes."""
-        if seq in self._results:
-            return self._results.pop(seq)
-        owner = self._seq_worker.get(seq)
-        if owner is None:
-            raise RpcError(f"unknown parallel request {seq}")
-        conn = self._connections[owner]
-        while True:
-            if not conn.poll(_RESULT_TIMEOUT):
-                raise TimeoutError(f"parallel worker {owner} sent no "
-                                   f"response for request {seq}")
-            try:
-                got_seq, response, error = conn.recv()
-            except EOFError:
-                raise RpcError(f"parallel worker {owner} died while "
-                               f"serving request {seq}") from None
-            self._seq_worker.pop(got_seq, None)
-            if error is not None:
-                raise RpcError(f"parallel worker {owner} failed request "
-                               f"{got_seq}: {error}")
-            if got_seq == seq:
-                return response
-            self._results[got_seq] = response
+        """Block until the response for ``seq`` arrives; return its bytes.
+
+        Responses to other in-flight requests that arrive first — failures
+        included — are buffered for their own callers, so an error is only
+        ever raised against the request it answers.
+        """
+        if seq not in self._results:
+            owner = self._seq_worker.get(seq)
+            if owner is None:
+                raise RpcError(f"unknown parallel request {seq}")
+            conn = self._connections[owner]
+            while seq not in self._results:
+                if not conn.poll(_RESULT_TIMEOUT):
+                    raise TimeoutError(f"parallel worker {owner} sent no "
+                                       f"response for request {seq}")
+                try:
+                    got_seq, response, error = conn.recv()
+                except EOFError:
+                    raise RpcError(f"parallel worker {owner} died while "
+                                   f"serving request {seq}") from None
+                self._seq_worker.pop(got_seq, None)
+                self._results[got_seq] = (response, error)
+        response, error = self._results.pop(seq)
+        if error is not None:
+            raise RpcError(f"parallel request {seq} failed: {error}")
+        return response
 
     def clients_for(self, deployment) -> list:
         """One :class:`ExecutorRpcClient` per trust domain of ``deployment``.

@@ -1,4 +1,4 @@
-"""Per-application operation flows for the discrete-event workload driver.
+"""Per-application operation flows for the overlapping op schedule.
 
 Each ``*_op`` function returns a generator that performs ONE end-to-end
 application operation — the same wire traffic and crypto as the synchronous
@@ -17,8 +17,11 @@ simulated milliseconds and retries; the epoch router's fail-safe
 (:class:`~repro.errors.KeyMigratingError`) stays an availability blip, not
 an op failure, under a live reshard.
 
-Application modules are imported lazily, mirroring :mod:`repro.sim.workload`,
-so ``repro.sim`` keeps importing without the apps package.
+Each app's scenario driver (:mod:`repro.sim.scenarios.apps`) wraps its flow
+in ``op_task`` with the driver's own bookkeeping, and the op loop
+(:func:`repro.sim.scenarios.runner.run_ops`) spawns those tasks for both
+harnesses. Application modules are imported lazily so ``repro.sim`` keeps
+importing without the apps package.
 """
 
 from __future__ import annotations
@@ -171,14 +174,13 @@ def prio_op(client, value: int, op_index: int, timeout: float = 0.25):
     _raise_outcome(error, "submission failed")
 
 
-def sign_op(client, message: bytes, timeout: float = 0.25,
-            candidate_signers=None):
+def sign_op(client, message: bytes, timeout: float = 0.25):
     """Threshold-sign ``message``, eventfully, with per-signer failover.
 
-    Asks the first ``threshold`` candidate signers for their shares in one
-    wave; signers that fail are replaced from the remaining candidates, one
-    further wave at a time, until a quorum is in hand. Combines, verifies,
-    and returns the ``SignedTransaction``.
+    Asks the first ``threshold`` signers for their shares in one wave;
+    signers that fail are replaced from the remaining ones, one further wave
+    at a time, until a quorum is in hand. Combines, verifies, and returns
+    the ``SignedTransaction``.
     """
     from repro.apps.threshold_sign import (
         BLS_SCALAR_ORDER,
@@ -191,8 +193,7 @@ def sign_op(client, message: bytes, timeout: float = 0.25,
     service = client.service
     plane = client.session.plane
     threshold = service.threshold
-    if candidate_signers is None:
-        candidate_signers = list(range(1, service.num_signers + 1))
+    candidate_signers = list(range(1, service.num_signers + 1))
     message_int = int.from_bytes(message, "big") if message else 0
     partials = []
     cursor = 0

@@ -159,8 +159,12 @@ class ScheduledEvent:
 
     at_op: int = 0
 
-    def apply(self, ctx) -> None:
-        """Apply the event to a scenario context (see ``ScenarioContext``)."""
+    def apply(self, ctx):
+        """Apply the event to a scenario context (see ``ScenarioContext``).
+
+        Whatever it returns (a reshard's outcome, say) the op loop keeps in
+        its record of fired events.
+        """
         raise NotImplementedError
 
 
@@ -255,8 +259,9 @@ class ReshardService(ScheduledEvent):
 
     shards: int = 4
 
-    def apply(self, ctx) -> None:
-        ctx.reshard(self.shards)
+    def apply(self, ctx):
+        """Returns ``(report, error)`` from :meth:`ScenarioContext.reshard`."""
+        return ctx.reshard(self.shards)
 
 
 @dataclass(frozen=True)
@@ -276,8 +281,8 @@ class FinishReshard(ScheduledEvent):
     """Drain a previous reshard's pinned keys (after the fault healed);
     a shrink's still-draining shards detach once the drain empties them."""
 
-    def apply(self, ctx) -> None:
-        ctx.finish_reshard()
+    def apply(self, ctx):
+        return ctx.finish_reshard()
 
 
 @dataclass(frozen=True)

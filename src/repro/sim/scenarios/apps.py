@@ -1,10 +1,17 @@
-"""Application drivers: one end-to-end workload adapter per app.
+"""Application drivers: the one definition of each app's workload.
 
-A driver builds its application's deployment, executes one seeded workload
-operation at a time through the *public client API* (so requests traverse the
-full framework → enclave → sandbox path, over the simulated network once the
-runner routes it), and checks the application-specific safety invariants at
-the end of the run.
+A driver builds its application's deployment and a seeded list of inputs,
+and runs those operations through the *public client API* (so requests
+traverse the full framework → enclave → sandbox path, over the simulated
+network once routed). It offers each operation in the three shapes the op
+loop (:func:`repro.sim.scenarios.runner.run_ops`) schedules — one at a time
+(:meth:`~ScenarioDriver.step`), a span through the app's batched API
+(:meth:`~ScenarioDriver.run_span`), or a generator for the event loop
+(:meth:`~ScenarioDriver.op_task`) — plus the routing key of each op and the
+application-specific safety invariants checked at the end of the run. Both
+harnesses, :class:`~repro.sim.scenarios.runner.ScenarioRunner` and
+:class:`~repro.sim.workload.MultiClientWorkload`, and the parallel workers
+build their apps through :func:`make_driver`.
 """
 
 from __future__ import annotations
@@ -36,35 +43,54 @@ __all__ = [
 
 
 class ScenarioDriver:
-    """Base class: builds a deployment and drives one operation at a time.
+    """Base class of one application's workload definition.
 
-    ``shards`` deploys the app across that many service-plane shards; the
-    driver's ``plane`` is what the runner routes over the network (for the
-    classic ``shards=1`` layout it wraps exactly the legacy deployment).
+    Subclasses build ``self.service``, the app's deployment, across
+    ``shards`` service-plane shards; the driver's ``plane`` is what a
+    harness routes (for the classic ``shards=1`` layout it wraps exactly the
+    legacy deployment).
     """
 
     app_name = "?"
+    # Set by a harness whose run injects faults: spans then ask every replica
+    # instead of a minimal quorum (only threshold signing distinguishes).
+    robust = False
 
-    def __init__(self, seed: int, ops: int, shards: int = 1,
-                 regions: tuple = ()):
-        self.seed = seed
-        self.ops = ops
-        self.shards = shards
+    def __init__(self, seed: int, regions: tuple = ()):
         self.regions = tuple(regions)
         self.workload = WorkloadGenerator(seed)
-        self.deployment = None  # set by subclasses (the primary shard)
-        self.plane = None  # set by subclasses (the sharded service plane)
+
+    @property
+    def deployment(self):
+        """The primary shard's deployment."""
+        return self.service.deployment
+
+    @property
+    def plane(self):
+        """The sharded service plane a harness routes."""
+        return self.service.plane
+
+    def routing_key(self, op_index: int):
+        """The key the service plane routes operation ``op_index`` by."""
+        raise NotImplementedError
 
     def step(self, op_index: int) -> None:
         """Run workload operation ``op_index``; raises ``ReproError`` on failure."""
+        raise NotImplementedError
+
+    def run_span(self, start: int, count: int) -> list:
+        """Run ops ``start .. start + count - 1`` through the batched API.
+
+        Same bookkeeping as :meth:`step`; returns one outcome per op, in
+        order: ``True`` or the exception instance that failed it.
+        """
         raise NotImplementedError
 
     def op_task(self, ctx, op_index: int, timeout: float = 0.25):
         """The op as a generator for the discrete-event loop.
 
         Same wire traffic and bookkeeping as :meth:`step`, but yields while
-        its requests are outstanding so other ops can interleave. Only used
-        by concurrent scenarios.
+        its requests are outstanding so other ops can interleave.
         """
         raise NotImplementedError
 
@@ -95,18 +121,17 @@ class KeyBackupDriver(ScenarioDriver):
 
     app_name = "keybackup"
 
-    def __init__(self, seed: int, ops: int, num_domains: int = 4, threshold: int = 3,
-                 shards: int = 1, regions: tuple = ()):
-        super().__init__(seed, ops, shards, regions)
-        self.service = KeyBackupDeployment(num_domains=num_domains,
-                                           threshold=threshold, shards=shards,
+    def __init__(self, seed: int, ops: int, shards: int = 1, regions: tuple = ()):
+        super().__init__(seed, regions)
+        self.service = KeyBackupDeployment(num_domains=4, threshold=3, shards=shards,
                                            regions=self.regions)
-        self.deployment = self.service.deployment
-        self.plane = self.service.plane
         self.client = KeyBackupClient(self.service, audit_before_use=False)
         self._users = self.workload.user_ids(ops)
         self._secrets = self.workload.secrets(ops, bits=248)
         self.backed_up: list[tuple[str, int]] = []
+
+    def routing_key(self, op_index: int):
+        return self._users[op_index]
 
     def step(self, op_index: int) -> None:
         user = self._users[op_index]
@@ -116,6 +141,24 @@ class KeyBackupDriver(ScenarioDriver):
         recovered = self.client.recover_key_any(user)
         if recovered != secret:
             raise ApplicationError(f"recovered key for {user!r} does not match the original")
+
+    def run_span(self, start: int, count: int) -> list:
+        span = list(zip(self._users[start:start + count],
+                        self._secrets[start:start + count]))
+        outcomes = self.client.backup_keys(span)
+        stored = [position for position, outcome in enumerate(outcomes)
+                  if not isinstance(outcome, Exception)]
+        self.backed_up.extend(span[position] for position in stored)
+        recovered = self.client.recover_keys([span[position][0] for position in stored])
+        for position, value in zip(stored, recovered):
+            if isinstance(value, Exception):
+                outcomes[position] = value
+            elif value != span[position][1]:
+                outcomes[position] = ApplicationError(
+                    f"recovered key for {span[position][0]!r} does not match the original")
+            else:
+                outcomes[position] = True
+        return outcomes
 
     def op_task(self, ctx, op_index: int, timeout: float = 0.25):
         from repro.sim.asyncops import keybackup_op
@@ -178,33 +221,37 @@ class ThresholdSignDriver(ScenarioDriver):
 
     app_name = "threshold_sign"
 
-    def __init__(self, seed: int, ops: int, threshold: int = 2, num_signers: int = 3,
-                 shards: int = 1, regions: tuple = ()):
-        super().__init__(seed, ops, shards, regions)
-        self.service = CustodyDeployment(threshold=threshold, num_signers=num_signers,
+    def __init__(self, seed: int, ops: int, shards: int = 1, regions: tuple = ()):
+        super().__init__(seed, regions)
+        self.service = CustodyDeployment(threshold=2, num_signers=3,
                                          keygen_seed=seed.to_bytes(8, "big"),
                                          shards=shards, regions=self.regions)
-        self.deployment = self.service.deployment
-        self.plane = self.service.plane
         self.client = CustodyClient(self.service, audit_before_use=False)
         self._messages = self.workload.messages(ops)
+
+    def routing_key(self, op_index: int):
+        return self._messages[op_index]
 
     def step(self, op_index: int) -> None:
         transaction = self.client.sign_transaction_failover(self._messages[op_index])
         if not self.client.verify(transaction):
             raise ApplicationError("threshold signature did not verify")
 
+    def run_span(self, start: int, count: int) -> list:
+        # Robust spans collect shares from every signer, so per-message
+        # failover survives a crashed or compromised signer; on a clean
+        # network the minimal quorum signs, matching step(), whose failover
+        # also stops after ``threshold`` successes.
+        signers = (list(range(1, self.service.num_signers + 1))
+                   if self.robust else None)
+        return self.client.sign_transactions(self._messages[start:start + count],
+                                             signer_indices=signers)
+
     def op_task(self, ctx, op_index: int, timeout: float = 0.25):
         from repro.sim.asyncops import sign_op
 
-        def task():
-            transaction = yield from sign_op(self.client,
-                                             self._messages[op_index],
-                                             timeout=timeout)
-            if not self.client.verify(transaction):
-                raise ApplicationError("threshold signature did not verify")
-
-        return task()
+        # sign_op verifies the combined signature under the group key itself.
+        return sign_op(self.client, self._messages[op_index], timeout=timeout)
 
     def finish(self, ctx) -> list[InvariantResult]:
         # Steal every key share the fallen TEEs expose and try to sign with
@@ -273,37 +320,53 @@ class PrioDriver(ScenarioDriver):
 
     app_name = "prio"
 
-    def __init__(self, seed: int, ops: int, num_servers: int = 3, max_value: int = 100,
-                 shards: int = 1, regions: tuple = ()):
-        super().__init__(seed, ops, shards, regions)
-        self.service = PrivateAggregationDeployment(num_servers=num_servers,
-                                                    max_value=max_value,
+    def __init__(self, seed: int, ops: int, shards: int = 1, regions: tuple = (),
+                 tag_prefix: str = "scenario"):
+        super().__init__(seed, regions)
+        self.service = PrivateAggregationDeployment(num_servers=3, max_value=100,
                                                     shards=shards,
                                                     regions=self.regions)
-        self.deployment = self.service.deployment
-        self.plane = self.service.plane
         # A fixed session tag keeps submission→shard routing (and therefore
-        # the whole scenario report) deterministic per seed.
+        # the whole report) deterministic per seed. Each harness keeps its
+        # own prefix: seeded expectations are tuned to the placement it gives.
         self.client = PrivateAggregationClient(self.service, audit_before_use=False,
-                                               session_tag=f"scenario-{seed}")
-        self._values = self.workload.telemetry_values(ops, 0, max_value)
+                                               session_tag=f"{tag_prefix}-{seed}")
+        self._values = self.workload.telemetry_values(ops, 0, self.service.max_value)
         self.accepted_values: list[int] = []
         self.torn_submissions = 0
         self.failed_submissions = 0
+
+    def routing_key(self, op_index: int):
+        # One submission per op, counter starting at zero: the op's index is
+        # its submission index.
+        return self.client.submission_key(op_index)
+
+    def _record(self, value: int, outcome) -> None:
+        """Book one submission's outcome: ``True`` or the exception."""
+        if outcome is True:
+            self.accepted_values.append(value)
+        elif isinstance(outcome, PartialSubmissionError):
+            self.torn_submissions += 1
+        else:
+            # A "clean" failure from the client's view — but a server may
+            # still have accepted a share whose response was lost in flight.
+            self.failed_submissions += 1
 
     def step(self, op_index: int) -> None:
         value = self._values[op_index]
         try:
             self.client.submit(value)
-        except PartialSubmissionError:
-            self.torn_submissions += 1
+        except Exception as exc:
+            self._record(value, exc)
             raise
-        except Exception:
-            # A "clean" failure from the client's view — but a server may
-            # still have accepted a share whose response was lost in flight.
-            self.failed_submissions += 1
-            raise
-        self.accepted_values.append(value)
+        self._record(value, True)
+
+    def run_span(self, start: int, count: int) -> list:
+        values = self._values[start:start + count]
+        outcomes = self.client.submit_many(values)
+        for value, outcome in zip(values, outcomes):
+            self._record(value, outcome)
+        return outcomes
 
     def op_task(self, ctx, op_index: int, timeout: float = 0.25):
         from repro.sim.asyncops import prio_op
@@ -312,13 +375,10 @@ class PrioDriver(ScenarioDriver):
             value = self._values[op_index]
             try:
                 yield from prio_op(self.client, value, op_index, timeout=timeout)
-            except PartialSubmissionError:
-                self.torn_submissions += 1
+            except Exception as exc:
+                self._record(value, exc)
                 raise
-            except Exception:
-                self.failed_submissions += 1
-                raise
-            self.accepted_values.append(value)
+            self._record(value, True)
 
         return task()
 
@@ -403,24 +463,41 @@ class OdohDriver(ScenarioDriver):
     app_name = "odoh"
 
     def __init__(self, seed: int, ops: int, shards: int = 1, regions: tuple = ()):
-        super().__init__(seed, ops, shards, regions)
+        super().__init__(seed, regions)
         self._names = self.workload.dns_queries(ops)
         self.records = {
             name: f"10.{i // 250}.{i % 250}.7" for i, name in enumerate(self._names)
         }
         self.service = ObliviousDnsDeployment(records=self.records, shards=shards,
                                               regions=self.regions)
-        self.deployment = self.service.deployment
-        self.plane = self.service.plane
         self.client = ObliviousDnsClient(self.service, audit_before_use=False)
         self.resolved = 0
 
-    def step(self, op_index: int) -> None:
-        name = self._names[op_index]
-        response = self.client.resolve(name)
+    def routing_key(self, op_index: int):
+        return self._names[op_index]
+
+    def _check(self, name: str, response) -> None:
         if not response.found or response.address != self.records[name]:
             raise ApplicationError(f"wrong answer for {name!r}")
         self.resolved += 1
+
+    def step(self, op_index: int) -> None:
+        name = self._names[op_index]
+        self._check(name, self.client.resolve(name))
+
+    def run_span(self, start: int, count: int) -> list:
+        span = self._names[start:start + count]
+        outcomes = self.client.resolve_many(span)
+        for position, outcome in enumerate(outcomes):
+            if isinstance(outcome, Exception):
+                continue
+            try:
+                self._check(span[position], outcome)
+            except ApplicationError as exc:
+                outcomes[position] = exc
+            else:
+                outcomes[position] = True
+        return outcomes
 
     def op_task(self, ctx, op_index: int, timeout: float = 0.25):
         from repro.sim.asyncops import odoh_op
@@ -428,9 +505,7 @@ class OdohDriver(ScenarioDriver):
         def task():
             name = self._names[op_index]
             response = yield from odoh_op(self.client, name, timeout=timeout)
-            if not response.found or response.address != self.records[name]:
-                raise ApplicationError(f"wrong answer for {name!r}")
-            self.resolved += 1
+            self._check(name, response)
 
         return task()
 
@@ -526,21 +601,19 @@ class OdohDriver(ScenarioDriver):
         return ok, kinds
 
 
-_DRIVERS = {
-    "keybackup": KeyBackupDriver,
-    "threshold_sign": ThresholdSignDriver,
-    "prio": PrioDriver,
-    "odoh": OdohDriver,
-}
+_DRIVERS = {driver.app_name: driver for driver in (
+    KeyBackupDriver, ThresholdSignDriver, PrioDriver, OdohDriver)}
 
 
 def make_driver(app: str, seed: int, ops: int, shards: int = 1,
-                regions: tuple = ()) -> ScenarioDriver:
+                regions: tuple = (), tag_prefix: str = "scenario") -> ScenarioDriver:
     """Instantiate the driver for ``app`` with a seeded workload of ``ops``
     operations, deployed across ``shards`` service-plane shards (optionally
-    placed round-robin across ``regions``)."""
+    placed round-robin across ``regions``). ``tag_prefix`` names the prio
+    client's session tag (``{tag_prefix}-{seed}``); other apps ignore it."""
     try:
         factory = _DRIVERS[app]
     except KeyError:
         raise ValueError(f"no scenario driver for app {app!r}") from None
-    return factory(seed, ops, shards=shards, regions=tuple(regions))
+    options = {"tag_prefix": tag_prefix} if factory is PrioDriver else {}
+    return factory(seed, ops, shards=shards, regions=tuple(regions), **options)

@@ -8,10 +8,11 @@ The runner composes everything the engine needs for one scenario:
    all application traffic over it* (framed RPC bytes, at-most-once servers,
    client retries);
 3. install the scenario's probabilistic fault rules on the network send path;
-4. drive the seeded workload one operation at a time, applying scheduled
-   events (partitions, crashes, compromises, malicious updates, live
-   reshards) at operation boundaries and recording per-operation simulated
-   latency;
+4. drive the seeded workload through :func:`run_ops` — one operation at a
+   time, or as overlapping tasks for concurrent scenarios — applying
+   scheduled events (partitions, crashes, compromises, malicious updates,
+   live reshards) at operation boundaries and recording per-operation
+   simulated latency;
 5. check the safety invariants: digest logs stayed append-only, audits end in
    the expected verdict (detecting every unannounced update and compromised
    TEE), epoch transitions committed with no key left unroutable, and the
@@ -20,7 +21,10 @@ The runner composes everything the engine needs for one scenario:
 
 from __future__ import annotations
 
+import contextlib
 import random
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.core.package import CodePackage
 from repro.errors import ReproError, ReshardError
@@ -29,6 +33,7 @@ from repro.net.transport import Network
 from repro.sim.adversary import ScheduledCompromise
 from repro.sim.coverage import CoverageRecorder
 from repro.sim.faults import (
+    AutoscaleEnabled,
     CompromiseDomain,
     CrashParty,
     FaultPlan,
@@ -42,32 +47,21 @@ from repro.sim.scenarios.apps import make_driver
 from repro.sim.scenarios.spec import InvariantResult, Scenario, ScenarioReport
 from repro.transparency.log import DigestLog
 
-__all__ = ["ScenarioContext", "ScenarioRunner"]
-
-
-class _NullPhase:
-    """Stand-in phase window for contexts built without a recorder."""
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
+__all__ = ["ScenarioContext", "ScenarioRunner", "OpRun", "FiredEvent",
+           "routed_context", "run_ops"]
 
 
 class ScenarioContext:
-    """Mutable state scheduled events act on during a run."""
+    """Mutable state scheduled events act on during a run of ``driver``'s
+    app (its deployment and service plane are the event targets)."""
 
-    def __init__(self, network: Network, deployment, driver,
-                 compromise_schedule: ScheduledCompromise, client_address: str,
-                 plane=None, recorder: CoverageRecorder | None = None,
+    def __init__(self, network: Network | None, driver,
+                 recorder: CoverageRecorder | None = None,
                  rpc_attempts: int = 3):
         self.network = network
-        self.deployment = deployment
         self.driver = driver
-        self.compromise_schedule = compromise_schedule
-        self.client_address = client_address
-        self.plane = plane
+        self.deployment = driver.deployment
+        self.plane = driver.plane
         self.recorder = recorder
         self.rpc_attempts = rpc_attempts
         self.current_op = 0
@@ -78,7 +72,7 @@ class ScenarioContext:
         self.epoch_audits: list = []  # dict per bundle per AuditEpoch
         self.forged_epochs: list[int] = []  # artifact indices a forge rewrote
         self.autoscaler = None
-        self._compromise_schedules = {0: compromise_schedule}
+        self._compromise_schedules: dict[int, ScheduledCompromise] = {}
         self._epoch_rpc = None
 
     def resolve(self, party: str) -> str:
@@ -91,10 +85,8 @@ class ScenarioContext:
         (each shard sends from its own — migration traffic included).
         """
         if party == "client":
-            return self.client_address
+            return self.plane.client_address
         if party.startswith("shard:"):
-            if self.plane is None:
-                raise ValueError(f"party {party!r} needs a sharded service")
             _, shard_index, rest = party.split(":", 2)
             shard_index = int(shard_index)
             if shard_index < len(self.plane.shards):
@@ -120,46 +112,41 @@ class ScenarioContext:
         """Exploit one domain's TEE at the current operation boundary."""
         schedule = self._compromise_schedules.get(shard_index)
         if schedule is None:
-            if self.plane is None:
-                raise ValueError("cannot compromise a shard without a plane")
             schedule = ScheduledCompromise(self.plane.shards[shard_index])
             self._compromise_schedules[shard_index] = schedule
         schedule.compromise(domain_index, at_op=self.current_op)
 
-    def reshard(self, new_shard_count: int) -> None:
-        """Grow the service plane to ``new_shard_count`` shards, live.
+    def reshard(self, new_shard_count: int):
+        """Resize the service plane to ``new_shard_count`` shards, live.
 
         A failed reshard is a *scenario outcome*, not a harness crash: a
         planning abort leaves the old epoch serving (nothing to record), and
         a mid-migration failure commits with the unmoved keys pinned — the
         coordinator attaches its report to the error. Either way the run
-        continues and the invariants judge the resulting state.
+        continues and the invariants judge the resulting state. Returns
+        ``(report, error)``: the report is ``None`` exactly when no epoch
+        committed, the error text ``None`` when the transition succeeded.
         """
-        if self.plane is None:
-            raise ValueError("scenario deployment has no service plane to reshard")
-        with self._migration_phase():
-            try:
-                self.reshard_reports.append(self.plane.reshard(new_shard_count))
-            except ReshardError as exc:
-                self.reshard_errors.append(str(exc))
-                report = getattr(exc, "report", None)
-                if report is not None:
-                    self.reshard_reports.append(report)
-        self._note_placement()
+        return self._epoch_transition(lambda plane: plane.reshard(new_shard_count))
 
-    def finish_reshard(self) -> None:
-        """Drain keys a faulted reshard left pinned to their old shards."""
-        if self.plane is None:
-            raise ValueError("scenario deployment has no service plane to reshard")
-        with self._migration_phase():
+    def finish_reshard(self):
+        """Drain keys a faulted reshard left pinned to their old shards;
+        returns ``(report, error)`` like :meth:`reshard`."""
+        return self._epoch_transition(lambda plane: plane.finish_reshard())
+
+    def _epoch_transition(self, transition):
+        report = error = None
+        with self.phase("mid-migration"):
             try:
-                self.reshard_reports.append(self.plane.finish_reshard())
+                report = transition(self.plane)
             except ReshardError as exc:
-                self.reshard_errors.append(str(exc))
+                error = str(exc)
+                self.reshard_errors.append(error)
                 report = getattr(exc, "report", None)
-                if report is not None:
-                    self.reshard_reports.append(report)
+            if report is not None:
+                self.reshard_reports.append(report)
         self._note_placement()
+        return report, error
 
     def audit_now(self) -> None:
         """Run a full transparency audit at this operation boundary.
@@ -169,9 +156,7 @@ class ScenarioContext:
         the report's detected kinds (the end-of-run audit alone decides the
         pass/fail verdict).
         """
-        phase = (self.recorder.phase("mid-audit") if self.recorder is not None
-                 else _NullPhase())
-        with phase:
+        with self.phase("mid-audit"):
             ok, kinds = self.driver.audit_outcome()
         self.midrun_audits.append((self.current_op, ok, tuple(sorted(kinds))))
 
@@ -194,9 +179,7 @@ class ScenarioContext:
         if publisher is None:
             raise ValueError("scenario deployment publishes no epoch bundles")
         server, client = self._epoch_transport(publisher)
-        phase = (self.recorder.phase("mid-audit") if self.recorder is not None
-                 else _NullPhase())
-        with phase:
+        with self.phase("mid-audit"):
             auditor = AuditorService(publisher.coordinator_key,
                                      publisher.log_key)
             try:
@@ -267,13 +250,14 @@ class ScenarioContext:
             self._epoch_rpc = (server, client)
         return self._epoch_rpc
 
-    def _migration_phase(self):
+    def phase(self, name: str, record_active: bool = True):
+        """The coverage recorder's phase window (a no-op without a recorder)."""
         if self.recorder is None:
-            return _NullPhase()
-        return self.recorder.phase("mid-migration")
+            return contextlib.nullcontext()
+        return self.recorder.phase(name, record_active=record_active)
 
     def _note_placement(self) -> None:
-        if self.recorder is not None and self.plane is not None:
+        if self.recorder is not None:
             self.recorder.set_shards(self.plane.ring.shard_count)
 
     def note_event(self, event) -> None:
@@ -301,14 +285,13 @@ class ScenarioContext:
     def enable_autoscaler(self, policy=None) -> None:
         """Hand the shard count to the elastic control loop, mid-run.
 
-        Fired by :class:`~repro.sim.faults.AutoscaleEnabled`. The runner's
-        monitor task (spawned for concurrent scenarios carrying that event)
-        starts sampling and deciding the moment this is set.
+        Fired by :class:`~repro.sim.faults.AutoscaleEnabled` (or called by a
+        harness before the run). The op loop's monitor task, spawned on the
+        overlapping schedule, starts sampling and deciding the moment this
+        is set.
         """
         from repro.service.autoscaler import Autoscaler
 
-        if self.plane is None:
-            raise ValueError("scenario deployment has no service plane to scale")
         if self.autoscaler is None:
             self.autoscaler = Autoscaler(self.plane, policy)
 
@@ -337,6 +320,196 @@ class ScenarioContext:
         self.unannounced_digests.append(evil.digest())
 
 
+class FiredEvent(NamedTuple):
+    """One scheduled event as the op loop applied it."""
+
+    event: object
+    completed: int  # ops finished before it fired (a prefix of the results)
+    started: float  # sim time before / after it was applied
+    finished: float
+    outcome: object  # what ``event.apply`` returned
+    in_flight: int  # ops in flight when it fired (0 unless ops overlap)
+
+    @property
+    def committed_epoch(self) -> bool:
+        """Whether it was a reshard or finish-reshard that committed an epoch
+        (their outcome is ``(report, error)``, the report set on commit)."""
+        return isinstance(self.outcome, tuple) and self.outcome[0] is not None
+
+
+@dataclass
+class OpRun:
+    """What one :func:`run_ops` pass produced."""
+
+    # (op index, sim latency, error type name or None) per op, in completion
+    # order (op order unless ops overlap).
+    results: list = field(default_factory=list)
+    fired: list = field(default_factory=list)  # FiredEvent per applied event
+    max_in_flight: int = 0
+
+    @property
+    def failures(self) -> list:
+        """``(op index, error type name)`` per failed op, in completion order."""
+        return [(op_index, error) for op_index, _, error in self.results
+                if error is not None]
+
+
+def routed_context(driver, rules: tuple, events: tuple, seed: int,
+                   rpc_attempts: int, service_time: float = 0.0,
+                   recorder: CoverageRecorder | None = None):
+    """Route ``driver``'s plane over a fresh simulated network, install the
+    seeded fault plan on it, and return ``(ctx, plan)`` for :func:`run_ops`.
+
+    A driver placed across regions gets the cross-region latency map;
+    ``service_time`` installs the per-request server model.
+    """
+    plane = driver.plane
+    network = Network(clock=plane.clock, default_latency=lan_profile())
+    plane.route_via_network(network, attempts=rpc_attempts)
+    if driver.regions:
+        plane.apply_latency_map(network, geo_profile())
+    if service_time > 0:
+        plane.set_service_time(service_time)
+    plan = FaultPlan(rules, events, seed=seed + 1)
+    plan.install(network, recorder=recorder)
+    return ScenarioContext(network, driver, recorder, rpc_attempts), plan
+
+
+def run_ops(ctx: ScenarioContext, plan: FaultPlan, ops: int, *,
+            batch_size: int = 0, arrival_rate: float = 0.0,
+            arrival_phases: tuple = (), seed: int = 0,
+            op_timeout: float = 0.25) -> OpRun:
+    """Drive ``ops`` workload operations of ``ctx.driver`` under ``plan``'s
+    events.
+
+    The one op loop behind both harnesses, in one of three schedules:
+
+    * one op at a time through ``driver.step`` (the default);
+    * spans of ``batch_size`` ops through ``driver.run_span`` — every event
+      whose op falls inside a span fires at the span's boundary;
+    * with ``arrival_rate`` > 0, every op its own ``driver.op_task`` on the
+      discrete-event loop, arriving at seeded Poisson times (reshaped by
+      ``arrival_phases``), so events fire while earlier ops are genuinely in
+      flight. When the context carries an autoscaler, or the plan can enable
+      one, a monitor task samples the plane at the policy's cadence.
+
+    Events fire through ``ctx`` with ``ctx.current_op`` set to the boundary
+    op. Sim latency is the op's own time (or its span's, for every op in it).
+    """
+    driver = ctx.driver
+    clock = driver.plane.clock
+    run = OpRun()
+
+    def fire(op_index: int, stop: int, in_flight: int = 0) -> None:
+        # Events of every op in [op_index, stop) fire here, in op order.
+        ctx.current_op = op_index
+        for event in [event for op in range(op_index, stop)
+                      for event in plan.events_at(op)]:
+            started = clock.now()
+            outcome = event.apply(ctx)
+            ctx.note_event(event)
+            run.fired.append(FiredEvent(event, len(run.results), started,
+                                        clock.now(), outcome, in_flight))
+
+    if arrival_rate > 0:
+        from repro.net.eventloop import EventLoop, Sleep
+        from repro.service.autoscaler import percentile
+
+        loop = EventLoop(ctx.network)
+        arrivals = random.Random(seed + 2)
+        in_flight = 0
+
+        def op_task(op_index: int):
+            nonlocal in_flight
+            fire(op_index, op_index + 1, in_flight)
+            in_flight += 1
+            run.max_in_flight = max(run.max_in_flight, in_flight)
+            if ctx.recorder is not None and in_flight >= 2:
+                ctx.recorder.batch_active(True)
+            started = clock.now()
+            error = None
+            try:
+                yield from driver.op_task(ctx, op_index, op_timeout)
+            except ReproError as exc:
+                error = type(exc).__name__
+            finally:
+                in_flight -= 1
+                if ctx.recorder is not None and in_flight < 2:
+                    ctx.recorder.batch_active(False)
+            run.results.append((op_index, clock.now() - started, error))
+
+        def autoscale_monitor():
+            # Idles cheaply until an autoscaler is enabled (an
+            # AutoscaleEnabled event may sit at any op boundary); each p99
+            # window is every op completed since the previous sample.
+            window_start = 0
+            while len(run.results) < ops:
+                scaler = ctx.autoscaler
+                yield Sleep(scaler.policy.sample_interval_s
+                            if scaler is not None else 0.05)
+                if scaler is None:
+                    window_start = len(run.results)
+                    continue
+                window = [latency for _, latency, _ in run.results[window_start:]]
+                window_start = len(run.results)
+                decisions_before = len(scaler.decisions)
+                shards_before = ctx.plane.ring.shard_count
+                # Per-sample observes enter the window without charging the
+                # active faults to it — otherwise the monitor's mere cadence
+                # would claim mid-autoscale coverage every run. Transitions
+                # the observe fires (and the migration traffic they push)
+                # are recorded under the phase.
+                with ctx.phase("mid-autoscale", record_active=False):
+                    scaler.observe(p99_s=percentile(window, 0.99))
+                if ctx.recorder is not None:
+                    if any(d.fired for d in scaler.decisions[decisions_before:]):
+                        ctx.recorder.record_active_under("mid-autoscale")
+                    if ctx.plane.ring.shard_count != shards_before:
+                        ctx.recorder.set_shards(ctx.plane.ring.shard_count)
+
+        if ctx.autoscaler is not None or any(
+                isinstance(event, AutoscaleEnabled) for event in plan.events):
+            loop.spawn(autoscale_monitor(), name="autoscaler")
+        arrival_offset = 0.0
+        started = clock.now()
+        for op_index in range(ops):
+            rate = arrival_rate
+            for start_op, phase_rate in arrival_phases:
+                if op_index >= start_op:
+                    rate = phase_rate
+            arrival_offset += arrivals.expovariate(rate)
+            loop.spawn(op_task(op_index), name=f"op-{op_index}",
+                       start_at=started + arrival_offset)
+        loop.run()
+        if ctx.autoscaler is not None:
+            # The autoscaler's transitions are epoch transitions like any
+            # other: fold them into the context's reshard record so the
+            # invariants judge them identically.
+            ctx.reshard_reports.extend(ctx.autoscaler.reshard_reports)
+    elif batch_size > 0:
+        for start in range(0, ops, batch_size):
+            count = min(batch_size, ops - start)
+            fire(start, start + count)
+            started = clock.now()
+            outcomes = driver.run_span(start, count)
+            latency = clock.now() - started
+            run.results.extend(
+                (start + offset, latency,
+                 type(outcome).__name__ if isinstance(outcome, Exception) else None)
+                for offset, outcome in enumerate(outcomes))
+    else:
+        for op_index in range(ops):
+            fire(op_index, op_index + 1)
+            started = clock.now()
+            error = None
+            try:
+                driver.step(op_index)
+            except ReproError as exc:
+                error = type(exc).__name__
+            run.results.append((op_index, clock.now() - started, error))
+    return run
+
+
 class ScenarioRunner:
     """Runs one :class:`~repro.sim.scenarios.spec.Scenario` end to end."""
 
@@ -360,18 +533,14 @@ class ScenarioRunner:
         scenario = self.scenario
         driver = make_driver(scenario.app, scenario.seed, scenario.ops,
                              shards=scenario.shards, regions=scenario.regions)
-        deployment = driver.deployment
         plane = driver.plane
-        network = Network(clock=deployment.clock, default_latency=lan_profile())
-        plane.route_via_network(network, attempts=scenario.rpc_attempts)
-        if scenario.regions:
-            plane.apply_latency_map(network, geo_profile())
-        if scenario.service_time > 0:
-            plane.set_service_time(scenario.service_time)
         recorder = CoverageRecorder(scenario.app, layout=scenario.layout,
                                     shards=scenario.shards)
-        plan = FaultPlan(scenario.rules, scenario.events, seed=scenario.seed + 1)
-        plan.install(network, recorder=recorder)
+        ctx, plan = routed_context(driver, scenario.rules, scenario.events,
+                                   scenario.seed, scenario.rpc_attempts,
+                                   service_time=scenario.service_time,
+                                   recorder=recorder)
+        network = ctx.network
         if plane.spec is not None:
             # Every epoch transition the run performs leaves a signed,
             # self-contained transparency bundle behind (publishing is pure
@@ -380,37 +549,28 @@ class ScenarioRunner:
             from repro.transparency.epochs import EpochPublisher
 
             plane.epoch_publisher = EpochPublisher(plane.spec.name)
-        ctx = ScenarioContext(network, deployment, driver,
-                              ScheduledCompromise(deployment),
-                              plane.client_address, plane=plane,
-                              recorder=recorder,
-                              rpc_attempts=scenario.rpc_attempts)
 
         log_baseline = {
             domain.domain_id: domain.framework.log_export()
             for shard in plane.shards for domain in shard.domains
         }
         report = ScenarioReport(scenario=scenario)
-        latencies: list[float] = []
         started_at = network.clock.now()
-
-        if scenario.concurrent:
-            self._run_concurrent(ctx, plan, driver, network, report, latencies)
-        else:
-            for op_index in range(scenario.ops):
-                ctx.current_op = op_index
-                for event in plan.events_at(op_index):
-                    event.apply(ctx)
-                    ctx.note_event(event)
-                op_started = network.clock.now()
-                try:
-                    driver.step(op_index)
-                except ReproError as exc:
-                    report.failed += 1
-                    report.failures.append((op_index, type(exc).__name__))
-                else:
-                    report.succeeded += 1
-                latencies.append(network.clock.now() - op_started)
+        run = run_ops(ctx, plan, scenario.ops,
+                      arrival_rate=(scenario.arrival_rate
+                                    if scenario.concurrent else 0.0),
+                      arrival_phases=scenario.arrival_phases,
+                      seed=scenario.seed)
+        report.failures = run.failures
+        report.failed = len(report.failures)
+        report.succeeded = len(run.results) - report.failed
+        report.max_in_flight = run.max_in_flight
+        report.in_flight_at_reshard = next(
+            (mark.in_flight for mark in reversed(run.fired)
+             if mark.committed_epoch), 0)
+        if ctx.autoscaler is not None:
+            report.autoscale_decisions = [decision.to_dict() for decision
+                                          in ctx.autoscaler.decisions]
 
         report.retries = plane.rpc_retry_total()
         report.shard_queue_depth = plane.max_queue_depth_per_shard()
@@ -425,7 +585,7 @@ class ScenarioRunner:
         # of shards grown by a mid-run reshard are counted too.
         report.duplicates_answered = plane.duplicates_answered_total()
         report.sim_elapsed_s = network.clock.now() - started_at
-        report.latency = summarize(latencies) if latencies else None
+        report.latency = summarize([latency for _, latency, _ in run.results])
         report.reshards = list(ctx.reshard_reports)
         report.final_shards = plane.ring.shard_count
 
@@ -448,123 +608,6 @@ class ScenarioRunner:
         report.invariants.extend(driver.finish(ctx))
         report.coverage_cells = frozenset(recorder.cells)
         return report
-
-    def _run_concurrent(self, ctx: ScenarioContext, plan: FaultPlan, driver,
-                        network: Network, report: ScenarioReport,
-                        latencies: list) -> None:
-        """Drive the ops as overlapping tasks on the discrete-event loop.
-
-        Each op arrives at its own seeded Poisson time and runs as a
-        generator that yields while its requests are on the wire, so
-        scheduled events — a live reshard included — fire while every
-        earlier-arriving, unfinished op is genuinely in flight.
-        ``arrival_phases`` reshape the Poisson process mid-run; an
-        :class:`~repro.sim.faults.AutoscaleEnabled` event additionally gets
-        a monitor task that samples the plane and reshards it through the
-        operator gates while the load flows.
-        """
-        from repro.net.eventloop import EventLoop, Sleep
-        from repro.sim.faults import AutoscaleEnabled
-
-        scenario = self.scenario
-        loop = EventLoop(network)
-        arrivals = random.Random(scenario.seed + 2)
-        in_flight = {"count": 0, "max": 0}
-        progress = {"done": 0}
-
-        def op_wrapper(op_index: int):
-            ctx.current_op = op_index
-            reshards_before = len(ctx.reshard_reports)
-            count_at_start = in_flight["count"]
-            for event in plan.events_at(op_index):
-                event.apply(ctx)
-                ctx.note_event(event)
-            if len(ctx.reshard_reports) > reshards_before:
-                report.in_flight_at_reshard = count_at_start
-            in_flight["count"] += 1
-            in_flight["max"] = max(in_flight["max"], in_flight["count"])
-            if ctx.recorder is not None and in_flight["count"] >= 2:
-                ctx.recorder.batch_active(True)
-            op_started = network.clock.now()
-            try:
-                yield from driver.op_task(ctx, op_index)
-            except ReproError as exc:
-                report.failed += 1
-                report.failures.append((op_index, type(exc).__name__))
-            else:
-                report.succeeded += 1
-            finally:
-                in_flight["count"] -= 1
-                progress["done"] += 1
-                if ctx.recorder is not None and in_flight["count"] < 2:
-                    ctx.recorder.batch_active(False)
-            latencies.append(network.clock.now() - op_started)
-
-        def rate_for(op_index: int) -> float:
-            rate = scenario.arrival_rate
-            for start_op, phase_rate in scenario.arrival_phases:
-                if op_index >= start_op:
-                    rate = phase_rate
-            return rate
-
-        def autoscale_monitor():
-            """Sample the plane at the policy cadence while ops remain.
-
-            Idles cheaply until the AutoscaleEnabled event actually fires
-            (it may sit at any op boundary); the p99 window is every op
-            completed since the previous sample.
-            """
-            from repro.service.autoscaler import percentile
-
-            window_start = 0
-            while progress["done"] < scenario.ops:
-                scaler = ctx.autoscaler
-                yield Sleep(scaler.policy.sample_interval_s
-                            if scaler is not None else 0.05)
-                if scaler is None:
-                    window_start = len(latencies)
-                    continue
-                window = latencies[window_start:]
-                window_start = len(latencies)
-                decisions_before = len(scaler.decisions)
-                shards_before = ctx.plane.ring.shard_count
-                # Per-sample observes enter the window without charging the
-                # active faults to it — otherwise the monitor's mere cadence
-                # would claim mid-autoscale coverage every run. Transitions
-                # the observe fires (and the migration traffic they push)
-                # are recorded under the phase.
-                phase = (ctx.recorder.phase("mid-autoscale",
-                                            record_active=False)
-                         if ctx.recorder is not None else _NullPhase())
-                with phase:
-                    scaler.observe(p99_s=percentile(window, 0.99))
-                if ctx.recorder is not None:
-                    fired = any(d.fired
-                                for d in scaler.decisions[decisions_before:])
-                    if fired:
-                        ctx.recorder.record_active_under("mid-autoscale")
-                    if ctx.plane.ring.shard_count != shards_before:
-                        ctx.recorder.set_shards(ctx.plane.ring.shard_count)
-
-        if any(isinstance(event, AutoscaleEnabled)
-               for event in scenario.events):
-            loop.spawn(autoscale_monitor(), name="autoscaler")
-
-        arrival_offset = 0.0
-        started = network.clock.now()
-        for op_index in range(scenario.ops):
-            arrival_offset += arrivals.expovariate(rate_for(op_index))
-            loop.spawn(op_wrapper(op_index), name=f"op-{op_index}",
-                       start_at=started + arrival_offset)
-        loop.run()
-        report.max_in_flight = in_flight["max"]
-        if ctx.autoscaler is not None:
-            # The autoscaler's transitions are epoch transitions like any
-            # other: fold them into the scenario's reshard record so the
-            # invariants judge them identically.
-            ctx.reshard_reports.extend(ctx.autoscaler.reshard_reports)
-            report.autoscale_decisions = [decision.to_dict() for decision
-                                          in ctx.autoscaler.decisions]
 
     # ------------------------------------------------------------------
     # Generic invariants (checked for every app)

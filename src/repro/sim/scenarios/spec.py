@@ -265,6 +265,8 @@ class ScenarioReport:
             "messages_delivered": self.messages_delivered,
             "messages_dropped": self.messages_dropped,
             "messages_duplicated": self.messages_duplicated,
+            "sim_elapsed_s": self.sim_elapsed_s,
+            "latency": self.latency.to_dict() if self.latency else None,
             "audit_ok": self.audit_ok,
             "detected_kinds": sorted(self.detected_kinds),
             "invariants": {result.name: result.ok for result in self.invariants},

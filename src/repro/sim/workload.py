@@ -1,15 +1,20 @@
-"""Workload generation and the multi-client load driver.
+"""Workload generation and the multi-client load harness.
 
 Two layers live here:
 
 * :class:`WorkloadGenerator` — seeded draws of messages, secrets, user ids,
   telemetry values, and DNS names, so every experiment is reproducible.
-* :class:`MultiClientWorkload` — the load harness: it simulates many
-  concurrent users driving one of the four applications end to end over the
-  simulated network, in either the one-request-per-round-trip ("unbatched")
-  mode or the batched request pipeline, and reports throughput alongside the
-  transport statistics. Fault rules and scheduled events from the PR-1
-  scenario engine compose directly (see :meth:`MultiClientWorkload.run` and
+* :class:`MultiClientWorkload` — the load harness: it simulates many users
+  driving one of the four applications end to end over the simulated
+  network — one request per round trip ("unbatched"), through the batched
+  request pipeline, as overlapping Poisson arrivals on the event loop, or
+  against true-parallel worker processes — and reports throughput alongside
+  the transport statistics. It holds no per-app logic and no run loop of
+  its own: each app is its scenario driver
+  (:func:`repro.sim.scenarios.apps.make_driver`), and every mode is a
+  configuration of the scenario engine's op loop
+  (:func:`repro.sim.scenarios.runner.run_ops`). Fault rules and scheduled
+  events therefore compose directly (see
   :meth:`MultiClientWorkload.from_scenario`), so load runs double as stress
   tests: the same drop/delay/reorder/duplicate taxonomy that the scenario
   matrix exercises can be applied while thousands of operations are in
@@ -22,7 +27,6 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from repro.errors import ApplicationError, ReproError, ReshardError
 from repro.sim.metrics import LatencyStats, summarize
 
 __all__ = ["WorkloadGenerator", "WorkloadReport", "MultiClientWorkload"]
@@ -295,267 +299,6 @@ class WorkloadReport:
         }
 
 
-# ---------------------------------------------------------------------------
-# Per-application load adapters
-# ---------------------------------------------------------------------------
-#
-# Each adapter builds its application's deployment, materializes a seeded list
-# of operations (one per simulated client request), and knows how to execute a
-# span of them either one round trip at a time (`step`) or through the app's
-# batched API (`run_span`). Application modules are imported lazily so that
-# `repro.sim` keeps importing without the apps package (and to stay out of the
-# scenario engine's import cycle).
-
-
-class _KeyBackupAdapter:
-    app = "keybackup"
-
-    def __init__(self, seed: int, ops: int, shards: int = 1):
-        from repro.apps.keybackup import KeyBackupClient, KeyBackupDeployment
-
-        self.service = KeyBackupDeployment(num_domains=4, threshold=3, shards=shards)
-        self.plane = self.service.plane
-        self.deployment = self.service.deployment
-        self.client = KeyBackupClient(self.service, audit_before_use=False)
-        generator = WorkloadGenerator(seed)
-        self.items = list(zip(generator.user_ids(ops), generator.secrets(ops, bits=248)))
-
-    def routing_key(self, op_index: int):
-        return self.items[op_index][0]
-
-    def step(self, op_index: int) -> None:
-        user_id, secret = self.items[op_index]
-        self.client.backup_key(user_id, secret)
-        if self.client.recover_key_any(user_id) != secret:
-            raise ApplicationError(f"recovered key for {user_id!r} does not match")
-
-    def run_span(self, start: int, count: int) -> list:
-        span = self.items[start:start + count]
-        outcomes = self.client.backup_keys(span)
-        stored = [position for position, outcome in enumerate(outcomes)
-                  if not isinstance(outcome, Exception)]
-        recovered = self.client.recover_keys([span[position][0] for position in stored])
-        for position, value in zip(stored, recovered):
-            if isinstance(value, Exception):
-                outcomes[position] = value
-            elif value != span[position][1]:
-                outcomes[position] = ApplicationError(
-                    f"recovered key for {span[position][0]!r} does not match"
-                )
-            else:
-                outcomes[position] = True
-        return outcomes
-
-    def op_task(self, op_index: int, timeout: float):
-        from repro.sim.asyncops import keybackup_op
-
-        user_id, secret = self.items[op_index]
-        return keybackup_op(self.client, user_id, secret, timeout=timeout)
-
-    def consistency_issues(self) -> list[str]:
-        return []
-
-
-class _PrioAdapter:
-    app = "prio"
-
-    def __init__(self, seed: int, ops: int, shards: int = 1):
-        from repro.apps.prio import (
-            PrivateAggregationClient,
-            PrivateAggregationDeployment,
-        )
-
-        self.service = PrivateAggregationDeployment(num_servers=3, max_value=100,
-                                                    shards=shards)
-        self.plane = self.service.plane
-        self.deployment = self.service.deployment
-        # A fixed session tag keeps submission→shard routing reproducible
-        # per seed (real clients default to a random tag per session).
-        self.client = PrivateAggregationClient(self.service, audit_before_use=False,
-                                               session_tag=f"workload-{seed}")
-        self.values = WorkloadGenerator(seed).telemetry_values(ops, 0, 100)
-        self.accepted: list[int] = []
-        self.unclean = 0
-
-    def routing_key(self, op_index: int):
-        # One submission per op, counter starts at zero, so the op's index
-        # is its submission index.
-        return self.client.submission_key(op_index)
-
-    def step(self, op_index: int) -> None:
-        value = self.values[op_index]
-        try:
-            self.client.submit(value)
-        except ReproError:
-            self.unclean += 1
-            raise
-        self.accepted.append(value)
-
-    def run_span(self, start: int, count: int) -> list:
-        outcomes = self.client.submit_many(self.values[start:start + count])
-        for offset, outcome in enumerate(outcomes):
-            if outcome is True:
-                self.accepted.append(self.values[start + offset])
-            else:
-                self.unclean += 1
-        return outcomes
-
-    def op_task(self, op_index: int, timeout: float):
-        from repro.sim.asyncops import prio_op
-
-        def task():
-            value = self.values[op_index]
-            try:
-                yield from prio_op(self.client, value, op_index, timeout=timeout)
-            except ReproError:
-                self.unclean += 1
-                raise
-            self.accepted.append(value)
-            return True
-
-        return task()
-
-    def consistency_issues(self) -> list[str]:
-        from repro.apps.prio import FIELD_MODULUS
-
-        if self.unclean:
-            # A failed or torn submission may have reached a subset of the
-            # servers; either they still agree and the sum is exact, or the
-            # aggregate must refuse. Both are consistent outcomes.
-            try:
-                self.service.aggregate()
-            except ApplicationError:
-                pass
-            return []
-        result = self.service.aggregate()
-        expected = sum(self.accepted) % FIELD_MODULUS
-        issues = []
-        if result["sum"] != expected:
-            issues.append(
-                f"aggregate sum {result['sum']} != expected {expected} "
-                f"over {len(self.accepted)} accepted submissions"
-            )
-        if result["submissions"] != len(self.accepted):
-            issues.append(
-                f"servers counted {result['submissions']} submissions, "
-                f"client had {len(self.accepted)} accepted"
-            )
-        return issues
-
-
-class _ThresholdSignAdapter:
-    app = "threshold_sign"
-
-    def __init__(self, seed: int, ops: int, shards: int = 1):
-        from repro.apps.threshold_sign import CustodyClient, CustodyDeployment
-
-        self.service = CustodyDeployment(threshold=2, num_signers=3,
-                                         keygen_seed=seed.to_bytes(8, "big"),
-                                         shards=shards)
-        self.plane = self.service.plane
-        self.deployment = self.service.deployment
-        self.client = CustodyClient(self.service, audit_before_use=False)
-        self.messages = WorkloadGenerator(seed).messages(ops)
-        self.all_signers = list(range(1, self.service.num_signers + 1))
-        self.robust = False  # set by the workload driver when faults are active
-
-    def routing_key(self, op_index: int):
-        return self.messages[op_index]
-
-    def step(self, op_index: int) -> None:
-        transaction = self.client.sign_transaction_failover(self.messages[op_index])
-        if not self.client.verify(transaction):
-            raise ApplicationError("threshold signature did not verify")
-
-    def run_span(self, start: int, count: int) -> list:
-        # Under faults, collect shares from every signer so per-message
-        # failover survives a crashed or compromised domain; on a clean
-        # network the minimal quorum signs (matching the unbatched path,
-        # whose failover also stops after ``threshold`` successes).
-        signers = self.all_signers if self.robust else None
-        return self.client.sign_transactions(self.messages[start:start + count],
-                                             signer_indices=signers)
-
-    def op_task(self, op_index: int, timeout: float):
-        from repro.sim.asyncops import sign_op
-
-        return sign_op(self.client, self.messages[op_index], timeout=timeout,
-                       candidate_signers=self.all_signers)
-
-    def consistency_issues(self) -> list[str]:
-        return []
-
-
-class _OdohAdapter:
-    app = "odoh"
-
-    def __init__(self, seed: int, ops: int, shards: int = 1):
-        from repro.apps.odoh import ObliviousDnsClient, ObliviousDnsDeployment
-
-        self.names = WorkloadGenerator(seed).dns_queries(ops)
-        self.records = {
-            name: f"10.{index // 250}.{index % 250}.7"
-            for index, name in enumerate(self.names)
-        }
-        self.service = ObliviousDnsDeployment(records=self.records, shards=shards)
-        self.plane = self.service.plane
-        self.deployment = self.service.deployment
-        self.client = ObliviousDnsClient(self.service, audit_before_use=False)
-        self.resolved = 0
-
-    def routing_key(self, op_index: int):
-        return self.names[op_index]
-
-    def _check(self, name: str, response) -> None:
-        if not response.found or response.address != self.records[name]:
-            raise ApplicationError(f"wrong answer for {name!r}")
-        self.resolved += 1
-
-    def step(self, op_index: int) -> None:
-        name = self.names[op_index]
-        self._check(name, self.client.resolve(name))
-
-    def op_task(self, op_index: int, timeout: float):
-        from repro.sim.asyncops import odoh_op
-
-        def task():
-            name = self.names[op_index]
-            response = yield from odoh_op(self.client, name, timeout=timeout)
-            self._check(name, response)
-            return True
-
-        return task()
-
-    def run_span(self, start: int, count: int) -> list:
-        span = self.names[start:start + count]
-        outcomes = self.client.resolve_many(span)
-        for position, outcome in enumerate(outcomes):
-            if isinstance(outcome, Exception):
-                continue
-            try:
-                self._check(span[position], outcome)
-            except ApplicationError as exc:
-                outcomes[position] = exc
-            else:
-                outcomes[position] = True
-        return outcomes
-
-    def consistency_issues(self) -> list[str]:
-        view = self.service.proxy_view()
-        leaked = [item for item in view if not isinstance(item, int)]
-        if leaked:
-            return [f"proxy recorded non-length data: {leaked[:3]!r}"]
-        if len(view) < self.resolved:
-            return [f"proxy view covers {len(view)} queries but {self.resolved} resolved"]
-        return []
-
-
-_ADAPTERS = {
-    adapter.app: adapter
-    for adapter in (_KeyBackupAdapter, _PrioAdapter, _ThresholdSignAdapter, _OdohAdapter)
-}
-
-
 class MultiClientWorkload:
     """Simulates many concurrent users driving one application over the network.
 
@@ -588,9 +331,11 @@ class MultiClientWorkload:
         rpc_attempts: send attempts per request (retries are safe against the
             at-most-once servers).
         reshard_at_op: resize the service *live* just before this operation
-            index (a batched run fires it at the containing span boundary);
-            the report then carries per-segment simulated throughput so the
-            pre- and post-reshard capacity can be compared.
+            index — a :class:`~repro.sim.faults.ReshardService` event that
+            fires first among that op's events (a batched run fires it at
+            the containing span boundary); the report then carries
+            per-segment simulated throughput so the pre- and post-reshard
+            capacity can be compared.
         reshard_to: the shard count the live reshard resizes to — above
             ``shards`` grows, below it shrinks (evacuate + retire); it must
             differ from ``shards`` and be at least 1.
@@ -611,11 +356,12 @@ class MultiClientWorkload:
             before the first phase use ``arrival_rate``; from each phase's
             start op onward, its rate applies. A flash crowd is one phase
             (spike), a diurnal wave is several.
-        autoscale_policy: install a metrics-driven
-            :class:`~repro.service.autoscaler.Autoscaler` for the run
-            (concurrent mode only). A monitor task samples windowed p99 and
-            live queue depth every ``policy.sample_interval_s`` and reshards
-            through the operator gates; the report carries every decision.
+        autoscale_policy: enable a metrics-driven
+            :class:`~repro.service.autoscaler.Autoscaler` before the run
+            starts (concurrent mode only). A monitor task samples windowed
+            p99 over every completed op and live queue depth every
+            ``policy.sample_interval_s`` and reshards through the operator
+            gates; the report carries every decision.
     """
 
     def __init__(self, app: str, num_clients: int = 100, ops_per_client: int = 1,
@@ -627,43 +373,27 @@ class MultiClientWorkload:
                  op_timeout: float = 0.25, arrival_phases: tuple = (),
                  autoscale_policy=None, parallel: bool = False,
                  workers: int = 4):
-        if app not in _ADAPTERS:
-            raise ValueError(f"unknown workload app {app!r} "
-                             f"(expected one of {sorted(_ADAPTERS)})")
+        from repro.sim.scenarios.spec import Scenario
+
         if num_clients < 1 or ops_per_client < 1:
             raise ValueError("a workload needs at least one client and one op")
+        total_ops = num_clients * ops_per_client
+        # The run shape both harnesses share (app, shards, service time,
+        # arrival rate and phases) is validated where scenarios declare it.
+        Scenario(name=f"workload-{app}", app=app, ops=total_ops, shards=shards,
+                 concurrent=concurrent, arrival_rate=arrival_rate,
+                 arrival_phases=tuple(arrival_phases), service_time=service_time)
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if shards < 1:
-            raise ValueError("a workload needs at least one shard")
-        if service_time < 0:
-            raise ValueError("service_time cannot be negative")
         if reshard_at_op is not None:
-            if not 1 <= reshard_at_op < num_clients * ops_per_client:
+            if not 1 <= reshard_at_op < total_ops:
                 raise ValueError("reshard_at_op must fall inside the run "
                                  "(after the first op, before the last)")
             if reshard_to == shards or reshard_to < 1:
                 raise ValueError("reshard_to must differ from the starting "
                                  "shard count and be at least 1")
-        if concurrent and arrival_rate <= 0:
-            raise ValueError("concurrent mode needs a positive arrival_rate")
         if op_timeout <= 0:
             raise ValueError("op_timeout must be positive")
-        arrival_phases = tuple(arrival_phases)
-        if arrival_phases:
-            if not concurrent:
-                raise ValueError("arrival_phases only shape concurrent runs")
-            total = num_clients * ops_per_client
-            previous = -1
-            for start_op, rate in arrival_phases:
-                if not 0 <= start_op < total:
-                    raise ValueError(f"phase start op {start_op} falls "
-                                     "outside the run")
-                if start_op <= previous:
-                    raise ValueError("phase start ops must be ascending")
-                if rate <= 0:
-                    raise ValueError("every phase rate must be positive")
-                previous = start_op
         if autoscale_policy is not None and not concurrent:
             raise ValueError("the autoscaler samples a live event loop; "
                              "it needs concurrent mode")
@@ -691,7 +421,7 @@ class MultiClientWorkload:
         self.app = app
         self.num_clients = num_clients
         self.ops_per_client = ops_per_client
-        self.total_ops = num_clients * ops_per_client
+        self.total_ops = total_ops
         self.seed = seed
         self.batched = batched
         self.batch_size = batch_size
@@ -705,7 +435,7 @@ class MultiClientWorkload:
         self.concurrent = concurrent
         self.arrival_rate = arrival_rate
         self.op_timeout = op_timeout
-        self.arrival_phases = arrival_phases
+        self.arrival_phases = tuple(arrival_phases)
         self.autoscale_policy = autoscale_policy
         self.parallel = parallel
         self.workers = workers
@@ -749,137 +479,96 @@ class MultiClientWorkload:
         therefore simulated latencies).
         """
         from repro.crypto import rng as crypto_rng
+        from repro.sim.scenarios.apps import make_driver
 
         with crypto_rng.deterministic(self.seed):
+            driver = make_driver(self.app, self.seed, self.total_ops,
+                                 shards=self.shards, tag_prefix="workload")
             if self.parallel:
-                return self._run_parallel()
-            return self._run()
+                return self._run_parallel(driver)
+            return self._run(driver)
 
-    def _run(self) -> WorkloadReport:
-        from repro.net.latency import lan_profile
-        from repro.net.transport import Network
-        from repro.sim.faults import FaultPlan
+    def _run(self, driver) -> WorkloadReport:
+        from repro.sim.faults import ReshardService
+        from repro.sim.scenarios.runner import routed_context, run_ops
 
-        adapter = _ADAPTERS[self.app](self.seed, self.total_ops, shards=self.shards)
-        adapter.robust = bool(self.rules or self.events)
-        plane = adapter.plane
-        deployment = adapter.deployment
-        network = Network(clock=plane.clock, default_latency=lan_profile())
-        plane.route_via_network(network, attempts=self.rpc_attempts)
-        if self.service_time > 0:
-            plane.set_service_time(self.service_time)
-        plan = FaultPlan(self.rules, self.events, seed=self.seed + 1)
-        plan.install(network)
-        context = self._event_context(network, deployment, adapter)
-
+        # Robust signing is for the caller's faults, decided before the
+        # workload's own reshard joins the events.
+        driver.robust = bool(self.rules or self.events)
+        plane = driver.plane
         batched = self.batched and not self.concurrent
+        events = self.events
+        reshard = None
+        if self.reshard_at_op is not None:
+            # A batched run fires it at the boundary of the span holding the
+            # requested op; first among the events of its op either way.
+            at_op = self.reshard_at_op
+            if batched:
+                at_op -= at_op % self.batch_size
+            reshard = ReshardService(at_op=at_op, shards=self.reshard_to)
+            events = (reshard,) + events
+        ctx, plan = routed_context(driver, self.rules, events, self.seed,
+                                   self.rpc_attempts, service_time=self.service_time)
+        network = ctx.network
+        if self.autoscale_policy is not None:
+            ctx.enable_autoscaler(self.autoscale_policy)
+
         report = WorkloadReport(app=self.app, num_clients=self.num_clients,
                                 ops=self.total_ops, batched=batched,
                                 batch_size=self.batch_size if batched else 0,
                                 shards=self.shards, service_time=self.service_time,
                                 concurrent=self.concurrent,
                                 arrival_rate=self.arrival_rate)
-        op_latencies: list[tuple[int, float]] = []  # (op index, sim latency)
-
-        def reshard_now() -> None:
-            before = network.clock.now()
-            report.ops_before_reshard = report.succeeded
-            report.sim_seconds_before_reshard = before - sim_started
-            # A failed reshard is a run outcome, not a harness crash: a
-            # planning abort leaves the old epoch serving; a mid-migration
-            # failure commits with unmoved keys pinned (the coordinator
-            # attaches its report). The load keeps flowing either way.
-            try:
-                reshard_report = plane.reshard(self.reshard_to)
-            except ReshardError as exc:
-                reshard_report = getattr(exc, "report", None)
-                report.reshard_summary = (reshard_report.to_dict()
-                                          if reshard_report is not None else {})
-                report.reshard_summary["error"] = str(exc)
-            else:
-                report.reshard_summary = reshard_report.to_dict()
-            report.reshard_sim_seconds = network.clock.now() - before
-            # Ring coverage, not attached-shard count: a shrink that left a
-            # retiring shard draining (pinned keys) has still committed its
-            # epoch and serves at the new width.
-            report.resharded = plane.ring.shard_count == self.reshard_to
-            report.reshard_to = self.reshard_to
-
         sim_started = network.clock.now()
         wall_started = time.perf_counter()
-        if self.concurrent:
-            self._drive_concurrent(adapter, network, plan, context, report,
-                                   op_latencies, reshard_now, sim_started)
-        elif self.batched:
-            op_index = 0
-            while op_index < self.total_ops:
-                count = min(self.batch_size, self.total_ops - op_index)
-                if (self.reshard_at_op is not None and not report.resharded
-                        and op_index <= self.reshard_at_op < op_index + count):
-                    reshard_now()
-                for event in self.events:
-                    if op_index <= event.at_op < op_index + count:
-                        event.apply(context)
-                span_started = network.clock.now()
-                outcomes = adapter.run_span(op_index, count)
-                span_latency = network.clock.now() - span_started
-                for offset, outcome in enumerate(outcomes):
-                    if isinstance(outcome, Exception):
-                        report.failed += 1
-                        report.failures.append((op_index + offset,
-                                                type(outcome).__name__))
-                    else:
-                        report.succeeded += 1
-                        op_latencies.append((op_index + offset, span_latency))
-                op_index += count
-        else:
-            for op_index in range(self.total_ops):
-                if op_index == self.reshard_at_op and not report.resharded:
-                    reshard_now()
-                for event in plan.events_at(op_index):
-                    event.apply(context)
-                op_started = network.clock.now()
-                try:
-                    adapter.step(op_index)
-                except ReproError as exc:
-                    report.failed += 1
-                    report.failures.append((op_index, type(exc).__name__))
-                else:
-                    report.succeeded += 1
-                    op_latencies.append((op_index,
-                                         network.clock.now() - op_started))
+        run = run_ops(ctx, plan, self.total_ops,
+                      batch_size=self.batch_size if batched else 0,
+                      arrival_rate=self.arrival_rate if self.concurrent else 0.0,
+                      arrival_phases=self.arrival_phases, seed=self.seed,
+                      op_timeout=self.op_timeout)
         report.wall_seconds = time.perf_counter() - wall_started
         report.sim_seconds = network.clock.now() - sim_started
+        self._tally(report, run)
+        report.max_in_flight = run.max_in_flight
+        if reshard is not None:
+            self._attach_reshard(report, run, reshard, sim_started)
+        if ctx.autoscaler is not None:
+            scaler = ctx.autoscaler
+            report.autoscaled = any(d.fired for d in scaler.decisions)
+            report.autoscale_decisions = [d.to_dict() for d in scaler.decisions]
+            report.autoscale_reshards = [r.to_dict()
+                                         for r in scaler.reshard_reports]
         report.retries = plane.rpc_retry_total()
         report.shard_queue_depth = plane.max_queue_depth_per_shard()
         report.final_shards = plane.ring.shard_count
         plane.unroute()
-        self._attach_latency(report, adapter, plane, op_latencies)
+        self._attach_latency(report, driver, run)
 
         stats = network.stats
         report.messages_sent = stats.messages_sent
         report.messages_delivered = stats.messages_delivered
         report.messages_dropped = stats.messages_dropped
         report.messages_duplicated = stats.messages_duplicated
-        report.consistency_issues = adapter.consistency_issues()
+        report.consistency_issues = self._consistency_issues(driver, ctx)
         return report
 
-    def _run_parallel(self) -> WorkloadReport:
+    def _run_parallel(self, driver) -> WorkloadReport:
         """Drive the batched pipeline against true-parallel shard workers.
 
         The client side (this process) builds the same deterministic
         deployment the workers build, routes every invoke through the
-        executor's pipes, and runs the ordinary span loop. Only wall-clock
-        throughput is reported: ``sim_seconds`` stays zero because no
-        simulated clock spans the worker processes, and publishing a
-        sim-time number from a parallel run would misrepresent what was
-        measured. Worker startup (spawn + per-worker deployment build) is
-        excluded from the measured window.
+        executor's pipes, and runs the ordinary span schedule. Only
+        wall-clock throughput is reported: ``sim_seconds`` stays zero
+        because no simulated clock spans the worker processes, and
+        publishing a sim-time number from a parallel run would misrepresent
+        what was measured. Worker startup (spawn + per-worker deployment
+        build) is excluded from the measured window.
         """
         from repro.service.parallel import ParallelShardExecutor
+        from repro.sim.faults import FaultPlan
+        from repro.sim.scenarios.runner import ScenarioContext, run_ops
 
-        adapter = _ADAPTERS[self.app](self.seed, self.total_ops, shards=self.shards)
-        plane = adapter.plane
+        plane = driver.plane
         report = WorkloadReport(app=self.app, num_clients=self.num_clients,
                                 ops=self.total_ops, batched=True,
                                 batch_size=self.batch_size, shards=self.shards,
@@ -889,24 +578,16 @@ class MultiClientWorkload:
         executor.start(plane)
         try:
             plane.route_via_executor(executor)
+            ctx = ScenarioContext(None, driver)
             wall_started = time.perf_counter()
-            op_index = 0
-            while op_index < self.total_ops:
-                count = min(self.batch_size, self.total_ops - op_index)
-                outcomes = adapter.run_span(op_index, count)
-                for offset, outcome in enumerate(outcomes):
-                    if isinstance(outcome, Exception):
-                        report.failed += 1
-                        report.failures.append((op_index + offset,
-                                                type(outcome).__name__))
-                    else:
-                        report.succeeded += 1
-                op_index += count
+            run = run_ops(ctx, FaultPlan(), self.total_ops,
+                          batch_size=self.batch_size)
             report.wall_seconds = time.perf_counter() - wall_started
+            self._tally(report, run)
             # Consistency checks read the workers' state, so they must run
             # while the plane is still executor-routed (the parent's own
             # domain state never saw the traffic).
-            report.consistency_issues = adapter.consistency_issues()
+            report.consistency_issues = self._consistency_issues(driver, ctx)
             report.retries = plane.rpc_retry_total()
         finally:
             plane.unroute()
@@ -914,118 +595,58 @@ class MultiClientWorkload:
         report.final_shards = plane.ring.shard_count
         return report
 
-    def _drive_concurrent(self, adapter, network, plan, context, report,
-                          op_latencies, reshard_now, sim_started) -> None:
-        """Run every op as its own task on the discrete-event loop.
+    @staticmethod
+    def _tally(report: WorkloadReport, run) -> None:
+        report.failures = run.failures
+        report.failed = len(report.failures)
+        report.succeeded = len(run.results) - report.failed
 
-        Ops arrive at seeded Poisson times and overlap for real: while one
-        op's requests sit in a server's service queue or ride the wire,
-        other ops make progress. Scheduled events (and the live reshard)
-        fire at the moment their target op *starts* — with every
-        earlier-arriving, still-unfinished op genuinely in flight.
+    def _attach_reshard(self, report: WorkloadReport, run, reshard,
+                        sim_started: float) -> None:
+        """Segment the run around the workload's own live reshard.
 
-        ``arrival_phases`` reshape the Poisson process mid-run (flash crowd,
-        diurnal wave); an ``autoscale_policy`` additionally spawns a monitor
-        task that samples windowed p99 and live queue depth at the policy's
-        cadence and reshards the plane through the operator gates while ops
-        are in flight.
+        A failed reshard is a run outcome, not a harness crash: a planning
+        abort leaves the old epoch serving; a mid-migration failure commits
+        with unmoved keys pinned (the coordinator attaches its report).
         """
-        from repro.net.eventloop import EventLoop, Sleep
+        fired = next(mark for mark in run.fired if mark.event is reshard)
+        reshard_report, error = fired.outcome
+        report.ops_before_reshard = sum(
+            1 for _, _, op_error in run.results[:fired.completed]
+            if op_error is None)
+        report.sim_seconds_before_reshard = fired.started - sim_started
+        report.reshard_sim_seconds = fired.finished - fired.started
+        report.reshard_summary = (reshard_report.to_dict()
+                                  if reshard_report is not None else {})
+        if error is not None:
+            report.reshard_summary["error"] = error
+        # A report means the epoch committed at the new width (a shrink may
+        # still leave a retiring shard draining pinned keys).
+        report.resharded = reshard_report is not None
+        report.reshard_to = self.reshard_to
+        report.in_flight_at_reshard = fired.in_flight
 
-        loop = EventLoop(network)
-        arrivals = random.Random(self.seed + 2)
-        in_flight = {"count": 0, "max": 0}
-        progress = {"done": 0}
-
-        def op_wrapper(op_index: int):
-            if op_index == self.reshard_at_op and not report.resharded:
-                report.in_flight_at_reshard = in_flight["count"]
-                reshard_now()
-            for event in plan.events_at(op_index):
-                event.apply(context)
-            in_flight["count"] += 1
-            in_flight["max"] = max(in_flight["max"], in_flight["count"])
-            op_started = network.clock.now()
-            try:
-                yield from adapter.op_task(op_index, self.op_timeout)
-            except ReproError as exc:
-                report.failed += 1
-                report.failures.append((op_index, type(exc).__name__))
-            else:
-                report.succeeded += 1
-                op_latencies.append((op_index, network.clock.now() - op_started))
-            finally:
-                in_flight["count"] -= 1
-                progress["done"] += 1
-
-        def rate_for(op_index: int) -> float:
-            rate = self.arrival_rate
-            for start_op, phase_rate in self.arrival_phases:
-                if op_index >= start_op:
-                    rate = phase_rate
-            return rate
-
-        def autoscale_monitor(scaler):
-            """Sample the plane at the policy cadence while ops remain.
-
-            The p99 window is every op completed since the previous sample —
-            the same latencies the report summarizes, so a scenario can
-            reconstruct exactly what the autoscaler saw.
-            """
-            from repro.service.autoscaler import percentile
-
-            window_start = 0
-            interval = scaler.policy.sample_interval_s
-            while progress["done"] < self.total_ops:
-                yield Sleep(interval)
-                window = [latency for _, latency
-                          in op_latencies[window_start:]]
-                window_start = len(op_latencies)
-                scaler.observe(p99_s=percentile(window, 0.99))
-
-        scaler = None
-        if self.autoscale_policy is not None:
-            from repro.service.autoscaler import Autoscaler
-
-            scaler = Autoscaler(adapter.plane, self.autoscale_policy)
-            loop.spawn(autoscale_monitor(scaler), name="autoscaler")
-
-        arrival_offset = 0.0
-        for op_index in range(self.total_ops):
-            arrival_offset += arrivals.expovariate(rate_for(op_index))
-            loop.spawn(op_wrapper(op_index), name=f"op-{op_index}",
-                       start_at=sim_started + arrival_offset)
-        loop.run()
-        report.max_in_flight = in_flight["max"]
-        if scaler is not None:
-            report.autoscaled = any(d.fired for d in scaler.decisions)
-            report.autoscale_decisions = [d.to_dict()
-                                          for d in scaler.decisions]
-            report.autoscale_reshards = [r.to_dict()
-                                         for r in scaler.reshard_reports]
-
-    def _attach_latency(self, report, adapter, plane, op_latencies) -> None:
-        """Summarize per-op sim latency, overall and broken down by shard.
+    @staticmethod
+    def _attach_latency(report: WorkloadReport, driver, run) -> None:
+        """Summarize succeeded ops' sim latency, overall and by shard.
 
         Each op is attributed to the shard its routing key lands on under the
         *final* ring, so a resharded run's breakdown reflects the grown fleet.
         """
-        if not op_latencies:
+        succeeded = [(op_index, latency)
+                     for op_index, latency, error in run.results if error is None]
+        if not succeeded:
             return
-        report.latency = summarize([latency for _, latency in op_latencies])
+        report.latency = summarize([latency for _, latency in succeeded])
         per_shard: dict[int, list[float]] = {}
-        for op_index, latency in op_latencies:
-            shard = plane.shard_for(adapter.routing_key(op_index))
+        for op_index, latency in succeeded:
+            shard = driver.plane.shard_for(driver.routing_key(op_index))
             per_shard.setdefault(shard, []).append(latency)
         report.shard_latency = {shard: summarize(samples)
                                 for shard, samples in sorted(per_shard.items())}
 
-    def _event_context(self, network, deployment, adapter):
-        """A scenario-compatible context so scheduled events can fire here."""
-        from repro.sim.adversary import ScheduledCompromise
-        from repro.sim.scenarios.runner import ScenarioContext
-
-        return ScenarioContext(network, deployment, adapter,
-                               ScheduledCompromise(deployment),
-                               deployment.client_address,
-                               plane=adapter.plane)
+    @staticmethod
+    def _consistency_issues(driver, ctx) -> list[str]:
+        """The details of every end-of-run invariant the driver saw fail."""
+        return [f"{result.name}: {result.detail}"
+                for result in driver.finish(ctx) if not result.ok]

@@ -9,6 +9,7 @@ bit-identical reports under a fixed seed.
 
 import pytest
 
+from repro.sim.faults import ReshardService
 from repro.sim.metrics import LatencyStats
 from repro.sim.scenarios.matrix import default_matrix, reshard_matrix
 from repro.sim.scenarios.runner import ScenarioRunner
@@ -63,6 +64,16 @@ class TestConcurrentMode:
         assert report.in_flight_at_reshard > 10
         assert report.failed == 0
         assert report.consistent
+
+    def test_in_flight_at_reshard_counts_the_workloads_own_transition(self):
+        """A later caller-scheduled reshard does not overwrite the figure."""
+        params = dict(num_clients=80, arrival_rate=50_000.0,
+                      service_time=0.0004, reshard_at_op=60, reshard_to=4)
+        alone = run_workload(**params)
+        with_later = run_workload(
+            events=(ReshardService(at_op=75, shards=2),), **params)
+        assert len(with_later.reshard_summary) and with_later.final_shards == 2
+        assert with_later.in_flight_at_reshard == alone.in_flight_at_reshard
 
 
 class TestReshardUnderTrueLoadScenario:

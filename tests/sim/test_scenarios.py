@@ -191,7 +191,6 @@ class TestReshardScenarios:
         """A reshard the faults defeat is a scenario outcome: the context
         records the error (and the committed report, when migration already
         moved records) and the run continues to its invariants."""
-        from repro.sim.adversary import ScheduledCompromise
         from repro.sim.scenarios.apps import make_driver
         from repro.sim.scenarios.runner import ScenarioContext
 
@@ -203,9 +202,7 @@ class TestReshardScenarios:
             raise RuntimeError("boom")
 
         driver.plane.migrator.migrate = exploding_migrate
-        ctx = ScenarioContext(None, driver.deployment, driver,
-                              ScheduledCompromise(driver.deployment),
-                              "client", plane=driver.plane)
+        ctx = ScenarioContext(None, driver)
         ctx.reshard(4)  # must not raise
         assert ctx.reshard_errors and "boom" in ctx.reshard_errors[0]
         # The epoch committed with every moving key pinned — nothing lost.
@@ -218,14 +215,11 @@ class TestReshardScenarios:
     def test_compromise_targets_a_nonprimary_shard(self):
         """CompromiseDomain(shard_index=N) breaches the named shard's TEE,
         and the fleet-wide audit catches it."""
-        from repro.sim.adversary import ScheduledCompromise
         from repro.sim.scenarios.apps import make_driver
         from repro.sim.scenarios.runner import ScenarioContext
 
         driver = make_driver("keybackup", 2022, 2, shards=2)
-        ctx = ScenarioContext(None, driver.deployment, driver,
-                              ScheduledCompromise(driver.deployment),
-                              "client", plane=driver.plane)
+        ctx = ScenarioContext(None, driver)
         ctx.compromise(1, shard_index=1)
         assert driver.plane.shards[1].domains[1].enclave.memory.breached
         assert not driver.plane.shards[0].domains[1].enclave.memory.breached

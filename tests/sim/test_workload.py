@@ -203,6 +203,30 @@ class TestFaultComposition:
         assert report.consistent
 
 
+class TestOneOpLoop:
+    """Both harnesses drive an app through one definition and one loop, so a
+    serial load run and a serial scenario with the same app, ops, shards and
+    seed put the same traffic on the wire at the same simulated times.
+
+    prio is left out on purpose: each harness keeps its own session tag
+    (``workload-`` / ``scenario-``), which places submissions differently.
+    """
+
+    @pytest.mark.parametrize("app, ops", [("keybackup", 12), ("odoh", 12),
+                                          ("threshold_sign", 4)])
+    def test_serial_workload_matches_serial_scenario(self, app, ops):
+        from repro.sim.scenarios.runner import ScenarioRunner
+        from repro.sim.scenarios.spec import Scenario
+
+        workload = MultiClientWorkload(app, num_clients=ops, seed=2031,
+                                       batched=False, shards=2).run()
+        scenario = ScenarioRunner(Scenario(name=f"{app}-one-loop", app=app,
+                                           ops=ops, shards=2, seed=2031)).run()
+        assert workload.succeeded == scenario.succeeded == ops
+        assert workload.messages_sent == scenario.messages_sent
+        assert workload.latency == scenario.latency
+
+
 class TestBatchSigningProvenance:
     def test_signer_indices_reflect_actual_signers_under_crash(self):
         """Regression: a crashed signer must not be reported as a signer."""
