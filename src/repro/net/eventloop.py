@@ -17,19 +17,23 @@ send/receive instead of pumping:
   arrivals start while earlier responses are still queued behind a server's
   serial service queue, which is what makes queueing, head-of-line blocking,
   and p99-under-load measurable at all;
-* responses are routed to waiting tasks by request id through a delivery
-  observer, so a payload wakes exactly the task whose batch it answers — no
-  O(tasks) broadcast per delivery;
+* responses are routed to waiting tasks by request id: a waiting batch
+  registers one watcher per pending id on its client endpoint's
+  :class:`~repro.net.rpc.ResponseDemux`, which decodes every delivered frame
+  once and hands it to that watcher, so a payload wakes exactly the task
+  whose batch it answers — no O(tasks) broadcast per delivery;
 * everything is deterministic under a fixed seed: the ready queue is FIFO,
   timers tie-break by creation order, and the optional event ``trace``
   records every scheduling decision so two identically seeded runs can be
   compared event by event.
 
 Synchronous code composes with the loop: a task may call code that pumps
-``run_until_idle`` internally (e.g. a live reshard's quiesce barrier); the
-delivery observer keeps batch bookkeeping correct no matter which driver
-performed a delivery, and affected tasks simply find their responses already
-waiting when control returns to the loop.
+``run_until_idle`` internally (e.g. a live reshard's quiesce barrier). The
+demux is the endpoint's own receive handler, so it routes a response the same
+way whichever driver delivered it: a watched id wakes its task, and any other
+id is held, decoded, until the batch that owns it registers its wait (for
+instance a later shard group of the same scatter) and claims it without a
+second decode.
 """
 
 from __future__ import annotations
@@ -40,10 +44,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Generator, Optional
 
-from repro.errors import DecodingError, SimulationError
-from repro.net.transport import Message, Network
-from repro.wire.codec import decode
-from repro.wire.framing import split_frames
+from repro.errors import SimulationError
+from repro.net.transport import Network
+# Unused here since responses are decoded by repro.net.rpc.ResponseDemux; kept
+# because perfbench's tracer test still reads repro.net.eventloop.decode.
+from repro.wire.codec import decode  # noqa: F401
 
 __all__ = ["Sleep", "WaitBatch", "SimTask", "EventLoop"]
 
@@ -60,7 +65,9 @@ class WaitBatch:
     """Yielded by a task to block on an in-flight RPC batch.
 
     ``batch`` is a :class:`~repro.net.rpc.PendingRpcBatch` (anything with a
-    ``client``, a ``pending`` id set, and a ``found`` response dict works).
+    ``client`` whose ``demux`` is the endpoint's
+    :class:`~repro.net.rpc.ResponseDemux`, a ``pending`` id set, and a
+    ``found`` response dict works).
     The task resumes with ``"complete"`` once every pending response arrived,
     ``"timeout"`` after ``timeout`` simulated seconds, or ``"idle"`` if the
     whole simulation ran out of events first (lost traffic, no timers) — the
@@ -109,11 +116,7 @@ class EventLoop:
         self._ready: deque = deque()  # (task, wake value)
         self._timers: list = []  # heap of (at, seq, task, generation, kind)
         self._seq = itertools.count()
-        # client endpoint address -> {request id: (batch, task)}; filled by
-        # WaitBatch registration, consumed by the delivery observer.
-        self._waiters: dict[str, dict] = {}
         self._events = 0
-        network.add_delivery_observer(self._on_delivery)
 
     # ------------------------------------------------------------------
     # Task management
@@ -179,19 +182,26 @@ class EventLoop:
 
     def _register_wait(self, task: SimTask, command: WaitBatch) -> None:
         batch = command.batch
-        client = batch.client
-        # Responses that landed before this wait (another task's delivery, or
-        # a synchronous pump) are parked in the shared inbox; drain them
-        # first so a satisfied batch never blocks.
-        if batch.pending:
-            client._drain_inbox(batch.pending, batch.found)
+        demux = batch.client.demux
+        # Responses that landed before this wait (another task's delivery, a
+        # synchronous pump, or an earlier group of this task's own scatter)
+        # are held decoded by the demux; claim them first so a satisfied
+        # batch never blocks.
+        demux.take(batch.pending, batch.found)
         if not batch.pending:
             self._trace("ready", task.name)
             self._wake(task, "complete")
             return
-        waiters = self._waiters.setdefault(client.endpoint.address, {})
+
+        def claim(request_id, response):
+            batch.found[request_id] = response
+            batch.pending.discard(request_id)
+            if not batch.pending and not task.done:
+                self._trace("ready", task.name)
+                self._wake(task, "complete")
+
         for request_id in batch.pending:
-            waiters[request_id] = (batch, task)
+            demux.watchers[request_id] = claim
         task.waiting_batch = batch
         self._trace("wait", task.name)
         self._schedule(task, self.clock.now() + max(0.0, command.timeout),
@@ -201,15 +211,9 @@ class EventLoop:
         batch = task.waiting_batch
         if batch is None:
             return
-        address = batch.client.endpoint.address
-        waiters = self._waiters.get(address)
-        if waiters:
-            for request_id in list(batch.pending):
-                entry = waiters.get(request_id)
-                if entry is not None and entry[0] is batch:
-                    waiters.pop(request_id)
-            if not waiters:
-                self._waiters.pop(address, None)
+        watchers = batch.client.demux.watchers
+        for request_id in batch.pending:
+            watchers.pop(request_id, None)
         task.waiting_batch = None
 
     # ------------------------------------------------------------------
@@ -266,52 +270,6 @@ class EventLoop:
                 self._wake(task, "idle")
                 woke = True
         return woke
-
-    def _on_delivery(self, message: Message) -> None:
-        """Route a delivered payload's response frames to waiting batches.
-
-        Runs for *every* delivery on the network (the transport's delivery
-        observer), whichever driver performed it. Frames whose request id a
-        registered batch is waiting on go straight into that batch's
-        ``found`` — and if the payload is fully consumed, the parked message
-        is removed so the synchronous drain path never re-decodes it. A task
-        wakes the moment its batch's pending set empties.
-        """
-        waiters = self._waiters.get(message.destination)
-        if not waiters:
-            return
-        try:
-            frames = split_frames(message.payload)
-        except DecodingError:
-            return
-        completed_tasks: list[SimTask] = []
-        matched = 0
-        for frame in frames:
-            try:
-                response = decode(frame)
-            except DecodingError:
-                continue
-            request_id = (response.get("id")
-                          if isinstance(response, dict) else None)
-            entry = waiters.pop(request_id, None) if request_id is not None else None
-            if entry is None:
-                continue
-            batch, task = entry
-            batch.found[request_id] = response
-            batch.pending.discard(request_id)
-            matched += 1
-            if not batch.pending and not task.done:
-                completed_tasks.append(task)
-        if matched == len(frames):
-            endpoint = self.network._endpoints.get(message.destination)
-            if (endpoint is not None and endpoint.inbox
-                    and endpoint.inbox[-1] is message):
-                endpoint.inbox.pop()
-        if not waiters:
-            self._waiters.pop(message.destination, None)
-        for task in completed_tasks:
-            self._trace("ready", task.name)
-            self._wake(task, "complete")
 
     # ------------------------------------------------------------------
     # Bookkeeping

@@ -34,13 +34,14 @@ from repro.net.transport import Endpoint, Message, Network
 from repro.wire.codec import decode, encode
 from repro.wire.framing import frame_message, split_frames
 
-__all__ = ["RpcServer", "RpcClient", "BoundedIdSet", "PendingRpcBatch",
-           "ServiceTimeModel", "ServiceQueue"]
+__all__ = ["RpcServer", "RpcClient", "BoundedIdSet", "ResponseDemux",
+           "PendingRpcBatch", "ServiceTimeModel", "ServiceQueue"]
 
 # How many completed request ids each endpoint remembers for duplicate-response
 # filtering. Old duplicates beyond this window are indistinguishable from
-# unrelated traffic and get parked in the inbox instead of discarded, which is
-# harmless; the bound is what keeps memory flat under sustained traffic.
+# unrelated traffic and get held by the endpoint's ResponseDemux instead of
+# discarded, which is harmless; the bound is what keeps memory flat under
+# sustained traffic.
 COMPLETED_ID_WINDOW = 4096
 
 
@@ -74,6 +75,62 @@ class BoundedIdSet:
 
     def __len__(self) -> int:
         return len(self._members)
+
+
+class ResponseDemux:
+    """Routes one client endpoint's responses by request id, decoding once.
+
+    Installed as the client endpoint's ``on_message`` by the first
+    :class:`RpcClient` built on it and shared by every client on that
+    endpoint, so it sees each delivery whichever driver performed it
+    (``run_until_idle`` or the event loop's ``deliver_next``). Each response
+    frame is decoded exactly once, on delivery, and then either handed to the
+    watcher registered for its request id (an event-loop task blocked on it)
+    or held until a caller claims it with :meth:`take`. Duplicates of
+    completed or already-held responses are dropped on arrival.
+    """
+
+    def __init__(self, completed: BoundedIdSet):
+        self.completed = completed
+        self.held: dict = {}      # request id -> decoded response
+        self.watchers: dict = {}  # request id -> callable(request_id, response)
+
+    def deliver(self, message: Message) -> None:
+        """Decode ``message``'s response frames and route each by id."""
+        try:
+            frames = split_frames(message.payload)
+        except DecodingError:
+            return  # corrupted response; the retry path handles it
+        for frame in frames:
+            try:
+                response = decode(frame)
+            except DecodingError:
+                continue
+            request_id = response.get("id") if isinstance(response, dict) else None
+            if (request_id is None or request_id in self.completed
+                    or request_id in self.held):
+                continue
+            watcher = self.watchers.pop(request_id, None)
+            if watcher is None:
+                self.held[request_id] = response
+            else:
+                watcher(request_id, response)
+
+    def take(self, pending: set, found: dict) -> None:
+        """Move held responses for the ``pending`` ids into ``found``."""
+        for request_id in [rid for rid in pending if rid in self.held]:
+            found[request_id] = self.held.pop(request_id)
+            pending.discard(request_id)
+
+    def complete(self, request_ids) -> None:
+        """Record ``request_ids`` as completed and drop any copy still held.
+
+        A duplicate that arrived after its batch claimed the first copy, but
+        before the batch resolved, would otherwise be held forever.
+        """
+        for request_id in request_ids:
+            self.completed.add(request_id)
+            self.held.pop(request_id, None)
 
 
 @dataclass(frozen=True)
@@ -360,13 +417,16 @@ class RpcClient:
         if not hasattr(network, "rpc_request_ids"):
             network.rpc_request_ids = itertools.count(1)
         self._ids = network.rpc_request_ids
-        # Completed request ids are shared across every client on this
-        # endpoint, so any of them can discard a stale duplicate response no
-        # matter which client originally issued the request. The record is
-        # bounded (see BoundedIdSet) so sustained traffic cannot leak memory.
-        if not hasattr(endpoint, "rpc_completed_ids"):
-            endpoint.rpc_completed_ids = BoundedIdSet()
-        self._completed: BoundedIdSet = endpoint.rpc_completed_ids
+        # One demux per endpoint, shared by every client on it, so any of
+        # them can claim a response or discard a stale duplicate no matter
+        # which client issued the request. The completed-id record is bounded
+        # (see BoundedIdSet) so sustained traffic cannot leak memory.
+        if not hasattr(endpoint, "rpc_demux"):
+            if not hasattr(endpoint, "rpc_completed_ids"):
+                endpoint.rpc_completed_ids = BoundedIdSet()
+            endpoint.rpc_demux = ResponseDemux(endpoint.rpc_completed_ids)
+            endpoint.on_message = endpoint.rpc_demux.deliver
+        self.demux: ResponseDemux = endpoint.rpc_demux
 
     def call(self, method: str, params=None):
         """Call ``method`` with ``params`` and return the decoded result.
@@ -399,10 +459,10 @@ class RpcClient:
                 self.retries += 1
             self.endpoint.send(self.server_address, request_bytes)
             self.network.run_until_idle()
-            self._drain_inbox(pending, found)
+            self.demux.take(pending, found)
             if not pending:
                 break
-        self._completed.add(request_id)
+        self.demux.complete([request_id])
         if pending:
             raise TimeoutError(
                 f"no response to request {request_id} from {self.server_address}"
@@ -466,48 +526,6 @@ class RpcClient:
             self.endpoint.send(self.server_address,
                                b"".join(frame for _, _, frame in requests))
         return PendingRpcBatch(self, requests)
-
-    def _drain_inbox(self, pending: set, found: dict) -> None:
-        """Scan parked messages for responses to the ``pending`` request ids.
-
-        Matched responses move from ``pending`` into ``found``. A message is
-        put back on the inbox **at most once** — even when it carries several
-        frames for other callers — so a batched payload is never re-queued as
-        duplicates (each re-queued copy used to be re-processed as if it were
-        fresh traffic). Duplicates of responses already matched or already
-        completed on this endpoint are discarded.
-        """
-        requeue = []
-        while True:
-            message = self.endpoint.receive()
-            if message is None:
-                break
-            try:
-                frames = split_frames(message.payload)
-            except DecodingError:
-                continue  # corrupted response; the retry path handles it
-            keep_for_others = False
-            for frame in frames:
-                try:
-                    response = decode(frame)
-                except DecodingError:
-                    continue
-                request_id = response.get("id") if isinstance(response, dict) else None
-                if request_id is not None and request_id in pending:
-                    found[request_id] = response
-                    pending.discard(request_id)
-                elif request_id is not None and (
-                        request_id in found or request_id in self._completed):
-                    # A duplicate of an already-answered request; discard
-                    # instead of letting it pile up in the inbox forever.
-                    continue
-                else:
-                    keep_for_others = True
-            if keep_for_others:
-                requeue.append(message)
-        # Preserve messages for other callers sharing the endpoint.
-        for message in requeue:
-            self.endpoint.inbox.append(message)
 
 
 class PendingRpcBatch:
@@ -587,8 +605,7 @@ class PendingRpcBatch:
                         if request_id in self.pending
                     ))
                 yield WaitBatch(self, timeout)
-            for request_id, _, _ in self.requests:
-                client._completed.add(request_id)
+            client.demux.complete(request_id for request_id, _, _ in self.requests)
             self._resolved = True
 
     def _resolve(self, attempts: int) -> None:
@@ -605,7 +622,6 @@ class PendingRpcBatch:
                     if request_id in self.pending
                 ))
             client.network.run_until_idle()
-            client._drain_inbox(self.pending, self.found)
-        for request_id, _, _ in self.requests:
-            client._completed.add(request_id)
+            client.demux.take(self.pending, self.found)
+        client.demux.complete(request_id for request_id, _, _ in self.requests)
         self._resolved = True

@@ -13,9 +13,10 @@ Two drivers consume the queue:
 * :meth:`Network.deliver_next` delivers exactly one message, which is what
   the discrete-event scheduler (:mod:`repro.net.eventloop`) interleaves with
   task timers so thousands of requests can be genuinely in flight at once.
-  Delivery observers (:meth:`Network.add_delivery_observer`) let the
-  scheduler route responses to waiting tasks no matter which driver performed
-  the delivery.
+  Both drivers hand each message to the same receiver (its endpoint's
+  ``on_message`` handler, or its inbox), so an RPC client endpoint's response
+  demux (:class:`repro.net.rpc.ResponseDemux`) routes responses to waiting
+  tasks no matter which driver performed the delivery.
 
 Message accounting is conservative: every send is either delivered, dropped
 (partition, fault, crashed or closed destination), or still pending, so
@@ -130,8 +131,9 @@ class NetworkStats:
 class Endpoint:
     """A network endpoint identified by a string address.
 
-    Endpoints either register an ``on_message`` handler (server style) or poll
-    :meth:`receive` for parked messages (client style).
+    Endpoints either register an ``on_message`` handler (RPC servers, and RPC
+    clients through their response demux) or poll :meth:`receive` for parked
+    messages.
     """
 
     def __init__(self, network: "Network", address: str):
@@ -193,10 +195,6 @@ class Network:
         self._partitions: set[tuple[str, str]] = set()
         self._fault_hooks: list[Callable[[Message], Optional[FaultDecision]]] = []
         self._down: set[str] = set()
-        # Called after each successful delivery (handler already run or message
-        # parked); the event loop uses this to wake tasks waiting on responses
-        # regardless of whether run_until_idle or deliver_next did the work.
-        self._delivery_observers: list[Callable[[Message], None]] = []
 
     # ------------------------------------------------------------------
     # Topology
@@ -333,21 +331,6 @@ class Network:
     def _enqueue(self, message: Message) -> None:
         heapq.heappush(self._queue, (message.deliver_at, next(self._sequence), message))
 
-    def add_delivery_observer(self, observer: Callable[[Message], None]) -> None:
-        """Call ``observer`` after every successful delivery.
-
-        The observer runs after the receiving endpoint has seen the message
-        (handler already invoked, or message parked in the inbox), so it can
-        react to the *consequences* of the delivery — e.g. the event loop
-        waking a task whose response just landed.
-        """
-        self._delivery_observers.append(observer)
-
-    def remove_delivery_observer(self, observer: Callable) -> None:
-        """Remove a previously installed delivery observer (no-op if absent)."""
-        if observer in self._delivery_observers:
-            self._delivery_observers.remove(observer)
-
     def next_delivery_at(self) -> Optional[float]:
         """Timestamp of the earliest queued message, or ``None`` when idle."""
         if not self._queue:
@@ -381,8 +364,6 @@ class Network:
                 endpoint.on_message(message)
             else:
                 endpoint.inbox.append(message)
-            for observer in self._delivery_observers:
-                observer(message)
             return message
         return None
 

@@ -71,9 +71,12 @@ class PendingScatter:
         """Event-loop form of :meth:`collect`; same outcomes, no pumping.
 
         A generator for :class:`repro.net.eventloop.EventLoop`: waits on each
-        shard group's in-flight batch in turn. Responses for a group arrive
-        (and are routed to it) regardless of which group the task is currently
-        blocked on, so waiting group-by-group loses no concurrency.
+        shard group's in-flight batch in turn. A later group's responses that
+        land while the task is blocked on an earlier group are decoded once on
+        delivery and held, by request id, in the client endpoint's
+        :class:`~repro.net.rpc.ResponseDemux`; the later group claims them
+        when its wait registers. Waiting group-by-group therefore loses no
+        concurrency and decodes nothing twice.
         """
         outcomes = self._seed_outcomes()
         for group_key, group in self._groups.items():

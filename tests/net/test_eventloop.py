@@ -83,8 +83,8 @@ class TestWaitBatch:
     def test_two_tasks_on_one_endpoint_get_their_own_responses(self):
         """Response routing is by request id, not by arrival order.
 
-        Both tasks share one client endpoint (and therefore one inbox), so a
-        broadcast or positional scheme would cross their answers.
+        Both tasks share one client endpoint (and therefore one response
+        demux), so a broadcast or positional scheme would cross their answers.
         """
         network, server, client = make_rpc_pair()
         server.register("echo", lambda params: params)

@@ -2,8 +2,8 @@
 
 Covers the satellite checklist for the throughput PR: out-of-order response
 matching, partial-batch retransmission under the PR-1 fault rules, at-most-once
-dedup of a retransmitted batch, the unrelated-message requeue regression, and
-the bounded completed-id set.
+dedup of a retransmitted batch, decode-once handling of responses for other
+callers, and the bounded completed-id set.
 """
 
 import pytest
@@ -229,31 +229,32 @@ class TestAtMostOnceBatches:
         assert results == [99]
 
 
-class TestUnrelatedRequeueRegression:
-    def test_multiframe_unrelated_message_requeued_once(self):
-        """A parked batch for another caller must not multiply in the inbox."""
+class TestUnrelatedResponsesDecodedOnce:
+    def test_foreign_frames_are_decoded_once(self, response_decodes):
+        """Frames for another caller are decoded on delivery, then held.
+
+        A three-frame batch for ids nobody here asked for (another client
+        object sharing this endpoint) travels through the network during a
+        ping. The ping still succeeds, each foreign frame is decoded once,
+        and a later caller claims its response without decoding it again.
+        """
         network, server, client = make_rpc_pair()
         server.register("ping", lambda params: "pong")
-        # Park one message carrying three response frames for ids nobody here
-        # has completed — e.g. a batch destined for another client object
-        # sharing this endpoint.
+        decoded = response_decodes
         unrelated = b"".join(
             frame_message(encode({"id": 999990 + i, "result": i})) for i in range(3)
         )
-        client.endpoint.inbox.append(_fake_message(unrelated))
+        network.endpoint("elsewhere").send("client", unrelated)
         assert client.call("ping") == "pong"
-        copies = [message for message in client.endpoint.inbox
-                  if message.payload == unrelated]
-        assert len(copies) == 1, (
-            f"unrelated multi-frame message requeued {len(copies)} times"
-        )
+        foreign = [request_id for request_id in decoded if request_id >= 999990]
+        assert sorted(foreign) == [999990, 999991, 999992]
+        decodes_so_far = len(decoded)
 
-
-def _fake_message(payload: bytes):
-    from repro.net.transport import Message
-
-    return Message(source="elsewhere", destination="client", payload=payload,
-                   sent_at=0.0, deliver_at=0.0)
+        pending, found = {999991}, {}
+        client.demux.take(pending, found)
+        assert found == {999991: {"id": 999991, "result": 1}}
+        assert not pending
+        assert len(decoded) == decodes_so_far
 
 
 class TestBeginMany:
