@@ -3,10 +3,12 @@
 Runs one batched multi-client keybackup workload under :mod:`cProfile` and
 writes the top functions by *cumulative* time as JSON, so CI can publish the
 profile as an artifact and a regression in the hot paths (codec, EC multiply,
-verification memoization, WVM dispatch) shows up as a reviewable diff rather
-than only as a slower wall number. The profiled run is serial on purpose:
-cProfile instruments a single process, and the parallel executor's work
-happens in spawned workers the profiler cannot see.
+verification memoization) shows up as a reviewable diff rather than only as a
+slower wall number. keybackup never enters the WVM; the traced custody-sign
+run of ``perfbench/run.py`` reports the WVM's cost (``sandbox.wvm.invoke``).
+The profiled run is serial on purpose: cProfile instruments a single process,
+and the parallel executor's work happens in spawned workers the profiler
+cannot see.
 
 cProfile's instrumentation overhead inflates absolute times 3-4x, so the
 numbers here are for *ranking* functions against each other, never for

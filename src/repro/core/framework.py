@@ -210,8 +210,9 @@ class TrustDomainFramework:
         outcome is either the same shape :meth:`invoke_application` returns or
         ``{"error": text}``, so a failing request is isolated from the rest of
         the batch. Python applications cross the sandbox's codec boundary once
-        for the whole batch; WVM applications execute per call (the VM run
-        itself dominates there, so there is nothing to amortize).
+        for the whole batch; WVM applications execute per call in a fresh
+        instance, and their only boundary is a list of integers, so there is
+        no per-call codec cost to amortize.
 
         ``wire_boundary`` asserts that ``calls`` was just produced by the
         canonical wire decoder — already a fresh plain-data copy — so the

@@ -9,6 +9,7 @@ objects around without caring about the algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.crypto.secp256k1 import SECP256K1, Point
 from repro.errors import CryptoError
@@ -82,7 +83,11 @@ class SigningKey:
         return cls(scalar)
 
     def verifying_key(self) -> VerifyingKey:
-        """Return the matching public key."""
+        """Return the matching public key (one EC multiply per key object)."""
+        return self._verifying_key
+
+    @cached_property
+    def _verifying_key(self) -> VerifyingKey:
         return VerifyingKey(SECP256K1.generator_multiply(self.scalar))
 
     def to_bytes(self) -> bytes:

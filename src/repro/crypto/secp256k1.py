@@ -44,8 +44,20 @@ _GLV_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
 _GLV_B2 = _GLV_A1
 
 # Bound on the number of per-point multiplication tables retained by
-# ``Secp256k1.table_for`` (LRU). Each table is ~1k Jacobian tuples.
-_TABLE_CACHE_SIZE = 64
+# ``Secp256k1.table_for`` (LRU). Each table is ~1k Jacobian tuples, about
+# 240 KB, so this caps the cache near 4 MB however many distinct keys recur
+# over a long run; the benchmark workloads keep at most five tables in use.
+_TABLE_CACHE_SIZE = 16
+
+# ``multiply_cached`` promotes a point to a table on this sighting: the
+# break-even count of uses. Measured on a 2-vCPU Xeon (medians of nine
+# rounds), a table costs 8.5 plain (GLV + wNAF) multiplies to build and a
+# table multiply costs 0.53 of one, so a table pays for itself after 18 uses
+# (12-21 across rounds). Buying at the break-even point costs at most twice
+# the better choice in hindsight. In the benchmark workloads a point is seen
+# 1-16 times (a key that lives for one deployment) and a few are seen 18-36
+# times, so only those few get tables.
+_PROMOTE_AT_SIGHTING = 18
 
 # Window width for the non-adjacent-form ladder inside ``multiply``: width 4
 # means 8 precomputed odd multiples per half-scalar and roughly one addition
@@ -364,13 +376,15 @@ class Secp256k1:
     def multiply_cached(self, point: Point, scalar: int) -> Point:
         """Like :meth:`multiply`, but amortize repeated points through a table.
 
-        A :class:`FixedBaseTable` costs roughly ten plain multiplies to build,
-        so building one eagerly would penalize points seen once (a fresh
-        ephemeral key). Instead the point is multiplied directly on first
-        sighting and promoted to a cached table on its second — after that,
-        every multiply is table lookups plus additions. Signature
-        verification over long-lived keys (attestation roots, update-signing
-        keys, log heads) is the intended caller.
+        A :class:`FixedBaseTable` costs about eight plain multiplies to build
+        and saves about half of one per use, so building one early would
+        penalize points seen a few times (a fresh ephemeral key, a key that
+        lives for one deployment). Instead the point is multiplied directly
+        until its ``_PROMOTE_AT_SIGHTING``-th sighting, the break-even count,
+        and promoted to a cached table then — after that, every multiply is
+        table lookups plus additions. Signature verification over long-lived
+        keys (attestation roots, update-signing keys, log heads) is the
+        intended caller.
         """
         if point.is_infinity:
             return INFINITY
@@ -380,11 +394,10 @@ class Secp256k1:
             self._table_cache.move_to_end(key)
             return table.multiply(scalar)
         seen = self._point_sightings
-        count = seen.get(key, 0) + 1
-        if count >= 2:
-            seen.pop(key, None)
+        count = seen.pop(key, 0) + 1
+        if count >= _PROMOTE_AT_SIGHTING:
             return self.table_for(point).multiply(scalar)
-        seen[key] = count
+        seen[key] = count  # re-inserted last: the least recently seen go first
         while len(seen) > _TABLE_CACHE_SIZE * 4:
             seen.popitem(last=False)
         return self.multiply(point, scalar)

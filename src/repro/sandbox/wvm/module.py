@@ -8,9 +8,11 @@ and instantiates it inside the sandbox.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import AssemblerError
+from repro.sandbox.wvm.blocks import translate
 from repro.sandbox.wvm.instructions import Opcode
 from repro.wire.codec import canonical_digest, decode, encode
 
@@ -35,6 +37,15 @@ class WvmFunction:
             raise AssemblerError(
                 f"function {self.name!r}: locals must include parameters"
             )
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """The code as a pc-indexed basic-block table (see ``blocks.py``).
+
+        Built on first use and kept on the function, so it lives exactly as
+        long as the code it was translated from.
+        """
+        return translate(self.code, self.num_locals)
 
 
 @dataclass(frozen=True)

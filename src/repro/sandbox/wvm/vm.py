@@ -4,16 +4,27 @@ Execution model:
 
 * an *instance* binds a module to limits (fuel, memory, stack depth) and a set
   of host functions;
-* invoking an export pushes a frame with the arguments in locals, then runs a
-  classic fetch/decode/execute loop;
+* invoking an export pushes a frame with the arguments in locals and runs the
+  function's basic blocks (``blocks.py``): each block is a generated Python
+  function that executes a straight-line run of instructions at once, and
+  CALL/RET/HALT/HOSTCALL run between blocks;
 * every instruction is metered; containment violations (bad memory accesses,
   unknown host functions, stack overflow) trap rather than touching anything
   outside the instance.
+
+The per-instruction loop in :meth:`WvmInstance._run` is the reference
+semantics. A block runs whole only when nothing but its data can make it
+trap: its full fuel cost fits under the limit and the stack is deep enough
+for it and has room for its growth. Otherwise — and at any instruction the
+translator would not compile, or a control op whose checks would fail — the
+rest of the invocation continues in ``_run`` from the same pc, stack, locals
+and fuel, so every trap happens at the same instruction, with the same
+message and the same ``fuel_used``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import (
@@ -22,6 +33,7 @@ from repro.errors import (
     SandboxEscapeError,
     WvmTrapError,
 )
+from repro.sandbox.wvm.blocks import BlockFault
 from repro.sandbox.wvm.instructions import DEFAULT_FUEL_COST, FUEL_COST, Opcode
 from repro.sandbox.wvm.module import WvmModule
 
@@ -91,7 +103,7 @@ class WvmInstance:
                 raise SandboxEscapeError("only integers may cross the sandbox boundary")
         stack: list[int] = []
         frames = [self._new_frame(function_index, args)]
-        return self._run(stack, frames)
+        return self._run_blocks(stack, frames)
 
     @property
     def fuel_remaining(self) -> int:
@@ -107,23 +119,96 @@ class WvmInstance:
         local_slots[: len(args)] = list(args)
         return _Frame(function_index=function_index, pc=0, locals=local_slots)
 
-    def _charge(self, opcode: Opcode) -> None:
-        self.fuel_used += FUEL_COST.get(opcode, DEFAULT_FUEL_COST)
-        if self.fuel_used > self.limits.max_fuel:
-            raise FuelExhaustedError(
-                f"program exceeded fuel limit of {self.limits.max_fuel}"
-            )
+    def _run_blocks(self, stack: list[int], frames: list[_Frame]) -> int:
+        # Runs the current frame's block table (``WvmFunction.blocks``) as the
+        # module docstring describes; a ``break`` hands the same state to
+        # ``_run``. The stack check lets a block grow the stack up to
+        # ``max_stack_depth`` itself: PUSH traps only on a stack already there.
+        max_stack = self.limits.max_stack_depth
+        max_fuel = self.limits.max_fuel
+        max_calls = self.limits.max_call_depth
+        memory = self.memory
+        functions = self.module.functions
+        module_function = self.module.function
+        fuel = self.fuel_used
+        frame = frames[-1]
+        function = module_function(frame.function_index)
+        code, blocks = function.code, function.blocks
+        pc = frame.pc
+        locals_ = frame.locals
+        try:
+            while True:
+                block = blocks[pc]
+                if block is None:
+                    break
+                run, cost, need, peak = block
+                depth = len(stack)
+                if fuel + cost > max_fuel or depth < need or depth + peak > max_stack:
+                    break
+                if run is not None:
+                    pc = run(stack, locals_, memory)
+                    fuel += cost
+                    continue
+                opcode, immediate = code[pc]
+                if opcode is Opcode.RET:
+                    fuel += cost
+                    value = stack.pop() if stack else 0
+                    frames.pop()
+                    if not frames:
+                        return value
+                    stack.append(value)
+                    frame = frames[-1]
+                    function = module_function(frame.function_index)
+                    code, blocks = function.code, function.blocks
+                    pc = frame.pc
+                    locals_ = frame.locals
+                elif opcode is Opcode.HALT:
+                    fuel += cost
+                    return stack.pop() if stack else 0
+                elif opcode is Opcode.CALL:
+                    if len(frames) >= max_calls or not 0 <= immediate < len(functions):
+                        break
+                    function = functions[immediate]
+                    if depth < function.num_params:
+                        break
+                    fuel += cost
+                    args = [stack.pop() for _ in range(function.num_params)][::-1]
+                    frame.pc = pc + 1
+                    frame = self._new_frame(immediate, args)
+                    frames.append(frame)
+                    code, blocks = function.code, function.blocks
+                    pc = 0
+                    locals_ = frame.locals
+                else:  # HOSTCALL
+                    host = self.host_functions.get(immediate)
+                    if host is None or depth < host.arity:
+                        break
+                    fuel += cost
+                    args = [stack.pop() for _ in range(host.arity)][::-1]
+                    try:
+                        result = host.fn(*args)
+                        stack.append(int(result) if result is not None else 0)
+                    except IndexError:
+                        raise WvmTrapError("operand stack underflow") from None
+                    pc += 1
+        except BlockFault as fault:
+            fuel += fault.fuel
+            raise fault.error from None
+        finally:
+            self.fuel_used = fuel
+        frame.pc = pc
+        return self._run(stack, frames)
 
     def _run(self, stack: list[int], frames: list[_Frame]) -> int:
-        # The dispatch loop runs one Python iteration per WVM instruction, so
-        # per-iteration overhead is the interpreter's speed. Frame state
+        # The reference semantics: one Python iteration per WVM instruction,
+        # resuming from ``frame.pc`` and ``self.fuel_used``. ``_run_blocks``
+        # hands over to it whenever a block or control op could trap for a
+        # reason other than its data, so trap messages, fuel charges and the
+        # charge-before-execute order are defined here alone. Frame state
         # (code, pc, locals) is kept in local variables and re-synced only on
-        # CALL/RET, fuel accounting is a local accumulator written back in the
-        # ``finally`` (the instance attribute is only read after invoke
-        # returns), and stack underflow is detected by catching the pop's
-        # IndexError instead of pre-checking. Semantics — trap messages, fuel
-        # charges, the charge-before-execute order — are identical to the
-        # straightforward loop this replaces.
+        # CALL/RET, fuel accounting is a local accumulator written back in
+        # the ``finally``, and stack underflow is detected by catching the
+        # pop's IndexError instead of pre-checking.
         limits = self.limits
         memory = self.memory
         memory_len = len(memory)
@@ -309,37 +394,6 @@ class WvmInstance:
                     raise WvmTrapError("operand stack underflow") from None
         finally:
             self.fuel_used = fuel
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _pop(stack: list[int]) -> int:
-        if not stack:
-            raise WvmTrapError("operand stack underflow")
-        return stack.pop()
-
-    @staticmethod
-    def _local(frame: _Frame, index) -> int:
-        if index is None or not 0 <= index < len(frame.locals):
-            raise WvmTrapError(f"local index {index} out of range")
-        return frame.locals[index]
-
-    @staticmethod
-    def _set_local(frame: _Frame, index, value: int) -> None:
-        if index is None or not 0 <= index < len(frame.locals):
-            raise WvmTrapError(f"local index {index} out of range")
-        frame.locals[index] = value
-
-    @staticmethod
-    def _jump_target(code, target) -> int:
-        if target is None or not 0 <= target <= len(code):
-            raise WvmTrapError(f"jump target {target} out of range")
-        return target
-
-    def _check_address(self, address: int) -> None:
-        if not 0 <= address < len(self.memory):
-            raise MemoryLimitError(f"memory access at {address} outside linear memory")
 
 
 def _compare(opcode: Opcode, a: int, b: int) -> bool:

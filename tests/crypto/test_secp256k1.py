@@ -163,3 +163,47 @@ def test_property_table_multiply_matches_double_and_add(scalar):
     assert SECP256K1.generator_multiply(scalar) == SECP256K1.multiply(
         SECP256K1.generator, scalar
     )
+
+
+def test_multiply_cached_promotes_a_point_on_its_promotion_sighting():
+    from repro.crypto.secp256k1 import _PROMOTE_AT_SIGHTING, Secp256k1
+
+    curve = Secp256k1()
+    point = curve.generator_multiply(11)
+    key = (point.x, point.y, 4)
+    for scalar in range(1, _PROMOTE_AT_SIGHTING):
+        assert curve.multiply_cached(point, scalar) == curve.multiply(point, scalar)
+    assert key not in curve._table_cache
+    assert curve.multiply_cached(point, N - 3) == curve.multiply(point, N - 3)
+    assert key in curve._table_cache and key not in curve._point_sightings
+
+
+def test_table_cache_stays_within_its_caps_and_keeps_the_working_set(monkeypatch):
+    from repro.crypto import secp256k1
+    from repro.crypto.secp256k1 import _TABLE_CACHE_SIZE, Secp256k1
+
+    # Promote on the second sighting so that many tables are cheap to reach.
+    monkeypatch.setattr(secp256k1, "_PROMOTE_AT_SIGHTING", 2)
+    curve = Secp256k1()
+    working_set = [curve.generator_multiply(k) for k in (2, 3)]
+    for point in working_set:
+        curve.multiply_cached(point, 5)
+        curve.multiply_cached(point, 5)
+    tables = {point: curve.table_for(point) for point in working_set}
+
+    # More than ``cap`` distinct recurring points, each promoted on its
+    # second sighting, with the working set used in between.
+    for k in range(10, 10 + _TABLE_CACHE_SIZE + 4):
+        point = curve.generator_multiply(k)
+        for _ in range(2):
+            assert curve.multiply_cached(point, k) == curve.multiply(point, k)
+        for hot in working_set:
+            assert curve.multiply_cached(hot, k) == curve.multiply(hot, k)
+    # One-shot points only ever reach the sightings table.
+    for k in range(100, 100 + 4 * _TABLE_CACHE_SIZE + 4):
+        curve.multiply_cached(curve.generator_multiply(k), 7)
+
+    assert len(curve._table_cache) <= _TABLE_CACHE_SIZE
+    assert len(curve._point_sightings) <= 4 * _TABLE_CACHE_SIZE
+    for point, table in tables.items():
+        assert curve._table_cache.get((point.x, point.y, 4)) is table
