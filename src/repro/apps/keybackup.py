@@ -31,6 +31,7 @@ from repro.errors import (
     ReproError,
     ReshardError,
 )
+from repro.net.eventloop import drive
 from repro.service import (
     MigrationOutcome,
     PackageBinding,
@@ -353,107 +354,100 @@ class KeyBackupClient:
     def backup_keys(self, items: list[tuple[str, int | bytes]]) -> list:
         """Back up many ``(user_id, secret_key)`` pairs in one batched sweep.
 
-        All secrets are split in one Horner sweep per polynomial, and the
-        whole batch is scattered in one shot: every ``(shard, domain)`` pair
-        receives its slice as a single batched request, all payloads on the
-        wire before the network runs, so shards (and domains) serve
-        concurrently in simulated time. Returns one outcome per item, in
-        order: a :class:`BackupReceipt`, or an :class:`ApplicationError`
-        instance for a user whose share could not be stored everywhere
-        (failures are isolated per user, not per batch).
+        Runs :meth:`backup_flow` to completion; returns one outcome per item,
+        in order: a :class:`BackupReceipt` or an exception instance.
         """
         self.session.checkpoint()
-        if not items:
-            return []
-        share_lists = self.sharing.split_many([secret for _, secret in items])
-        num_domains = self.service.num_domains
-        calls = []
-        for (user_id, _), shares in zip(items, share_lists):
-            for domain_index in range(num_domains):
-                calls.append((user_id, domain_index, "store_share", {
-                    "user": user_id,
-                    "index": shares[domain_index].index,
-                    "value": shares[domain_index].value,
-                }))
-        results = self.session.scatter(calls)
-        outcomes = []
-        for position, (user_id, _) in enumerate(items):
-            failure = None
-            for domain_index in range(num_domains):
-                result = results[position * num_domains + domain_index]
-                if isinstance(result, Exception):
-                    failure = ApplicationError(
-                        f"domain {domain_index} failed to store a share for "
-                        f"{user_id!r}: {result}"
-                    )
-                    break
-                if not result["value"]["stored"]:
-                    failure = ApplicationError(
-                        f"domain {domain_index} refused to store a share for "
-                        f"{user_id!r}"
-                    )
-                    break
-            outcomes.append(failure or BackupReceipt(
-                user_id=user_id, threshold=self.service.threshold,
-                num_domains=num_domains,
-            ))
-        return outcomes
+        return drive(self.backup_flow(items), self.service.plane.clock)
 
     def recover_keys(self, user_ids: list[str]) -> list:
         """Recover many users' keys in one scattered sweep per domain wave.
 
-        The happy path asks the first ``threshold`` domains for *every* user
-        in a single scatter; only users still short of a threshold after that
-        wave walk the remaining domains. Returns one outcome per user, in
-        order: the recovered integer key, or an :class:`ApplicationError`
-        instance when fewer than ``threshold`` domains produced a share.
+        Runs :meth:`recover_flow` to completion; returns one outcome per user,
+        in order: the recovered integer key or an exception instance.
         """
         self.session.checkpoint()
+        return drive(self.recover_flow(user_ids), self.service.plane.clock)
+
+    def backup_flow(self, items: list[tuple[str, int | bytes]], timeout: float = 0.25):
+        """Store every item's shares in one keyed wave; a task generator.
+
+        Each secret is split as :meth:`backup_key` splits it, and the whole
+        batch scatters at once: every ``(shard, domain)`` pair receives its
+        slice as one batched request, so shards and domains serve
+        concurrently in simulated time. Returns one outcome per item, in
+        order: a :class:`BackupReceipt`, the failed call's exception, or an
+        :class:`ApplicationError` for a domain that refused the share
+        (failures are isolated per user).
+        """
+        num_domains = self.service.num_domains
+        share_lists = self.sharing.split_many([secret for _, secret in items])
+        results = yield from self.session.scatter_wave([
+            (user_id, domain_index, "store_share", {
+                "user": user_id,
+                "index": shares[domain_index].index,
+                "value": shares[domain_index].value,
+            })
+            for (user_id, _), shares in zip(items, share_lists)
+            for domain_index in range(num_domains)
+        ], timeout)
+        outcomes = []
+        for position, (user_id, _) in enumerate(items):
+            outcome = BackupReceipt(user_id=user_id, threshold=self.service.threshold,
+                                    num_domains=num_domains)
+            for domain_index in range(num_domains):
+                result = results[position * num_domains + domain_index]
+                if isinstance(result, Exception):
+                    outcome = result
+                    break
+                if not result["value"]["stored"]:
+                    outcome = ApplicationError(
+                        f"domain {domain_index} refused to store a share for "
+                        f"{user_id!r}")
+                    break
+            outcomes.append(outcome)
+        return outcomes
+
+    def recover_flow(self, user_ids: list[str], timeout: float = 0.25):
+        """Recover every user's key from ``threshold`` domains; a task generator.
+
+        The optimistic wave asks the first ``threshold`` domains for every
+        user at once; only users still short of a threshold walk the
+        remaining domains, one further domain per wave. Returns one outcome
+        per user, in order: the recovered integer key, or an exception
+        instance (:class:`ApplicationError` when fewer than ``threshold``
+        domains produced a share).
+        """
         threshold = self.service.threshold
         num_domains = self.service.num_domains
         shares_per_user: list[list[Share]] = [[] for _ in user_ids]
-
-        def ask(positions: list[int], domain_indices: list[int]) -> None:
-            calls = [(user_ids[position], domain_index, "fetch_share",
-                      {"user": user_ids[position]})
-                     for position in positions for domain_index in domain_indices]
-            results = self.session.scatter(calls)
-            cursor = 0
-            for position in positions:
-                for _ in domain_indices:
-                    result = results[cursor]
-                    cursor += 1
+        remaining = list(range(len(user_ids)))
+        wave = list(range(threshold))
+        while remaining and wave:
+            results = yield from self.session.scatter_wave([
+                (user_ids[position], domain_index, "fetch_share",
+                 {"user": user_ids[position]})
+                for position in remaining for domain_index in wave
+            ], timeout)
+            for offset, position in enumerate(remaining):
+                for result in results[offset * len(wave):(offset + 1) * len(wave)]:
                     if not isinstance(result, Exception) and result["value"]["found"]:
                         shares_per_user[position].append(
-                            Share(result["value"]["index"], result["value"]["value"])
-                        )
-
-        # Optimistic wave: the first `threshold` domains, everyone at once.
-        ask(list(range(len(user_ids))), list(range(threshold)))
-        remaining = [position for position in range(len(user_ids))
-                     if len(shares_per_user[position]) < threshold]
-        # Fallback walk for stragglers, one further domain per wave.
-        for domain_index in range(threshold, num_domains):
-            if not remaining:
-                break
-            ask(remaining, [domain_index])
+                            Share(result["value"]["index"], result["value"]["value"]))
             remaining = [position for position in remaining
                          if len(shares_per_user[position]) < threshold]
+            wave = [wave[-1] + 1] if wave[-1] + 1 < num_domains else []
         outcomes = []
-        for position, user_id in enumerate(user_ids):
-            shares = shares_per_user[position]
+        for user_id, shares in zip(user_ids, shares_per_user):
             if len(shares) < threshold:
                 outcomes.append(ApplicationError(
                     f"only {len(shares)} of the required {threshold} "
-                    f"domains produced a share for {user_id!r}"
-                ))
+                    f"domains produced a share for {user_id!r}"))
                 continue
             try:
                 outcomes.append(self.sharing.reconstruct(shares[:threshold]))
             except ReproError as exc:
-                outcomes.append(ApplicationError(
-                    f"reconstruction failed for {user_id!r}: {exc}"
-                ))
+                outcomes.append(exc)
         return outcomes
 
     def recover_key_bytes(self, user_id: str, length: int = 32) -> bytes:

@@ -25,6 +25,7 @@ from repro.crypto.hashes import hkdf, hmac_sha256
 from repro.crypto.keys import SigningKey, VerifyingKey
 from repro.crypto.secp256k1 import SECP256K1
 from repro.errors import ApplicationError, ReproError, ReshardError
+from repro.net.eventloop import drive
 from repro.service import (
     MigrationOutcome,
     PackageBinding,
@@ -287,51 +288,6 @@ class ObliviousDnsDeployment:
                                             "resolve_plaintext", {"name": name})["value"]
         return self._encrypt_response(relayed, answer)
 
-    def handle_query_batch(self, envelopes: list[dict],
-                           shard_indices: list[int] | None = None) -> list:
-        """Carry many encrypted queries through the proxies and resolvers at once.
-
-        Each shard's proxy forwards its whole slice in one request, and so
-        does its resolver, preserving the role split (proxies still see only
-        ciphertext, resolvers only names). ``shard_indices`` carries the
-        client's per-query routing decisions (default: shard 0, the
-        single-shard behavior). Returns one outcome per envelope, in order:
-        the encrypted response dict, or an exception instance for a query
-        that failed at either hop.
-        """
-        if shard_indices is None:
-            shard_indices = [0] * len(envelopes)
-        outcomes: list = [None] * len(envelopes)
-        forwarded = self.plane.scatter_to_shards([
-            (shard_index, PROXY_DOMAIN, "forward", envelope)
-            for shard_index, envelope in zip(shard_indices, envelopes)
-        ])
-        resolvable: list[tuple[int, dict, str]] = []
-        for position, result in enumerate(forwarded):
-            if isinstance(result, Exception):
-                outcomes[position] = result
-                continue
-            relayed = result["value"]
-            try:
-                resolvable.append((position, relayed, self._decrypt_query(relayed)))
-            except (ReproError, KeyError, TypeError) as exc:
-                # A malformed envelope (bad point, missing field, wrong type —
-                # e.g. from a compromised proxy) fails only its own query, not
-                # the whole batch.
-                outcomes[position] = (exc if isinstance(exc, ReproError) else
-                                      ApplicationError(f"malformed envelope: {exc!r}"))
-        answers = self.plane.scatter_to_shards([
-            (shard_indices[position], RESOLVER_DOMAIN, "resolve_plaintext",
-             {"name": name})
-            for position, _, name in resolvable
-        ])
-        for (position, relayed, _), answer in zip(resolvable, answers):
-            if isinstance(answer, Exception):
-                outcomes[position] = answer
-            else:
-                outcomes[position] = self._encrypt_response(relayed, answer["value"])
-        return outcomes
-
     def _shared_key(self, ephemeral_public: bytes) -> bytes:
         key = self._shared_key_cache.get(ephemeral_public)
         if key is not None:
@@ -494,26 +450,62 @@ class ObliviousDnsClient:
         return self._decrypt_response(name, key, encrypted_response)
 
     def resolve_many(self, names: list[str]) -> list:
-        """Resolve many names in one batched sweep through proxies and resolvers.
+        """Resolve many names in one batched sweep; runs :meth:`resolve_flow`.
 
-        Returns one outcome per name, in order: a :class:`DnsResponse`, or an
-        exception instance for a query that failed in flight — failures are
-        isolated per query, so one lost query cannot mask the rest.
+        Returns one outcome per name, in order: a :class:`DnsResponse` or an
+        exception instance.
         """
         self.session.checkpoint()
+        return drive(self.resolve_flow(names), self.service.plane.clock)
+
+    def resolve_flow(self, names: list[str], timeout: float = 0.25):
+        """Resolve every name obliviously; a task generator.
+
+        Proxy hop then resolver hop, each one keyed wave for the whole
+        batch: each shard's proxy forwards its slice in one request, and so
+        does its resolver, preserving the role split (proxies see only
+        ciphertext, resolvers only names). Both waves route by hashing the
+        *name* locally, so the key never rides the wire, and routing is
+        re-resolved per wave: a reshard that commits between the hops still
+        finds the records on the post-epoch shard, and a name caught
+        mid-migration retries on its own. Returns one outcome per name, in
+        order: a :class:`DnsResponse`, or an exception instance for a query
+        that failed at either hop (failures are isolated per query).
+        """
+        service = self.service
         encrypted = [self._encrypt_query(name) for name in names]
-        results = self.service.handle_query_batch(
-            [envelope for envelope, _ in encrypted],
-            shard_indices=[self.service.plane.shard_for(name) for name in names],
-        )
-        outcomes = []
-        for name, (_, key), result in zip(names, encrypted, results):
+        outcomes: list = [None] * len(names)
+        forwarded = yield from self.session.scatter_wave([
+            (name, PROXY_DOMAIN, "forward", envelope)
+            for name, (envelope, _) in zip(names, encrypted)
+        ], timeout)
+        resolvable: list[tuple[int, dict, str]] = []
+        for position, result in enumerate(forwarded):
             if isinstance(result, Exception):
-                outcomes.append(result)
+                outcomes[position] = result
                 continue
             try:
-                outcomes.append(self._decrypt_response(name, key, result))
+                relayed = result["value"]
+                resolvable.append((position, relayed, service._decrypt_query(relayed)))
             except (ReproError, KeyError, TypeError) as exc:
-                outcomes.append(exc if isinstance(exc, ReproError) else
-                                ApplicationError(f"malformed response: {exc!r}"))
+                # A malformed envelope (bad point, missing field, wrong type —
+                # e.g. from a compromised proxy) fails only its own query.
+                outcomes[position] = ApplicationError(
+                    f"proxy returned an undecryptable envelope for "
+                    f"{names[position]!r}: {exc}")
+        answers = yield from self.session.scatter_wave([
+            (names[position], RESOLVER_DOMAIN, "resolve_plaintext", {"name": name})
+            for position, _, name in resolvable
+        ], timeout)
+        for (position, relayed, _), answer in zip(resolvable, answers):
+            if isinstance(answer, Exception):
+                outcomes[position] = answer
+                continue
+            try:
+                outcomes[position] = self._decrypt_response(
+                    names[position], encrypted[position][1],
+                    service._encrypt_response(relayed, answer["value"]))
+            except (ReproError, KeyError, TypeError) as exc:
+                outcomes[position] = (exc if isinstance(exc, ReproError) else
+                                      ApplicationError(f"malformed response: {exc!r}"))
         return outcomes

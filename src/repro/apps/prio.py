@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from repro.crypto import rng
 from repro.core.package import CodePackage, DeveloperIdentity
 from repro.errors import ApplicationError, ReproError
+from repro.net.eventloop import drive
 from repro.service import PackageBinding, ServiceClient, ServiceSpec, ShardMigrator
 
 __all__ = [
@@ -334,57 +335,67 @@ class PrivateAggregationClient:
     def submit_many(self, values: list[int]) -> list:
         """Submit many telemetry values with one batched request per server.
 
-        Each value is additively shared exactly as :meth:`submit` does; the
-        whole batch is scattered in one shot — every ``(shard, server)`` pair
-        serves its slice concurrently in simulated time. Returns one outcome
-        per value, in order: ``True`` for a fully accepted submission, or an
-        exception instance — :class:`ApplicationError` for an out-of-range or
-        rejected value, :class:`PartialSubmissionError` when only some servers
-        accepted the value's share (a torn submission the aggregate check will
-        catch).
+        Each in-range value takes the session's next submission index, as in
+        :meth:`submit`, and the batch runs through :meth:`submit_flow`;
+        returns one outcome per value, in order.
         """
         self.session.checkpoint()
-        outcomes: list = [None] * len(values)
-        share_rows: dict[int, list[int]] = {}
-        keys: dict[int, str] = {}
-        for position, value in enumerate(values):
-            if not 0 <= value <= self.service.max_value:
+        items = []
+        for value in values:
+            items.append((self._submission_counter, value))
+            if 0 <= value <= self.service.max_value:
+                self._submission_counter += 1  # as in submit: rejects use none
+        return drive(self.submit_flow(items), self.service.plane.clock)
+
+    def submit_flow(self, items, timeout: float = 0.25):
+        """Submit ``(submission index, value)`` pairs in one wave; a task generator.
+
+        Each value is additively shared exactly as :meth:`submit` does, and
+        every share of one value routes by that submission's
+        :meth:`submission_key`, so a value lands on one shard and the
+        torn-submission invariant stays per shard. The whole batch scatters
+        at once. Returns one outcome per item, in order: ``True`` for a fully
+        accepted submission, or an exception instance —
+        :class:`ApplicationError` for an out-of-range or rejected value,
+        :class:`PartialSubmissionError` when only some servers accepted the
+        value's share (a torn submission the aggregate check will catch),
+        otherwise the failed call's exception.
+        """
+        num_servers = self.service.num_servers
+        outcomes: list = [None] * len(items)
+        shares: dict[int, list[int]] = {}  # position -> that value's shares
+        for position, (_, value) in enumerate(items):
+            if 0 <= value <= self.service.max_value:
+                shares[position] = self._additive_shares(value, num_servers)
+            else:
                 outcomes[position] = ApplicationError(
                     f"value {value} outside the allowed range "
-                    f"[0, {self.service.max_value}]"
-                )
-                continue
-            share_rows[position] = self._additive_shares(value, self.service.num_servers)
-            keys[position] = self._next_submission_key()
-        positions = sorted(share_rows)
+                    f"[0, {self.service.max_value}]")
+        positions = list(shares)
+        sent = [(server_index, position)
+                for server_index in range(num_servers) for position in positions]
+        results = yield from self.session.scatter_wave([
+            (self.submission_key(items[position][0]), server_index, "submit_share",
+             {"share": shares[position][server_index]})
+            for server_index, position in sent
+        ], timeout)
         accepted: dict[int, list[int]] = {position: [] for position in positions}
         errors: dict[int, Exception] = {}
-        calls = [(keys[position], server_index, "submit_share",
-                  {"share": share_rows[position][server_index]})
-                 for server_index in range(self.service.num_servers)
-                 for position in positions]
-        results = self.session.scatter(calls)
-        cursor = 0
-        for server_index in range(self.service.num_servers):
-            for position in positions:
-                result = results[cursor]
-                cursor += 1
-                if isinstance(result, Exception):
-                    errors.setdefault(position, result)
-                elif not result["value"]["accepted"]:
-                    errors.setdefault(position, ApplicationError(
-                        f"server {server_index} rejected the share"
-                    ))
-                else:
-                    accepted[position].append(server_index)
+        for (server_index, position), result in zip(sent, results):
+            if isinstance(result, Exception):
+                errors.setdefault(position, result)
+            elif not result["value"]["accepted"]:
+                errors.setdefault(position, ApplicationError(
+                    f"server {server_index} rejected the share"))
+            else:
+                accepted[position].append(server_index)
         for position in positions:
             if position not in errors:
                 outcomes[position] = True
             elif accepted[position]:
                 outcomes[position] = PartialSubmissionError(
-                    f"submission torn: servers {accepted[position]} accepted a share "
-                    "but another server did not", accepted[position],
-                )
+                    f"submission torn: servers {accepted[position]} accepted a "
+                    "share but another server did not", accepted[position])
             else:
                 outcomes[position] = errors[position]
         return outcomes

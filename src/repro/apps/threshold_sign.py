@@ -21,6 +21,7 @@ from repro.crypto.bls import BlsSignature, BlsSignatureShare, BlsThresholdScheme
 from repro.crypto.dkg import DistributedKeyGeneration
 from repro.crypto.shamir import Share
 from repro.errors import ApplicationError, ReproError
+from repro.net.eventloop import drive
 from repro.sandbox.programs import bls_share_source
 from repro.service import PackageBinding, ServiceClient, ServiceSpec, ShardMigrator
 
@@ -167,27 +168,6 @@ class CustodyDeployment:
         )
         return BlsSignatureShare(signer_index, BlsSignature(G1Element(result["value"])))
 
-    def sign_shares_on_domain(self, signer_index: int, messages: list[bytes]) -> list:
-        """Ask one signer for signature shares on many messages at once.
-
-        Messages scatter to their owning shards; each shard's signer domain
-        receives its slice as one batched request. Returns one outcome per
-        message, in order: a :class:`BlsSignatureShare`, or the exception
-        instance for a message whose share the domain failed to produce.
-        """
-        share = self.share_for_signer(signer_index)
-        calls = []
-        for message in messages:
-            message_int = int.from_bytes(message, "big") if message else 0
-            calls.append((message, signer_index, "bls_share",
-                          [message_int, len(message), share.value, BLS_SCALAR_ORDER]))
-        results = self.plane.scatter(calls)
-        return [
-            result if isinstance(result, Exception)
-            else BlsSignatureShare(signer_index, BlsSignature(G1Element(result["value"])))
-            for result in results
-        ]
-
 
 class CustodyClient:
     """The asset owner's side: audit, request shares, combine, verify."""
@@ -268,49 +248,73 @@ class CustodyClient:
 
     def sign_transactions(self, messages: list[bytes],
                           signer_indices: list[int] | None = None) -> list:
-        """Sign many transactions, collecting each signer's shares in one batch.
+        """Sign many transactions; runs :meth:`sign_flow` to completion.
 
-        Every signer produces its shares for the whole batch in a single
-        request; shares are then combined and verified per message. Returns
-        one outcome per message, in order: a :class:`SignedTransaction`, or
-        an :class:`ApplicationError` instance when fewer than ``t`` signers
-        produced a share for that message (failures are isolated per
-        message, not per batch).
+        Returns one outcome per message, in order: a
+        :class:`SignedTransaction` or an :class:`ApplicationError` instance.
         """
         self.session.checkpoint()
-        if signer_indices is None:
-            signer_indices = list(range(1, self.service.threshold + 1))
-        if len(signer_indices) < self.service.threshold:
-            raise ApplicationError(
-                f"need at least {self.service.threshold} signers, got {len(signer_indices)}"
-            )
-        per_signer = [
-            self.service.sign_shares_on_domain(signer_index, messages)
-            for signer_index in signer_indices
-        ]
+        return drive(self.sign_flow(messages, signer_indices),
+                     self.service.plane.clock)
+
+    def sign_flow(self, messages: list[bytes], signer_indices: list[int] | None = None,
+                  timeout: float = 0.25):
+        """Threshold-sign every message with per-signer failover; a task generator.
+
+        The first wave asks the first ``t`` of ``signer_indices`` (all
+        signers by default) for their shares of every message at once, each
+        signer receiving its slice as one batched request per shard. A
+        message whose signers failed asks the next candidates, one further
+        wave at a time, until it holds ``t`` shares or runs out. Shares are
+        then combined and verified per message. Returns one outcome per
+        message, in order: a :class:`SignedTransaction`, or an
+        :class:`ApplicationError` instance when fewer than ``t`` signers
+        produced a share or the combined signature does not verify (failures
+        are isolated per message, not per batch).
+        """
+        service = self.service
+        threshold = service.threshold
+        candidates = list(signer_indices or range(1, service.num_signers + 1))
+        partials: list[list[BlsSignatureShare]] = [[] for _ in messages]
+        cursors = [0] * len(messages)
+        live = list(range(len(messages)))
+        while live:
+            wave = []
+            for position in live:
+                cursor = cursors[position]
+                chosen = candidates[cursor:cursor + threshold - len(partials[position])]
+                cursors[position] += len(chosen)
+                wave.extend((signer, position) for signer in chosen)
+            wave.sort()  # signer-major: each signer's slice is one request
+            results = yield from self.session.scatter_wave([
+                (messages[position], signer, "bls_share", [
+                    int.from_bytes(messages[position], "big"),
+                    len(messages[position]),
+                    service.share_for_signer(signer).value, BLS_SCALAR_ORDER])
+                for signer, position in wave
+            ], timeout)
+            for (signer, position), result in zip(wave, results):
+                if not isinstance(result, Exception):  # else crashed or refusing
+                    partials[position].append(BlsSignatureShare(
+                        signer, BlsSignature(G1Element(result["value"]))))
+            live = [position for position in live
+                    if len(partials[position]) < threshold
+                    and cursors[position] < len(candidates)]
         outcomes = []
-        for message_index, message in enumerate(messages):
-            partials = [
-                shares[message_index] for shares in per_signer
-                if not isinstance(shares[message_index], Exception)
-            ][: self.service.threshold]
-            if len(partials) < self.service.threshold:
+        for message, shares in zip(messages, partials):
+            if len(shares) < threshold:
                 outcomes.append(ApplicationError(
-                    f"only {len(partials)} of the required {self.service.threshold} "
-                    "signers produced a signature share"
-                ))
+                    f"only {len(shares)} of the required {threshold} "
+                    "signers produced a signature share"))
                 continue
-            signature = self.service.scheme.combine(partials)
-            if not self.service.scheme.verify(self.service.group_public_key, message,
-                                              signature):
+            signature = service.scheme.combine(shares)
+            if not service.scheme.verify(service.group_public_key, message, signature):
                 outcomes.append(ApplicationError(
-                    "combined threshold signature failed verification"
-                ))
+                    "combined threshold signature failed verification"))
                 continue
             outcomes.append(SignedTransaction(
                 message=message, signature=signature,
-                signer_indices=tuple(p.signer_index for p in partials),
-            ))
+                signer_indices=tuple(share.signer_index for share in shares)))
         return outcomes
 
     def verify(self, transaction: SignedTransaction) -> bool:

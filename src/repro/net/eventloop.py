@@ -27,6 +27,13 @@ send/receive instead of pumping:
   records every scheduling decision so two identically seeded runs can be
   compared event by event.
 
+The same task generators also run without the loop: :func:`drive` is the
+synchronous driver of the same commands. It answers each ``WaitBatch`` by
+pumping the network until idle and claiming the batch's responses, and each
+``Sleep`` by advancing the clock, so one application flow serves both a
+batched span (one task, driven to completion) and a concurrent op (one of many
+tasks on the loop).
+
 Synchronous code composes with the loop: a task may call code that pumps
 ``run_until_idle`` internally (e.g. a live reshard's quiesce barrier). The
 demux is the endpoint's own receive handler, so it routes a response the same
@@ -50,7 +57,7 @@ from repro.net.transport import Network
 # because perfbench's tracer test still reads repro.net.eventloop.decode.
 from repro.wire.codec import decode  # noqa: F401
 
-__all__ = ["Sleep", "WaitBatch", "SimTask", "EventLoop"]
+__all__ = ["Sleep", "WaitBatch", "SimTask", "EventLoop", "drive"]
 
 
 @dataclass(frozen=True)
@@ -76,6 +83,36 @@ class WaitBatch:
 
     batch: object
     timeout: float = 0.25
+
+
+def drive(gen: Generator, clock=None):
+    """Run a task generator to completion, synchronously; return its result.
+
+    The pump-until-idle driver of the commands :class:`EventLoop` schedules:
+    a :class:`WaitBatch` is answered by running the batch's network until
+    idle and claiming its held responses (resumed with ``"complete"``, or
+    ``"idle"`` when some stayed unanswered, the cue to retransmit), a
+    :class:`Sleep` by advancing ``clock``. Nothing else is in flight, so
+    timeouts never fire: the network drains before every resume. A generator
+    that never sleeps needs no ``clock``; one that does without it is an
+    error.
+    """
+    value = None
+    while True:
+        try:
+            command = gen.send(value)
+        except StopIteration as stop:
+            return stop.value
+        if isinstance(command, WaitBatch):
+            batch = command.batch
+            batch.client.network.run_until_idle()
+            batch.client.demux.take(batch.pending, batch.found)
+            value = "idle" if batch.pending else "complete"
+        elif isinstance(command, Sleep) and clock is not None:
+            clock.advance(max(0.0, command.seconds))
+            value = "elapsed"
+        else:
+            raise SimulationError(f"drive() got unsupported command {command!r}")
 
 
 class SimTask:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import DecodingError, RpcError, TimeoutError
-from repro.net.eventloop import WaitBatch
+from repro.net.eventloop import WaitBatch, drive
 from repro.net.transport import Endpoint, Message, Network
 from repro.wire.codec import decode, encode
 from repro.wire.framing import frame_message, split_frames
@@ -555,7 +555,7 @@ class PendingRpcBatch:
         otherwise the first failure raises.
         """
         if not self._resolved:
-            self._resolve(attempts)
+            drive(self.wait_event(attempts=attempts), self.client.network.clock)
         if self.pending and not return_errors:
             raise TimeoutError(
                 f"{len(self.pending)} of {len(self.requests)} batched requests "
@@ -580,18 +580,19 @@ class PendingRpcBatch:
         return results
 
     def wait_event(self, attempts: int = 3, timeout: float = 0.25):
-        """Resolve this batch inside an event loop instead of pumping.
+        """Resolve this batch as a task generator.
 
-        A generator for :class:`repro.net.eventloop.EventLoop`: it yields
-        :class:`~repro.net.eventloop.WaitBatch` commands and resumes when
-        every response arrived (``"complete"``), ``timeout`` simulated
-        seconds elapsed (``"timeout"``), or the network went fully idle
-        (``"idle"``). On the latter two it retransmits the still-unanswered
-        requests with their original ids and bytes — the same at-most-once
-        retry discipline as :meth:`collect`, but without ever draining the
-        network on the waiter's behalf, so other tasks' requests stay
-        genuinely in flight alongside this one. After the generator returns,
-        :meth:`collect` unpacks results without pumping.
+        It yields :class:`~repro.net.eventloop.WaitBatch` commands and
+        resumes when every response arrived (``"complete"``), ``timeout``
+        simulated seconds elapsed (``"timeout"``), or the network went fully
+        idle (``"idle"``). On the latter two it retransmits only the
+        still-unanswered requests, with their original ids and bytes, so an
+        at-most-once server dedups re-delivery. Under an
+        :class:`~repro.net.eventloop.EventLoop` other tasks' requests stay
+        genuinely in flight alongside this one; :meth:`collect` runs it
+        through the synchronous :func:`~repro.net.eventloop.drive`. After
+        the generator returns, :meth:`collect` unpacks results without
+        pumping.
         """
         client = self.client
         if not self._resolved:
@@ -607,21 +608,3 @@ class PendingRpcBatch:
                 yield WaitBatch(self, timeout)
             client.demux.complete(request_id for request_id, _, _ in self.requests)
             self._resolved = True
-
-    def _resolve(self, attempts: int) -> None:
-        client = self.client
-        for attempt in range(max(1, attempts)):
-            if not self.pending:
-                break
-            if attempt > 0:
-                # Retransmit only the unanswered requests, with their original
-                # ids and bytes, so the at-most-once server dedups re-delivery.
-                client.retries += len(self.pending)
-                client.endpoint.send(client.server_address, b"".join(
-                    frame for request_id, _, frame in self.requests
-                    if request_id in self.pending
-                ))
-            client.network.run_until_idle()
-            client.demux.take(self.pending, self.found)
-        client.demux.complete(request_id for request_id, _, _ in self.requests)
-        self._resolved = True

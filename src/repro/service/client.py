@@ -3,7 +3,8 @@
 Every app client used to hand-roll the same glue: build an
 :class:`~repro.core.client.AuditingClient`, remember whether this session has
 audited yet, audit before (or on first) use, invoke with retries riding the
-at-most-once RPC layer, walk domains for failover, chunk batches.
+at-most-once RPC layer, walk domains for failover, scatter keyed batches that
+ride out a live reshard.
 :class:`ServiceClient` is that glue once, against the sharded service plane,
 so the four application clients shrink to the crypto and data-shaping that is
 genuinely theirs.
@@ -14,12 +15,20 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.client import AuditingClient
-from repro.errors import ReproError, ServiceSpecError
+from repro.errors import KeyMigratingError, ReproError, ServiceSpecError
+from repro.net.eventloop import Sleep
 from repro.service.sharded import ShardedService
 
 __all__ = ["ServiceClient"]
 
 AUDIT_POLICIES = ("always", "once", "never")
+
+# How many times one wave retries calls that hit a mid-migration key, and how
+# long (simulated seconds) it sleeps between tries. Bounded: a key pinned by
+# a *failed* migration routes fine via its epoch override, so only an actual
+# in-progress epoch transition ever costs a retry.
+MIGRATION_RETRIES = 4
+MIGRATION_RETRY_DELAY = 0.002
 
 
 class ServiceClient:
@@ -119,15 +128,37 @@ class ServiceClient:
         """Invoke on ``key``'s shard (no implicit audit — see checkpoint)."""
         return self.plane.invoke(key, domain_index, entry, params)
 
-    def invoke_batch(self, key, domain_index: int, calls: list,
-                     chunk_size: int = 128) -> list:
-        """Batched invoke against ``key``'s shard."""
-        return self.plane.invoke_batch(key, domain_index, calls,
-                                       chunk_size=chunk_size)
+    def scatter_wave(self, calls, timeout: float = 0.25):
+        """Keyed scatter/gather as a task generator; returns one outcome per call.
 
-    def scatter(self, calls, chunk_size: int = 128) -> list:
-        """Keyed scatter/gather across shards (see ShardedService.scatter)."""
-        return self.plane.scatter(calls, chunk_size=chunk_size)
+        ``calls`` are ``(key, domain_index, entry, params)`` tuples, routed as
+        :meth:`ShardedService.begin_scatter` routes them, so epoch overrides
+        after a reshard are honoured on every wave. Calls that resolve to
+        :class:`~repro.errors.KeyMigratingError` are retried together, after
+        a short simulated back-off, up to :data:`MIGRATION_RETRIES` times, so
+        a live reshard costs an availability blip rather than a failed call.
+        Every other failure comes back as its exception instance. Run it with
+        :func:`~repro.net.eventloop.drive` or as (part of) an
+        :class:`~repro.net.eventloop.EventLoop` task.
+        """
+        calls = list(calls)
+        outcomes: list = [None] * len(calls)
+        slots = list(range(len(calls)))
+        for round_index in range(MIGRATION_RETRIES + 1):
+            results = yield from self.plane.begin_scatter(
+                [calls[slot] for slot in slots]).wait_event(timeout=timeout)
+            retry_slots: list[int] = []
+            for slot, result in zip(slots, results):
+                if (isinstance(result, KeyMigratingError)
+                        and round_index < MIGRATION_RETRIES):
+                    retry_slots.append(slot)
+                else:
+                    outcomes[slot] = result
+            if not retry_slots:
+                break
+            slots = retry_slots
+            yield Sleep(MIGRATION_RETRY_DELAY)
+        return outcomes
 
     # ------------------------------------------------------------------
     # Failover

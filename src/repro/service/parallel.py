@@ -326,6 +326,17 @@ class ExecutorRpcBatch:
         self._seq = seq
         self._found: dict[int, dict] | None = None
 
+    def wait_event(self, attempts: int = 3, timeout: float = 0.25):
+        """Task-generator form of the wait: there is nothing to yield on.
+
+        The response travels over the worker's pipe, not the simulated
+        network, so the generator finishes at once and :meth:`collect`
+        blocks on the pipe; flows run unchanged in parallel mode.
+        """
+        del attempts, timeout  # lossless transport, no simulated clock
+        return
+        yield
+
     def collect(self, attempts: int = 3, return_errors: bool = False):
         """Gather this batch's results, in call order."""
         del attempts  # lossless transport

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from repro.core.deployment import Deployment
 from repro.errors import KeyMigratingError, ReshardError, ServiceSpecError
+from repro.net.eventloop import drive
 from repro.net.transport import Network
 from repro.service.ring import HashRing
 
@@ -37,12 +38,12 @@ __all__ = ["ShardedService", "PendingScatter"]
 class PendingScatter:
     """An in-flight scatter begun by :meth:`ShardedService.begin_scatter`.
 
-    Every group's batch payload is already on the wire. :meth:`collect`
-    gathers synchronously (the first collect pumps the shared network);
-    :meth:`wait_event` gathers inside a discrete-event loop, waiting on each
-    group's batch without draining the network, so *other* tasks' scatters
-    stay concurrently in flight. Calls whose keys were caught mid-migration
-    are pre-resolved to their :class:`~repro.errors.KeyMigratingError`.
+    Every group's batch payload is already on the wire. :meth:`wait_event`
+    gathers as a task generator, waiting on each group's batch without
+    draining the network, so inside an event loop *other* tasks' scatters
+    stay concurrently in flight; :meth:`collect` runs the same generator
+    synchronously. Calls whose keys were caught mid-migration are
+    pre-resolved to their :class:`~repro.errors.KeyMigratingError`.
     """
 
     def __init__(self, size: int, groups: dict, handles: dict,
@@ -52,33 +53,23 @@ class PendingScatter:
         self._handles = handles    # (shard, domain) -> PendingInvokeBatch
         self._premapped = premapped or {}  # position -> outcome
 
-    def _seed_outcomes(self) -> list:
+    def collect(self) -> list:
+        """Gather every call's outcome, in call order (pumps the network)."""
+        return drive(self.wait_event())
+
+    def wait_event(self, timeout: float = 0.25):
+        """Gather every call's outcome, in call order, as a task generator.
+
+        Waits on each shard group's in-flight batch in turn. A later group's
+        responses that land while the task is blocked on an earlier group are
+        decoded once on delivery and held, by request id, in the client
+        endpoint's :class:`~repro.net.rpc.ResponseDemux`; the later group
+        claims them when its wait registers. Waiting group-by-group therefore
+        loses no concurrency and decodes nothing twice.
+        """
         outcomes: list = [None] * self._size
         for position, outcome in self._premapped.items():
             outcomes[position] = outcome
-        return outcomes
-
-    def collect(self) -> list:
-        """Gather every call's outcome, in call order (pumps the network)."""
-        outcomes = self._seed_outcomes()
-        for group_key, group in self._groups.items():
-            for (position, _, _), outcome in zip(
-                    group, self._handles[group_key].collect()):
-                outcomes[position] = outcome
-        return outcomes
-
-    def wait_event(self, timeout: float = 0.25):
-        """Event-loop form of :meth:`collect`; same outcomes, no pumping.
-
-        A generator for :class:`repro.net.eventloop.EventLoop`: waits on each
-        shard group's in-flight batch in turn. A later group's responses that
-        land while the task is blocked on an earlier group are decoded once on
-        delivery and held, by request id, in the client endpoint's
-        :class:`~repro.net.rpc.ResponseDemux`; the later group claims them
-        when its wait registers. Waiting group-by-group therefore loses no
-        concurrency and decodes nothing twice.
-        """
-        outcomes = self._seed_outcomes()
         for group_key, group in self._groups.items():
             results = yield from self._handles[group_key].wait_event(
                 timeout=timeout)
@@ -239,12 +230,6 @@ class ShardedService:
                         entry: str, params) -> dict:
         """Invoke on an explicitly chosen shard (operator-side paths)."""
         return self.shards[shard_index].invoke(domain_index, entry, params)
-
-    def invoke_batch(self, key, domain_index: int, calls: list,
-                     chunk_size: int = 128) -> list:
-        """Batched invoke against ``key``'s shard (single-shard batches)."""
-        return self.deployment_for(key).invoke_batch(domain_index, calls,
-                                                     chunk_size=chunk_size)
 
     # ------------------------------------------------------------------
     # Scatter/gather

@@ -7,7 +7,8 @@ network once routed). It offers each operation in the three shapes the op
 loop (:func:`repro.sim.scenarios.runner.run_ops`) schedules — one at a time
 (:meth:`~ScenarioDriver.step`), a span through the app's batched API
 (:meth:`~ScenarioDriver.run_span`), or a generator for the event loop
-(:meth:`~ScenarioDriver.op_task`) — plus the routing key of each op and the
+(:meth:`~ScenarioDriver.op_task`; the span's client flow over a list of one
+op) — plus the routing key of each op and the
 application-specific safety invariants checked at the end of the run. Both
 harnesses, :class:`~repro.sim.scenarios.runner.ScenarioRunner` and
 :class:`~repro.sim.workload.MultiClientWorkload`, and the parallel workers
@@ -52,9 +53,6 @@ class ScenarioDriver:
     """
 
     app_name = "?"
-    # Set by a harness whose run injects faults: spans then ask every replica
-    # instead of a minimal quorum (only threshold signing distinguishes).
-    robust = False
 
     def __init__(self, seed: int, regions: tuple = ()):
         self.regions = tuple(regions)
@@ -89,8 +87,9 @@ class ScenarioDriver:
     def op_task(self, ctx, op_index: int, timeout: float = 0.25):
         """The op as a generator for the discrete-event loop.
 
-        Same wire traffic and bookkeeping as :meth:`step`, but yields while
-        its requests are outstanding so other ops can interleave.
+        The client flow :meth:`run_span` drives, over a list of one op, with
+        the same bookkeeping; it yields while its requests are outstanding
+        so other ops can interleave, and raises the op's failure.
         """
         raise NotImplementedError
 
@@ -238,20 +237,12 @@ class ThresholdSignDriver(ScenarioDriver):
             raise ApplicationError("threshold signature did not verify")
 
     def run_span(self, start: int, count: int) -> list:
-        # Robust spans collect shares from every signer, so per-message
-        # failover survives a crashed or compromised signer; on a clean
-        # network the minimal quorum signs, matching step(), whose failover
-        # also stops after ``threshold`` successes.
-        signers = (list(range(1, self.service.num_signers + 1))
-                   if self.robust else None)
-        return self.client.sign_transactions(self._messages[start:start + count],
-                                             signer_indices=signers)
+        # The flow verifies each combined signature under the group key.
+        return self.client.sign_transactions(self._messages[start:start + count])
 
     def op_task(self, ctx, op_index: int, timeout: float = 0.25):
-        from repro.sim.asyncops import sign_op
-
-        # sign_op verifies the combined signature under the group key itself.
-        return sign_op(self.client, self._messages[op_index], timeout=timeout)
+        return _one_op(self.client.sign_flow([self._messages[op_index]],
+                                             timeout=timeout))
 
     def finish(self, ctx) -> list[InvariantResult]:
         # Steal every key share the fallen TEEs expose and try to sign with
@@ -363,24 +354,21 @@ class PrioDriver(ScenarioDriver):
 
     def run_span(self, start: int, count: int) -> list:
         values = self._values[start:start + count]
-        outcomes = self.client.submit_many(values)
+        return self._settle(values, self.client.submit_many(values))
+
+    def op_task(self, ctx, op_index: int, timeout: float = 0.25):
+        def flow():
+            value = self._values[op_index]
+            return self._settle([value], (yield from self.client.submit_flow(
+                [(op_index, value)], timeout)))
+
+        return _one_op(flow())
+
+    def _settle(self, values: list, outcomes: list) -> list:
+        """Book every submission's outcome; returns the outcomes."""
         for value, outcome in zip(values, outcomes):
             self._record(value, outcome)
         return outcomes
-
-    def op_task(self, ctx, op_index: int, timeout: float = 0.25):
-        from repro.sim.asyncops import prio_op
-
-        def task():
-            value = self._values[op_index]
-            try:
-                yield from prio_op(self.client, value, op_index, timeout=timeout)
-            except Exception as exc:
-                self._record(value, exc)
-                raise
-            self._record(value, True)
-
-        return task()
 
     def finish(self, ctx) -> list[InvariantResult]:
         invariants = []
@@ -487,27 +475,28 @@ class OdohDriver(ScenarioDriver):
 
     def run_span(self, start: int, count: int) -> list:
         span = self._names[start:start + count]
-        outcomes = self.client.resolve_many(span)
+        return self._settle(span, self.client.resolve_many(span))
+
+    def op_task(self, ctx, op_index: int, timeout: float = 0.25):
+        def flow():
+            names = self._names[op_index:op_index + 1]
+            return self._settle(names, (yield from self.client.resolve_flow(
+                names, timeout)))
+
+        return _one_op(flow())
+
+    def _settle(self, names: list, outcomes: list) -> list:
+        """Check every resolved response; a wrong answer fails its op."""
         for position, outcome in enumerate(outcomes):
             if isinstance(outcome, Exception):
                 continue
             try:
-                self._check(span[position], outcome)
+                self._check(names[position], outcome)
             except ApplicationError as exc:
                 outcomes[position] = exc
             else:
                 outcomes[position] = True
         return outcomes
-
-    def op_task(self, ctx, op_index: int, timeout: float = 0.25):
-        from repro.sim.asyncops import odoh_op
-
-        def task():
-            name = self._names[op_index]
-            response = yield from odoh_op(self.client, name, timeout=timeout)
-            self._check(name, response)
-
-        return task()
 
     def finish(self, ctx) -> list[InvariantResult]:
         view = self.service.proxy_view()
@@ -599,6 +588,14 @@ class OdohDriver(ScenarioDriver):
                         ok = False
                         kinds.add("unpublished-code")
         return ok, kinds
+
+
+def _one_op(flow):
+    """Run a flow over a list of one op as an op task; a failure raises."""
+    [outcome] = yield from flow
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 _DRIVERS = {driver.app_name: driver for driver in (

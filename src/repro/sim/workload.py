@@ -492,9 +492,6 @@ class MultiClientWorkload:
         from repro.sim.faults import ReshardService
         from repro.sim.scenarios.runner import routed_context, run_ops
 
-        # Robust signing is for the caller's faults, decided before the
-        # workload's own reshard joins the events.
-        driver.robust = bool(self.rules or self.events)
         plane = driver.plane
         batched = self.batched and not self.concurrent
         events = self.events

@@ -11,7 +11,8 @@ import random
 import pytest
 
 from repro.errors import SimulationError, TimeoutError
-from repro.net.eventloop import EventLoop, Sleep, WaitBatch
+from repro.net.eventloop import EventLoop, Sleep, WaitBatch, drive
+from repro.net.latency import ConstantLatency
 from repro.net.rpc import RpcClient, RpcServer, ServiceQueue, ServiceTimeModel
 from repro.net.transport import FaultDecision, Network
 
@@ -241,3 +242,55 @@ class TestServiceQueue:
         assert server.max_queue_depth >= 2
         assert server.queue_depth() == 0
         assert server.busy_until > 0.0
+
+
+class TestDrive:
+    """The synchronous driver runs the same task generators as the loop."""
+
+    def test_drive_pumps_a_waitbatch_and_advances_sleeps(self):
+        network, server, client = make_rpc_pair()
+        server.register("add", lambda params: params["a"] + params["b"])
+
+        def task():
+            yield Sleep(0.5)
+            batch = client.begin_many([("add", {"a": 2, "b": 3})])
+            woke = yield WaitBatch(batch)
+            return woke, batch.collect()
+
+        assert drive(task(), network.clock) == ("complete", [5])
+        assert network.clock.now() >= 0.5
+
+    def test_drive_and_the_loop_give_the_same_wire_traffic_and_time(self):
+        def run(driver):
+            network, server, client = make_rpc_pair(
+                Network(default_latency=ConstantLatency(0.003)))
+            server.service_model = ServiceTimeModel(per_request=0.001)
+            server.register("echo", lambda params: params)
+            batch = client.begin_many([("echo", index) for index in range(5)])
+            driver(network, batch.wait_event())
+            return (batch.collect(), network.stats.messages_sent,
+                    network.stats.bytes_sent, network.clock.now())
+
+        def on_loop(network, gen):
+            loop = EventLoop(network)
+            loop.spawn(gen)
+            loop.run()
+
+        def synchronously(network, gen):
+            drive(gen, network.clock)
+
+        assert run(on_loop) == run(synchronously)
+
+    def test_drive_without_a_clock_rejects_a_sleep(self):
+        def task():
+            yield Sleep(0.1)
+
+        with pytest.raises(SimulationError):
+            drive(task())
+
+    def test_drive_rejects_unknown_commands(self):
+        def task():
+            yield "not a command"
+
+        with pytest.raises(SimulationError):
+            drive(task(), Network().clock)

@@ -6,7 +6,7 @@ import pytest
 from repro.apps.keybackup import KEY_BACKUP_APP_SOURCE
 from repro.core.deployment import Deployment
 from repro.core.package import CodePackage, DeveloperIdentity
-from repro.errors import MisbehaviorDetected, ServiceSpecError
+from repro.errors import ApplicationError, MisbehaviorDetected, ServiceSpecError
 from repro.net.latency import lan_profile
 from repro.net.rpc import RpcClient, RpcServer, ServiceTimeModel
 from repro.net.transport import Network
@@ -333,6 +333,18 @@ class TestShardedAppsEndToEnd:
         values = list(range(30))
         assert all(outcome is True for outcome in client.submit_many(values))
         assert service.aggregate() == {"sum": sum(values), "submissions": 30}
+
+    def test_prio_rejected_values_use_no_submission_index(self):
+        """submit_many numbers submissions as submit does: rejects skip."""
+        from repro.apps.prio import PrivateAggregationClient, PrivateAggregationDeployment
+
+        service = PrivateAggregationDeployment(num_servers=2, max_value=50, shards=2)
+        client = PrivateAggregationClient(service, audit_before_use=False,
+                                          session_tag="tag")
+        outcomes = client.submit_many([1, 99, 2])
+        assert outcomes[0] is True and outcomes[2] is True
+        assert isinstance(outcomes[1], ApplicationError)
+        assert client._next_submission_key() == client.submission_key(2)
 
     def test_prio_independent_sessions_spread_across_shards(self):
         """Regression: distinct clients must not all route to one shard.

@@ -1,0 +1,73 @@
+"""One flow per app, two drivers.
+
+Each application writes its batched operation once, as a task generator in
+its client. A batched span drives it synchronously; a concurrent op runs it
+on the event loop over a list of one. These tests pin that the two are the
+same flow, and that the flows also run over the parallel executor's pipes.
+"""
+
+import pytest
+
+from repro.apps.odoh import ObliviousDnsClient, ObliviousDnsDeployment
+from repro.crypto import rng
+from repro.errors import KeyMigratingError
+from repro.net.eventloop import EventLoop
+from repro.net.latency import lan_profile
+from repro.net.transport import Network
+from repro.service.client import MIGRATION_RETRIES, MIGRATION_RETRY_DELAY
+from repro.sim import MultiClientWorkload
+from repro.sim.scenarios.apps import make_driver
+
+APPS = ["keybackup", "prio", "threshold_sign", "odoh"]
+
+
+def run_op_zero(app: str, concurrent: bool, seed: int = 2047):
+    """Op 0 of a routed 2-shard deployment: as a span of one, or as a task."""
+    with rng.deterministic(seed):
+        driver = make_driver(app, seed, 4, shards=2)
+        network = Network(clock=driver.deployment.clock, default_latency=lan_profile())
+        driver.plane.route_via_network(network)
+        driver.plane.set_service_time(500e-6)
+        started = network.clock.now()
+        if concurrent:
+            loop = EventLoop(network)
+            task = loop.spawn(driver.op_task(None, 0))
+            loop.run()
+            outcome = task.result
+        else:
+            [outcome] = driver.run_span(0, 1)
+    return (outcome, network.stats.messages_sent, network.stats.bytes_sent,
+            network.clock.now() - started)
+
+
+@pytest.mark.parametrize("app", APPS)
+def test_a_span_of_one_and_a_concurrent_op_are_the_same_flow(app):
+    span = run_op_zero(app, concurrent=False)
+    task = run_op_zero(app, concurrent=True)
+    assert span == task
+    assert span[1] > 0 and span[3] > 0
+
+
+@pytest.mark.parametrize("app", APPS)
+def test_parallel_mode_runs_every_app(app):
+    report = MultiClientWorkload(app, num_clients=6, parallel=True, workers=2,
+                                 shards=2, batch_size=4).run()
+    assert report.succeeded == report.ops == 6
+    assert report.consistency_issues == []
+
+
+def test_resolve_many_isolates_a_mid_migration_name():
+    names = [f"host{index}.example" for index in range(3)]
+    service = ObliviousDnsDeployment(
+        records={name: f"10.0.0.{index}" for index, name in enumerate(names)},
+        shards=2)
+    client = ObliviousDnsClient(service, audit_before_use=False)
+    service.plane.begin_epoch([names[0]])
+    started = service.plane.clock.now()
+    outcomes = client.resolve_many(names)
+    assert isinstance(outcomes[0], KeyMigratingError)
+    assert [(response.found, response.address) for response in outcomes[1:]] == [
+        (True, "10.0.0.1"), (True, "10.0.0.2")]
+    # The moving name backed off between each of its bounded retries.
+    assert (service.plane.clock.now() - started
+            >= MIGRATION_RETRIES * MIGRATION_RETRY_DELAY)
