@@ -1,11 +1,13 @@
 """Throughput baselines: batching vs the seed path, shard scaling, resharding.
 
-Three series land in ``BENCH_throughput.json`` at the repository root:
+Each run writes its series to ``.bench_build/BENCH_throughput.json`` (an
+ignored path); the committed ``BENCH_throughput.json`` at the repository root
+is a copy of such a run on a named host, and runs only read it:
 
 * **batched vs unbatched** — every app driven by the multi-client workload
-  harness once issuing one RPC round trip per operation (the seed behavior)
-  and once through the batched pipeline (``call_many`` + ``invoke_many`` +
-  the EC fast path).
+  harness once one op at a time (spans of one op, each fanning out to its
+  domains in one wave) and once through the batched pipeline (spans of
+  ``BATCH_SIZE`` ops: ``call_many`` + ``invoke_many`` + the EC fast path).
 * **sharded** — keybackup and prio driven through the service plane
   (:mod:`repro.service`) at 1 and 4 shards with a serial per-request service
   time installed on every trust domain, comparing *simulated* aggregate
@@ -33,8 +35,8 @@ Three series land in ``BENCH_throughput.json`` at the repository root:
   keybackup driven through ``MultiClientWorkload(parallel=True)``, where every
   shard's RPC server runs in a spawned worker process and the parent overlaps
   request submission across workers (:mod:`repro.service.parallel`). Three
-  transparently-labeled arms land in the JSON: ``serial`` (unbatched, one
-  shard — the seed behavior), ``serial_batched`` (batched pipeline, 4
+  transparently-labeled arms land in the JSON: ``serial`` (unbatched: spans of
+  one op, one shard), ``serial_batched`` (batched pipeline, 4
   shards), and ``parallel`` (4 workers, 4 shards). Each arm is the median of
   3 runs; parallel runs report wall-clock only (``sim_seconds`` stays 0 — a
   multi-process run has no shared simulated clock, and quoting sim time from
@@ -165,8 +167,13 @@ AUDIT_APP = "keybackup"
 AUDIT_SEED = 2150
 AUDIT_CLIENTS = (1, 10, 100, 1000)
 
-OUTPUT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           os.pardir, "BENCH_throughput.json")
+REPO_ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+# The committed baseline. Runs only read it (the pinned wall reference); it
+# changes only when someone copies a fresh OUTPUT_PATH over it on a named host.
+COMMITTED_PATH = os.path.join(REPO_ROOT, "BENCH_throughput.json")
+# Where every run writes its fresh results: an ignored build directory, so
+# running the suite never rewrites a tracked file.
+OUTPUT_PATH = os.path.join(REPO_ROOT, ".bench_build", "BENCH_throughput.json")
 
 _RESULTS: dict[str, dict] = {}
 _SHARDED: dict[str, dict] = {}
@@ -375,7 +382,7 @@ def wall_floor_holds(measured_ops_per_sec: float,
 def _pinned_wall_reference() -> float | None:
     """The committed parallel rate from BENCH_throughput.json, if present."""
     try:
-        with open(OUTPUT_PATH, encoding="utf-8") as handle:
+        with open(COMMITTED_PATH, encoding="utf-8") as handle:
             committed = json.load(handle)
         return float(committed["wall"][WALL_APP]["parallel"]["ops_per_sec"])
     except (OSError, KeyError, TypeError, ValueError):
@@ -617,7 +624,7 @@ def test_audit_checkpoint_cost_sublinear():
 
 
 def test_write_throughput_baseline():
-    """Aggregate the per-app results into BENCH_throughput.json."""
+    """Aggregate the per-app results into ``.bench_build/BENCH_throughput.json``."""
     missing = [app for app in OPS if app not in _RESULTS]
     missing += [app for app in SHARD_APPS if app not in _SHARDED]
     missing += [app for app in RESHARD_APPS if app not in _RESHARD]
@@ -666,6 +673,7 @@ def test_write_throughput_baseline():
         "audit_checkpoint_sublinear": bool(_AUDIT) and all(
             result["sublinear"] for result in _AUDIT.values()),
     }
+    os.makedirs(os.path.dirname(OUTPUT_PATH), exist_ok=True)
     with open(OUTPUT_PATH, "w", encoding="utf-8") as handle:
         json.dump(baseline, handle, indent=2, sort_keys=True)
         handle.write("\n")

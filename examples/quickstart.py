@@ -17,6 +17,7 @@ Run with:  PYTHONPATH=src python examples/quickstart.py
 
 from repro.core.package import CodePackage, DeveloperIdentity
 from repro.crypto.bilinear import BLS_SCALAR_ORDER
+from repro.net.eventloop import drive
 from repro.sandbox.programs import bls_share_source
 from repro.service import PackageBinding, ServiceClient, ServiceSpec
 
@@ -49,11 +50,11 @@ def main() -> None:
     message = b"hello, distributed trust"
     message_int = int.from_bytes(message, "big")
     shard_index = plane.shard_for(message)
-    results = [
-        session.invoke(message, domain_index, "bls_share",
-                       [message_int, len(message), 123456789, BLS_SCALAR_ORDER])
+    results = drive(session.scatter_wave([
+        (message, domain_index, "bls_share",
+         [message_int, len(message), 123456789, BLS_SCALAR_ORDER])
         for domain_index in range(plane.domains_per_shard)
-    ]
+    ]))
     values = {r["value"] for r in results}
     print(f"Key {message!r} routed to shard {shard_index}; "
           f"all {len(results)} of its trust domains computed the same "

@@ -15,8 +15,8 @@ be horizontally sharded (``shards=N``): users are placed on shards by
 consistent hashing of their user id, each shard being a full trust-domain
 deployment holding that user's ``num_domains`` shares. The client is a thin
 adapter over :class:`~repro.service.ServiceClient` — the session facade owns
-audit-before-use, failover, and batch scatter; this module owns the Shamir
-crypto and the per-user bookkeeping.
+audit-before-use and keyed scatter; this module owns the Shamir crypto, the
+per-user bookkeeping, and the recovery flow's walk across domains.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.errors import (
     ReproError,
     ReshardError,
 )
-from repro.net.eventloop import drive
+from repro.net.eventloop import drive, one_op
 from repro.service import (
     MigrationOutcome,
     PackageBinding,
@@ -288,65 +288,30 @@ class KeyBackupClient:
     # Backup / recovery
     # ------------------------------------------------------------------
     def backup_key(self, user_id: str, secret_key: int | bytes) -> BackupReceipt:
-        """Split ``secret_key`` and store one share in every trust domain."""
-        self.session.checkpoint(user_id)
-        shares = self.sharing.split(secret_key)
-        for domain_index, share in enumerate(shares):
-            result = self.session.invoke(user_id, domain_index, "store_share", {
-                "user": user_id,
-                "index": share.index,
-                "value": share.value,
-            })
-            if not result["value"]["stored"]:
-                raise ApplicationError(f"domain {domain_index} refused to store a share")
-        return BackupReceipt(user_id=user_id, threshold=self.service.threshold,
-                             num_domains=self.service.num_domains)
+        """Split ``secret_key`` and store one share in every trust domain.
 
-    def recover_key(self, user_id: str, domain_indices: list[int] | None = None) -> int:
-        """Recover the key from any ``threshold`` trust domains."""
-        self.session.checkpoint(user_id)
-        if domain_indices is None:
-            domain_indices = list(range(self.service.threshold))
-        if len(domain_indices) < self.service.threshold:
-            raise ApplicationError(
-                f"need shares from at least {self.service.threshold} domains"
-            )
-        shares = []
-        for domain_index in domain_indices:
-            response = self.session.invoke(user_id, domain_index, "fetch_share",
-                                           {"user": user_id})["value"]
-            if not response["found"]:
-                raise ApplicationError(f"domain {domain_index} has no share for {user_id!r}")
-            shares.append(Share(response["index"], response["value"]))
-        return self.sharing.reconstruct(shares)
-
-    def recover_key_any(self, user_id: str) -> int:
-        """Recover the key from whichever ``threshold`` domains are reachable.
-
-        Tries every trust domain (on the user's shard) in order and
-        reconstructs from the first ``threshold`` that answer with a share, so
-        recovery survives crashed, partitioned, or compromised domains as long
-        as a threshold remains.
-
-        Raises:
-            ApplicationError: fewer than ``threshold`` domains produced a share.
+        :meth:`backup_flow` over this one item; raises the failed call's
+        exception or an :class:`ApplicationError` for a refused share.
         """
         self.session.checkpoint(user_id)
-        answers = self.session.invoke_failover(
-            user_id, range(self.service.num_domains), "fetch_share",
-            {"user": user_id},
-            need=self.service.threshold,
-            accept=lambda result: result["value"]["found"],
-        )
-        if len(answers) < self.service.threshold:
-            raise ApplicationError(
-                f"only {len(answers)} of the required {self.service.threshold} domains "
-                f"produced a share for {user_id!r}"
-            )
-        return self.sharing.reconstruct([
-            Share(result["value"]["index"], result["value"]["value"])
-            for _, result in answers
-        ])
+        return drive(one_op(self.backup_flow([(user_id, secret_key)])),
+                     self.service.plane.clock)
+
+    def recover_key(self, user_id: str, domain_indices: list[int] | None = None) -> int:
+        """Recover the key from the first ``threshold`` domains that answer.
+
+        :meth:`recover_flow` over this one user: ``domain_indices`` (every
+        domain of the user's shard by default) are the candidates, in
+        order, so recovery survives crashed, partitioned, or compromised
+        domains as long as a threshold of the candidates remains.
+
+        Raises:
+            ApplicationError: fewer than ``threshold`` candidates produced a
+                share.
+        """
+        self.session.checkpoint(user_id)
+        return drive(one_op(self.recover_flow([user_id], domain_indices)),
+                     self.service.plane.clock)
 
     # ------------------------------------------------------------------
     # Batch backup / recovery (the high-throughput pipeline)
@@ -408,21 +373,25 @@ class KeyBackupClient:
             outcomes.append(outcome)
         return outcomes
 
-    def recover_flow(self, user_ids: list[str], timeout: float = 0.25):
+    def recover_flow(self, user_ids: list[str], domain_indices: list[int] | None = None,
+                     timeout: float = 0.25):
         """Recover every user's key from ``threshold`` domains; a task generator.
 
-        The optimistic wave asks the first ``threshold`` domains for every
-        user at once; only users still short of a threshold walk the
-        remaining domains, one further domain per wave. Returns one outcome
-        per user, in order: the recovered integer key, or an exception
-        instance (:class:`ApplicationError` when fewer than ``threshold``
-        domains produced a share).
+        ``domain_indices`` are the candidate domains in order (all domains
+        by default). The optimistic wave asks the first ``threshold``
+        candidates for every user at once; only users still short of a
+        threshold walk the remaining candidates, one further domain per
+        wave. Returns one outcome per user, in order: the recovered integer
+        key, or an exception instance (:class:`ApplicationError` when fewer
+        than ``threshold`` domains produced a share).
         """
         threshold = self.service.threshold
-        num_domains = self.service.num_domains
+        candidates = list(range(self.service.num_domains)
+                          if domain_indices is None else domain_indices)
         shares_per_user: list[list[Share]] = [[] for _ in user_ids]
         remaining = list(range(len(user_ids)))
-        wave = list(range(threshold))
+        wave = candidates[:threshold]
+        next_candidate = threshold
         while remaining and wave:
             results = yield from self.session.scatter_wave([
                 (user_ids[position], domain_index, "fetch_share",
@@ -436,7 +405,8 @@ class KeyBackupClient:
                             Share(result["value"]["index"], result["value"]["value"]))
             remaining = [position for position in remaining
                          if len(shares_per_user[position]) < threshold]
-            wave = [wave[-1] + 1] if wave[-1] + 1 < num_domains else []
+            wave = candidates[next_candidate:next_candidate + 1]
+            next_candidate += 1
         outcomes = []
         for user_id, shares in zip(user_ids, shares_per_user):
             if len(shares) < threshold:
@@ -455,10 +425,16 @@ class KeyBackupClient:
         return self.recover_key(user_id).to_bytes(length, "big")
 
     def delete_backup(self, user_id: str) -> int:
-        """Delete the user's shares everywhere; returns how many domains had one."""
-        deleted = 0
-        for domain_index in range(self.service.num_domains):
-            response = self.session.invoke(user_id, domain_index, "delete_share",
-                                           {"user": user_id})["value"]
-            deleted += 1 if response["deleted"] else 0
-        return deleted
+        """Delete the user's shares everywhere; returns how many domains had one.
+
+        One keyed wave to every domain; raises the first failed call's
+        exception.
+        """
+        results = drive(self.session.scatter_wave([
+            (user_id, domain_index, "delete_share", {"user": user_id})
+            for domain_index in range(self.service.num_domains)
+        ]), self.service.plane.clock)
+        for result in results:
+            if isinstance(result, Exception):
+                raise result
+        return sum(1 for result in results if result["value"]["deleted"])

@@ -25,7 +25,7 @@ from repro.crypto.hashes import hkdf, hmac_sha256
 from repro.crypto.keys import SigningKey, VerifyingKey
 from repro.crypto.secp256k1 import SECP256K1
 from repro.errors import ApplicationError, ReproError, ReshardError
-from repro.net.eventloop import drive
+from repro.net.eventloop import drive, one_op
 from repro.service import (
     MigrationOutcome,
     PackageBinding,
@@ -271,23 +271,8 @@ class ObliviousDnsDeployment:
         return loaded
 
     # ------------------------------------------------------------------
-    # Request path
+    # Resolver-side crypto of the request path
     # ------------------------------------------------------------------
-    def handle_query(self, envelope: dict, shard_index: int = 0) -> dict:
-        """Carry one encrypted query: client → proxy → resolver → back.
-
-        The proxy only forwards; the resolver decrypts and answers. The
-        response travels back encrypted under the same shared secret.
-        ``shard_index`` is the client's routing decision (it hashed the name
-        before encrypting); the default keeps single-shard callers unchanged.
-        """
-        relayed = self.plane.invoke_on_shard(shard_index, PROXY_DOMAIN,
-                                             "forward", envelope)["value"]
-        name = self._decrypt_query(relayed)
-        answer = self.plane.invoke_on_shard(shard_index, RESOLVER_DOMAIN,
-                                            "resolve_plaintext", {"name": name})["value"]
-        return self._encrypt_response(relayed, answer)
-
     def _shared_key(self, ephemeral_public: bytes) -> bytes:
         key = self._shared_key_cache.get(ephemeral_public)
         if key is not None:
@@ -439,15 +424,11 @@ class ObliviousDnsClient:
     def resolve(self, name: str) -> DnsResponse:
         """Resolve ``name`` without the proxy learning it.
 
-        The client routes by hashing the name *before* encrypting it, so the
-        shard choice never requires the operator to see plaintext.
+        :meth:`resolve_flow` over this one name; raises the query's failure
+        (a name caught mid-migration raises only after the bounded retries).
         """
         self.session.checkpoint()
-        envelope, key = self._encrypt_query(name)
-        encrypted_response = self.service.handle_query(
-            envelope, shard_index=self.service.plane.shard_for(name)
-        )
-        return self._decrypt_response(name, key, encrypted_response)
+        return drive(one_op(self.resolve_flow([name])), self.service.plane.clock)
 
     def resolve_many(self, names: list[str]) -> list:
         """Resolve many names in one batched sweep; runs :meth:`resolve_flow`.

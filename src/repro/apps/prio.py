@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.crypto import rng
 from repro.core.package import CodePackage, DeveloperIdentity
-from repro.errors import ApplicationError, ReproError
+from repro.errors import ApplicationError
 from repro.net.eventloop import drive
 from repro.service import PackageBinding, ServiceClient, ServiceSpec, ShardMigrator
 
@@ -300,58 +300,36 @@ class PrivateAggregationClient:
         """
         return f"{self._session_tag}/submission-{index}"
 
-    def _next_submission_key(self) -> str:
-        key = self.submission_key(self._submission_counter)
-        self._submission_counter += 1
-        return key
-
     def submit(self, value: int) -> None:
-        """Split ``value`` into additive shares and send one to each server."""
-        if not 0 <= value <= self.service.max_value:
-            raise ApplicationError(
-                f"value {value} outside the allowed range [0, {self.service.max_value}]"
-            )
-        self.session.checkpoint()
-        key = self._next_submission_key()
-        shares = self._additive_shares(value, self.service.num_servers)
-        accepted: list[int] = []
-        for index, share in enumerate(shares):
-            try:
-                response = self.session.invoke(key, index, "submit_share",
-                                               {"share": share})["value"]
-            except ApplicationError:
-                raise
-            except ReproError as exc:
-                if accepted:
-                    raise PartialSubmissionError(
-                        f"submission torn: servers {accepted} accepted a share but "
-                        f"server {index} was unreachable", accepted,
-                    ) from exc
-                raise
-            if not response["accepted"]:
-                raise ApplicationError(f"server {index} rejected the share")
-            accepted.append(index)
+        """Split ``value`` into additive shares and send one to each server.
+
+        :meth:`submit_many` over this one value; raises its failure
+        (:class:`PartialSubmissionError` when only some servers took a share).
+        """
+        [outcome] = self.submit_many([value])
+        if isinstance(outcome, Exception):
+            raise outcome
 
     def submit_many(self, values: list[int]) -> list:
         """Submit many telemetry values with one batched request per server.
 
-        Each in-range value takes the session's next submission index, as in
-        :meth:`submit`, and the batch runs through :meth:`submit_flow`;
-        returns one outcome per value, in order.
+        Each in-range value takes the session's next submission index (a
+        rejected value uses none), and the batch runs through
+        :meth:`submit_flow`; returns one outcome per value, in order.
         """
         self.session.checkpoint()
         items = []
         for value in values:
             items.append((self._submission_counter, value))
             if 0 <= value <= self.service.max_value:
-                self._submission_counter += 1  # as in submit: rejects use none
+                self._submission_counter += 1
         return drive(self.submit_flow(items), self.service.plane.clock)
 
     def submit_flow(self, items, timeout: float = 0.25):
         """Submit ``(submission index, value)`` pairs in one wave; a task generator.
 
-        Each value is additively shared exactly as :meth:`submit` does, and
-        every share of one value routes by that submission's
+        Each value is additively shared, one share per server, and every
+        share of one value routes by that submission's
         :meth:`submission_key`, so a value lands on one shard and the
         torn-submission invariant stays per shard. The whole batch scatters
         at once. Returns one outcome per item, in order: ``True`` for a fully

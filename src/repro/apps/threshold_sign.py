@@ -20,8 +20,8 @@ from repro.crypto.bilinear import BLS_SCALAR_ORDER, G1Element, G2Element
 from repro.crypto.bls import BlsSignature, BlsSignatureShare, BlsThresholdScheme
 from repro.crypto.dkg import DistributedKeyGeneration
 from repro.crypto.shamir import Share
-from repro.errors import ApplicationError, ReproError
-from repro.net.eventloop import drive
+from repro.errors import ApplicationError
+from repro.net.eventloop import drive, one_op
 from repro.sandbox.programs import bls_share_source
 from repro.service import PackageBinding, ServiceClient, ServiceSpec, ShardMigrator
 
@@ -150,24 +150,6 @@ class CustodyDeployment:
                 return share
         raise ApplicationError(f"no signer with index {signer_index}")
 
-    # ------------------------------------------------------------------
-    # Signing (server side of one domain)
-    # ------------------------------------------------------------------
-    def sign_share_on_domain(self, signer_index: int, message: bytes) -> BlsSignatureShare:
-        """Ask one trust domain to produce its signature share for ``message``.
-
-        The message routes to its owning shard; every shard's signer
-        ``signer_index`` holds the same key share, so the result is
-        shard-independent.
-        """
-        share = self.share_for_signer(signer_index)
-        message_int = int.from_bytes(message, "big") if message else 0
-        result = self.plane.invoke(
-            message, signer_index, "bls_share",
-            [message_int, len(message), share.value, BLS_SCALAR_ORDER],
-        )
-        return BlsSignatureShare(signer_index, BlsSignature(G1Element(result["value"])))
-
 
 class CustodyClient:
     """The asset owner's side: audit, request shares, combine, verify."""
@@ -189,62 +171,20 @@ class CustodyClient:
 
     def sign_transaction(self, message: bytes,
                          signer_indices: list[int] | None = None) -> SignedTransaction:
-        """Collect ``t`` signature shares and combine them into one signature."""
-        self.session.checkpoint(message)
-        if signer_indices is None:
-            signer_indices = list(range(1, self.service.threshold + 1))
-        if len(signer_indices) < self.service.threshold:
-            raise ApplicationError(
-                f"need at least {self.service.threshold} signers, got {len(signer_indices)}"
-            )
-        partials = [
-            self.service.sign_share_on_domain(index, message) for index in signer_indices
-        ]
-        signature = self.service.scheme.combine(partials)
-        if not self.service.scheme.verify(self.service.group_public_key, message, signature):
-            raise ApplicationError("combined threshold signature failed verification")
-        return SignedTransaction(
-            message=message,
-            signature=signature,
-            signer_indices=tuple(signer_indices[: self.service.threshold]),
-        )
+        """Collect ``t`` signature shares and combine them into one signature.
 
-    def sign_transaction_failover(self, message: bytes,
-                                  candidate_signers: list[int] | None = None) -> SignedTransaction:
-        """Collect ``t`` shares from whichever signers answer, then combine.
-
-        Walks ``candidate_signers`` (all signers by default) in order, skipping
-        any that are unreachable or refuse, until ``t`` signature shares are in
-        hand — the distributed-trust property in action: signing survives
-        crashed or compromised domains as long as a threshold remains honest
-        and reachable.
+        :meth:`sign_flow` over this one message: ``signer_indices`` (every
+        signer by default) are the candidates, in order, so signing survives
+        crashed, partitioned, or compromised signers as long as ``t`` of the
+        candidates answer.
 
         Raises:
-            ApplicationError: fewer than ``t`` signers produced a share.
+            ApplicationError: fewer than ``t`` candidates produced a share, or
+                the combined signature does not verify.
         """
         self.session.checkpoint(message)
-        if candidate_signers is None:
-            candidate_signers = list(range(1, self.service.num_signers + 1))
-        partials = []
-        used = []
-        for index in candidate_signers:
-            try:
-                partials.append(self.service.sign_share_on_domain(index, message))
-            except ReproError:
-                continue  # crashed, partitioned, or compromised signer
-            used.append(index)
-            if len(partials) == self.service.threshold:
-                break
-        if len(partials) < self.service.threshold:
-            raise ApplicationError(
-                f"only {len(partials)} of the required {self.service.threshold} "
-                "signers produced a signature share"
-            )
-        signature = self.service.scheme.combine(partials)
-        if not self.service.scheme.verify(self.service.group_public_key, message, signature):
-            raise ApplicationError("combined threshold signature failed verification")
-        return SignedTransaction(message=message, signature=signature,
-                                 signer_indices=tuple(used))
+        return drive(one_op(self.sign_flow([message], signer_indices)),
+                     self.service.plane.clock)
 
     def sign_transactions(self, messages: list[bytes],
                           signer_indices: list[int] | None = None) -> list:

@@ -30,8 +30,9 @@ send/receive instead of pumping:
 The same task generators also run without the loop: :func:`drive` is the
 synchronous driver of the same commands. It answers each ``WaitBatch`` by
 pumping the network until idle and claiming the batch's responses, and each
-``Sleep`` by advancing the clock, so one application flow serves both a
-batched span (one task, driven to completion) and a concurrent op (one of many
+``Sleep`` by advancing the clock, so one application flow serves a batched
+span (one task, driven to completion), a single client call (the flow over a
+list of one, unwrapped by :func:`one_op`) and a concurrent op (one of many
 tasks on the loop).
 
 Synchronous code composes with the loop: a task may call code that pumps
@@ -57,7 +58,7 @@ from repro.net.transport import Network
 # because perfbench's tracer test still reads repro.net.eventloop.decode.
 from repro.wire.codec import decode  # noqa: F401
 
-__all__ = ["Sleep", "WaitBatch", "SimTask", "EventLoop", "drive"]
+__all__ = ["Sleep", "WaitBatch", "SimTask", "EventLoop", "drive", "one_op"]
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,19 @@ def drive(gen: Generator, clock=None):
             value = "elapsed"
         else:
             raise SimulationError(f"drive() got unsupported command {command!r}")
+
+
+def one_op(flow: Generator):
+    """A flow over a list of one op, as a task generator of that op alone.
+
+    Returns the one outcome, or raises it when it is an exception. A single
+    client call is :func:`drive` of this; a concurrent op task runs it on the
+    :class:`EventLoop`.
+    """
+    [outcome] = yield from flow
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 class SimTask:

@@ -2,9 +2,10 @@
 
 Every app client used to hand-roll the same glue: build an
 :class:`~repro.core.client.AuditingClient`, remember whether this session has
-audited yet, audit before (or on first) use, invoke with retries riding the
-at-most-once RPC layer, walk domains for failover, scatter keyed batches that
-ride out a live reshard.
+audited yet, audit before (or on first) use, and scatter keyed waves that
+ride the at-most-once RPC layer and ride out a live reshard. Failover across
+domains is each app flow's own business: a wave's failed calls come back as
+exception instances, and the flow asks further candidates in a later wave.
 :class:`ServiceClient` is that glue once, against the sharded service plane,
 so the four application clients shrink to the crypto and data-shaping that is
 genuinely theirs.
@@ -15,7 +16,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.core.client import AuditingClient
-from repro.errors import KeyMigratingError, ReproError, ServiceSpecError
+from repro.errors import KeyMigratingError, ServiceSpecError
 from repro.net.eventloop import Sleep
 from repro.service.sharded import ShardedService
 
@@ -122,12 +123,8 @@ class ServiceClient:
             self.audit()
 
     # ------------------------------------------------------------------
-    # Invocation (thin, key-routed passthroughs)
+    # Invocation
     # ------------------------------------------------------------------
-    def invoke(self, key, domain_index: int, entry: str, params) -> dict:
-        """Invoke on ``key``'s shard (no implicit audit — see checkpoint)."""
-        return self.plane.invoke(key, domain_index, entry, params)
-
     def scatter_wave(self, calls, timeout: float = 0.25):
         """Keyed scatter/gather as a task generator; returns one outcome per call.
 
@@ -159,32 +156,3 @@ class ServiceClient:
             slots = retry_slots
             yield Sleep(MIGRATION_RETRY_DELAY)
         return outcomes
-
-    # ------------------------------------------------------------------
-    # Failover
-    # ------------------------------------------------------------------
-    def invoke_failover(self, key, domain_indices, entry: str, params,
-                        need: int = 1,
-                        accept: Callable[[dict], bool] | None = None) -> list:
-        """Walk domains on ``key``'s shard until ``need`` answers are in hand.
-
-        Unreachable or refusing domains (any :class:`~repro.errors.ReproError`)
-        are skipped; a result for which ``accept`` returns false is skipped
-        too. Returns up to ``need`` ``(domain_index, result)`` pairs — the
-        caller decides whether fewer than ``need`` is an error. This is the
-        shared shape of "recover from any threshold of domains" and "collect
-        a signing quorum from whichever signers answer".
-        """
-        deployment = self.plane.deployment_for(key)
-        collected = []
-        for domain_index in domain_indices:
-            try:
-                result = deployment.invoke(domain_index, entry, params)
-            except ReproError:
-                continue  # crashed, partitioned, or refusing domain
-            if accept is not None and not accept(result):
-                continue
-            collected.append((domain_index, result))
-            if len(collected) == need:
-                break
-        return collected

@@ -18,6 +18,7 @@ each step of an open-loop op to the client layer.
 from __future__ import annotations
 
 from repro.errors import ApplicationError
+from repro.net.eventloop import one_op
 
 __all__ = ["keybackup_op"]
 
@@ -30,14 +31,10 @@ def keybackup_op(client, user_id: str, secret: int, timeout: float = 0.25,
     fires once every domain stored its share. Raises the failed step's
     exception, or :class:`ApplicationError` when the recovered key differs.
     """
-    [stored] = yield from client.backup_flow([(user_id, secret)], timeout)
-    if isinstance(stored, Exception):
-        raise stored
+    yield from one_op(client.backup_flow([(user_id, secret)], timeout))
     if on_stored is not None:
         on_stored()
-    [recovered] = yield from client.recover_flow([user_id], timeout)
-    if isinstance(recovered, Exception):
-        raise recovered
+    recovered = yield from one_op(client.recover_flow([user_id], timeout=timeout))
     if recovered != secret:
         raise ApplicationError(f"recovered key for {user_id!r} does not match")
     return True

@@ -3,10 +3,10 @@
 A driver builds its application's deployment and a seeded list of inputs,
 and runs those operations through the *public client API* (so requests
 traverse the full framework → enclave → sandbox path, over the simulated
-network once routed). It offers each operation in the three shapes the op
-loop (:func:`repro.sim.scenarios.runner.run_ops`) schedules — one at a time
-(:meth:`~ScenarioDriver.step`), a span through the app's batched API
-(:meth:`~ScenarioDriver.run_span`), or a generator for the event loop
+network once routed). It offers each operation in the two shapes the op
+loop (:func:`repro.sim.scenarios.runner.run_ops`) schedules — a span
+through the app's batched API (:meth:`~ScenarioDriver.run_span`; a serial
+run is spans of one op), or a generator for the event loop
 (:meth:`~ScenarioDriver.op_task`; the span's client flow over a list of one
 op) — plus the routing key of each op and the
 application-specific safety invariants checked at the end of the run. Both
@@ -30,6 +30,7 @@ from repro.core.client import AuditingClient
 from repro.crypto.bls import BlsThresholdScheme
 from repro.crypto.shamir import Share
 from repro.errors import ApplicationError, ReproError, ThresholdError
+from repro.net.eventloop import one_op
 from repro.sim.scenarios.spec import InvariantResult
 from repro.sim.workload import WorkloadGenerator
 
@@ -72,15 +73,11 @@ class ScenarioDriver:
         """The key the service plane routes operation ``op_index`` by."""
         raise NotImplementedError
 
-    def step(self, op_index: int) -> None:
-        """Run workload operation ``op_index``; raises ``ReproError`` on failure."""
-        raise NotImplementedError
-
     def run_span(self, start: int, count: int) -> list:
         """Run ops ``start .. start + count - 1`` through the batched API.
 
-        Same bookkeeping as :meth:`step`; returns one outcome per op, in
-        order: ``True`` or the exception instance that failed it.
+        Records each op's effect for :meth:`finish`; returns one outcome per
+        op, in order: ``True`` or the exception instance that failed it.
         """
         raise NotImplementedError
 
@@ -132,15 +129,6 @@ class KeyBackupDriver(ScenarioDriver):
     def routing_key(self, op_index: int):
         return self._users[op_index]
 
-    def step(self, op_index: int) -> None:
-        user = self._users[op_index]
-        secret = self._secrets[op_index]
-        self.client.backup_key(user, secret)
-        self.backed_up.append((user, secret))
-        recovered = self.client.recover_key_any(user)
-        if recovered != secret:
-            raise ApplicationError(f"recovered key for {user!r} does not match the original")
-
     def run_span(self, start: int, count: int) -> list:
         span = list(zip(self._users[start:start + count],
                         self._secrets[start:start + count]))
@@ -190,7 +178,7 @@ class KeyBackupDriver(ScenarioDriver):
         lost = []
         for user, secret in self.backed_up:
             try:
-                if self.client.recover_key_any(user) != secret:
+                if self.client.recover_key(user) != secret:
                     lost.append(user)
             except ReproError:
                 lost.append(user)
@@ -231,18 +219,13 @@ class ThresholdSignDriver(ScenarioDriver):
     def routing_key(self, op_index: int):
         return self._messages[op_index]
 
-    def step(self, op_index: int) -> None:
-        transaction = self.client.sign_transaction_failover(self._messages[op_index])
-        if not self.client.verify(transaction):
-            raise ApplicationError("threshold signature did not verify")
-
     def run_span(self, start: int, count: int) -> list:
         # The flow verifies each combined signature under the group key.
         return self.client.sign_transactions(self._messages[start:start + count])
 
     def op_task(self, ctx, op_index: int, timeout: float = 0.25):
-        return _one_op(self.client.sign_flow([self._messages[op_index]],
-                                             timeout=timeout))
+        return one_op(self.client.sign_flow([self._messages[op_index]],
+                                            timeout=timeout))
 
     def finish(self, ctx) -> list[InvariantResult]:
         # Steal every key share the fallen TEEs expose and try to sign with
@@ -293,7 +276,7 @@ class ThresholdSignDriver(ScenarioDriver):
                 "reshard-preserves-signing", False,
                 "no probe message routed to a grown shard (ring broken?)")
         try:
-            transaction = self.client.sign_transaction_failover(probe)
+            transaction = self.client.sign_transaction(probe)
         except ReproError as exc:
             return InvariantResult(
                 "reshard-preserves-signing", False,
@@ -343,15 +326,6 @@ class PrioDriver(ScenarioDriver):
             # still have accepted a share whose response was lost in flight.
             self.failed_submissions += 1
 
-    def step(self, op_index: int) -> None:
-        value = self._values[op_index]
-        try:
-            self.client.submit(value)
-        except Exception as exc:
-            self._record(value, exc)
-            raise
-        self._record(value, True)
-
     def run_span(self, start: int, count: int) -> list:
         values = self._values[start:start + count]
         return self._settle(values, self.client.submit_many(values))
@@ -362,7 +336,7 @@ class PrioDriver(ScenarioDriver):
             return self._settle([value], (yield from self.client.submit_flow(
                 [(op_index, value)], timeout)))
 
-        return _one_op(flow())
+        return one_op(flow())
 
     def _settle(self, values: list, outcomes: list) -> list:
         """Book every submission's outcome; returns the outcomes."""
@@ -469,10 +443,6 @@ class OdohDriver(ScenarioDriver):
             raise ApplicationError(f"wrong answer for {name!r}")
         self.resolved += 1
 
-    def step(self, op_index: int) -> None:
-        name = self._names[op_index]
-        self._check(name, self.client.resolve(name))
-
     def run_span(self, start: int, count: int) -> list:
         span = self._names[start:start + count]
         return self._settle(span, self.client.resolve_many(span))
@@ -483,7 +453,7 @@ class OdohDriver(ScenarioDriver):
             return self._settle(names, (yield from self.client.resolve_flow(
                 names, timeout)))
 
-        return _one_op(flow())
+        return one_op(flow())
 
     def _settle(self, names: list, outcomes: list) -> list:
         """Check every resolved response; a wrong answer fails its op."""
@@ -588,14 +558,6 @@ class OdohDriver(ScenarioDriver):
                         ok = False
                         kinds.add("unpublished-code")
         return ok, kinds
-
-
-def _one_op(flow):
-    """Run a flow over a list of one op as an op task; a failure raises."""
-    [outcome] = yield from flow
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
 
 
 _DRIVERS = {driver.app_name: driver for driver in (

@@ -376,17 +376,17 @@ def routed_context(driver, rules: tuple, events: tuple, seed: int,
 
 
 def run_ops(ctx: ScenarioContext, plan: FaultPlan, ops: int, *,
-            batch_size: int = 0, arrival_rate: float = 0.0,
+            batch_size: int = 1, arrival_rate: float = 0.0,
             arrival_phases: tuple = (), seed: int = 0,
             op_timeout: float = 0.25) -> OpRun:
     """Drive ``ops`` workload operations of ``ctx.driver`` under ``plan``'s
     events.
 
-    The one op loop behind both harnesses, in one of three schedules:
+    The one op loop behind both harnesses, in one of two schedules:
 
-    * one op at a time through ``driver.step`` (the default);
     * spans of ``batch_size`` ops through ``driver.run_span`` — every event
-      whose op falls inside a span fires at the span's boundary;
+      whose op falls inside a span fires at the span's boundary; the
+      default, spans of one, runs one op at a time;
     * with ``arrival_rate`` > 0, every op its own ``driver.op_task`` on the
       discrete-event loop, arriving at seeded Poisson times (reshaped by
       ``arrival_phases``), so events fire while earlier ops are genuinely in
@@ -486,7 +486,7 @@ def run_ops(ctx: ScenarioContext, plan: FaultPlan, ops: int, *,
             # other: fold them into the context's reshard record so the
             # invariants judge them identically.
             ctx.reshard_reports.extend(ctx.autoscaler.reshard_reports)
-    elif batch_size > 0:
+    else:
         for start in range(0, ops, batch_size):
             count = min(batch_size, ops - start)
             fire(start, start + count)
@@ -497,16 +497,6 @@ def run_ops(ctx: ScenarioContext, plan: FaultPlan, ops: int, *,
                 (start + offset, latency,
                  type(outcome).__name__ if isinstance(outcome, Exception) else None)
                 for offset, outcome in enumerate(outcomes))
-    else:
-        for op_index in range(ops):
-            fire(op_index, op_index + 1)
-            started = clock.now()
-            error = None
-            try:
-                driver.step(op_index)
-            except ReproError as exc:
-                error = type(exc).__name__
-            run.results.append((op_index, clock.now() - started, error))
     return run
 
 

@@ -6,11 +6,11 @@ Two layers live here:
   telemetry values, and DNS names, so every experiment is reproducible.
 * :class:`MultiClientWorkload` — the load harness: it simulates many users
   driving one of the four applications end to end over the simulated
-  network — one request per round trip ("unbatched"), through the batched
-  request pipeline, as overlapping Poisson arrivals on the event loop, or
-  against true-parallel worker processes — and reports throughput alongside
-  the transport statistics. It holds no per-app logic and no run loop of
-  its own: each app is its scenario driver
+  network — one op at a time ("unbatched": spans of one op), in spans
+  through the batched request pipeline, as overlapping Poisson arrivals on
+  the event loop, or against true-parallel worker processes — and reports
+  throughput alongside the transport statistics. It holds no per-app logic
+  and no run loop of its own: each app is its scenario driver
   (:func:`repro.sim.scenarios.apps.make_driver`), and every mode is a
   configuration of the scenario engine's op loop
   (:func:`repro.sim.scenarios.runner.run_ops`). Fault rules and scheduled
@@ -304,8 +304,9 @@ class MultiClientWorkload:
 
     Each simulated client contributes ``ops_per_client`` operations; the
     driver executes them through the application's public client API, either
-    one RPC round trip per request (``batched=False`` — the seed behavior) or
-    through the batched request pipeline (``batched=True``). All traffic
+    one op at a time (``batched=False``: spans of one op, each request
+    fanning out to its domains in one wave) or in spans of ``batch_size``
+    ops (``batched=True``). All traffic
     crosses the simulated network as framed RPC bytes, so fault rules and
     scheduled events from the scenario engine apply to it exactly as they do
     in the scenario matrix.
@@ -315,7 +316,7 @@ class MultiClientWorkload:
         num_clients: how many simulated users the run models.
         ops_per_client: operations each user performs.
         seed: master seed for the workload and the fault randomness.
-        batched: drive the batched pipeline instead of per-op round trips.
+        batched: run spans of ``batch_size`` ops instead of one op at a time.
         batch_size: operations per batch in batched mode (client requests are
             grouped in spans of this size; scheduled events fire at span
             boundaries rather than between individual ops).
@@ -494,14 +495,13 @@ class MultiClientWorkload:
 
         plane = driver.plane
         batched = self.batched and not self.concurrent
+        span = self.batch_size if batched else 1
         events = self.events
         reshard = None
         if self.reshard_at_op is not None:
-            # A batched run fires it at the boundary of the span holding the
+            # A run fires it at the boundary of the span holding the
             # requested op; first among the events of its op either way.
-            at_op = self.reshard_at_op
-            if batched:
-                at_op -= at_op % self.batch_size
+            at_op = self.reshard_at_op - self.reshard_at_op % span
             reshard = ReshardService(at_op=at_op, shards=self.reshard_to)
             events = (reshard,) + events
         ctx, plan = routed_context(driver, self.rules, events, self.seed,
@@ -519,7 +519,7 @@ class MultiClientWorkload:
         sim_started = network.clock.now()
         wall_started = time.perf_counter()
         run = run_ops(ctx, plan, self.total_ops,
-                      batch_size=self.batch_size if batched else 0,
+                      batch_size=span,
                       arrival_rate=self.arrival_rate if self.concurrent else 0.0,
                       arrival_phases=self.arrival_phases, seed=self.seed,
                       op_timeout=self.op_timeout)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps.keybackup import KeyBackupClient, KeyBackupDeployment
-from repro.errors import ApplicationError, MisbehaviorDetected, SandboxError
+from repro.errors import ApplicationError, MisbehaviorDetected, RpcError
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +40,7 @@ class TestBackupAndRecovery:
     def test_double_backup_rejected(self, service):
         client = KeyBackupClient(service)
         client.backup_key("dave", 42)
-        with pytest.raises(SandboxError):
+        with pytest.raises(RpcError, match="share already stored"):
             client.backup_key("dave", 43)
 
     def test_delete_backup(self, service):

@@ -143,7 +143,7 @@ class TestObliviousDns:
             "tag": hmac_sha256(key, ciphertext + b"tampered"),
         }
         with pytest.raises(ApplicationError):
-            dns_service.handle_query(envelope)
+            dns_service._decrypt_query(envelope)
 
     def test_hot_shared_key_survives_cache_size_inserts(self):
         """Regression: a re-used ephemeral key must survive eviction pressure.

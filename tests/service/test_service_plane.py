@@ -7,6 +7,7 @@ from repro.apps.keybackup import KEY_BACKUP_APP_SOURCE
 from repro.core.deployment import Deployment
 from repro.core.package import CodePackage, DeveloperIdentity
 from repro.errors import ApplicationError, MisbehaviorDetected, ServiceSpecError
+from repro.net.eventloop import drive
 from repro.net.latency import lan_profile
 from repro.net.rpc import RpcClient, RpcServer, ServiceTimeModel
 from repro.net.transport import Network
@@ -290,24 +291,14 @@ class TestServiceClient:
         with pytest.raises(MisbehaviorDetected):
             session.checkpoint()
 
-    def test_invoke_failover_skips_dead_domains(self):
-        plane = make_plane(shards=1, domains=3)
-        network = Network(clock=plane.clock, default_latency=lan_profile())
-        plane.route_via_network(network, attempts=1)
-        session = ServiceClient(plane, audit_policy="never")
-        for domain_index in range(3):
-            session.invoke("k", domain_index, "put", {"key": "k", "value": domain_index})
-        network.crash(plane.primary.domains[0].domain_id)
-        answers = session.invoke_failover("k", range(3), "get", {"key": "k"}, need=2)
-        assert [domain_index for domain_index, _ in answers] == [1, 2]
-
     def test_accepts_bare_deployment(self):
         package = CodePackage("bare", "1.0.0", "python", COUNTER_APP)
         deployment = Deployment("bare", DeveloperIdentity("bare-dev"))
         deployment.publish_and_install(package)
         session = ServiceClient(deployment, audit_policy="once")
         session.checkpoint()
-        assert session.invoke("k", 0, "put", {"key": "k", "value": 1})
+        [result] = drive(session.scatter_wave([("k", 0, "put", {"key": "k", "value": 1})]))
+        assert result["value"] == {"stored": True}
 
 
 class TestShardedAppsEndToEnd:
@@ -344,7 +335,7 @@ class TestShardedAppsEndToEnd:
         outcomes = client.submit_many([1, 99, 2])
         assert outcomes[0] is True and outcomes[2] is True
         assert isinstance(outcomes[1], ApplicationError)
-        assert client._next_submission_key() == client.submission_key(2)
+        assert client.submission_key(client._submission_counter) == client.submission_key(2)
 
     def test_prio_independent_sessions_spread_across_shards(self):
         """Regression: distinct clients must not all route to one shard.
@@ -360,7 +351,7 @@ class TestShardedAppsEndToEnd:
         for _ in range(16):
             client = PrivateAggregationClient(service, audit_before_use=False)
             first_submission_shards.add(
-                service.plane.shard_for(client._next_submission_key())
+                service.plane.shard_for(client.submission_key(client._submission_counter))
             )
         assert len(first_submission_shards) > 1
 

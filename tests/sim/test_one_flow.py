@@ -2,13 +2,17 @@
 
 Each application writes its batched operation once, as a task generator in
 its client. A batched span drives it synchronously; a concurrent op runs it
-on the event loop over a list of one. These tests pin that the two are the
-same flow, and that the flows also run over the parallel executor's pipes.
+on the event loop over a list of one; a single client call and an unbatched
+run are the same flow over one op. These tests pin that all of them are the
+same flow, that single calls inherit the flows' failover, and that the flows
+also run over the parallel executor's pipes.
 """
 
 import pytest
 
+from repro.apps.keybackup import KeyBackupClient, KeyBackupDeployment
 from repro.apps.odoh import ObliviousDnsClient, ObliviousDnsDeployment
+from repro.apps.threshold_sign import CustodyClient, CustodyDeployment
 from repro.crypto import rng
 from repro.errors import KeyMigratingError
 from repro.net.eventloop import EventLoop
@@ -16,6 +20,7 @@ from repro.net.latency import lan_profile
 from repro.net.transport import Network
 from repro.service.client import MIGRATION_RETRIES, MIGRATION_RETRY_DELAY
 from repro.sim import MultiClientWorkload
+from repro.sim.scenarios import runner
 from repro.sim.scenarios.apps import make_driver
 
 APPS = ["keybackup", "prio", "threshold_sign", "odoh"]
@@ -48,6 +53,57 @@ def test_a_span_of_one_and_a_concurrent_op_are_the_same_flow(app):
     assert span[1] > 0 and span[3] > 0
 
 
+def run_workload(monkeypatch, app: str, **options):
+    """A small workload's outcomes, messages, bytes and simulated time."""
+    networks = []
+    routed_context = runner.routed_context
+
+    def spy(*args, **kwargs):
+        ctx, plan = routed_context(*args, **kwargs)
+        networks.append(ctx.network)
+        return ctx, plan
+
+    monkeypatch.setattr(runner, "routed_context", spy)
+    report = MultiClientWorkload(app, num_clients=4, shards=2,
+                                 service_time=500e-6, **options).run()
+    [network] = networks
+    return (report.succeeded, report.failures, report.messages_sent,
+            network.stats.bytes_sent, report.sim_seconds)
+
+
+@pytest.mark.parametrize("app", APPS)
+def test_an_unbatched_run_is_spans_of_one(monkeypatch, app):
+    unbatched = run_workload(monkeypatch, app, batched=False)
+    spans_of_one = run_workload(monkeypatch, app, batched=True, batch_size=1)
+    assert unbatched == spans_of_one
+    assert unbatched[0] == 4 and unbatched[2] > 0
+
+
+def routed(plane):
+    network = Network(clock=plane.clock, default_latency=lan_profile())
+    plane.route_via_network(network)
+    return network
+
+
+def test_single_recover_fails_over_a_crashed_domain():
+    service = KeyBackupDeployment(num_domains=4, threshold=3)
+    client = KeyBackupClient(service, audit_before_use=False)
+    network = routed(service.plane)
+    client.backup_key("alice", 0xC0FFEE)
+    network.crash(service.deployment.domains[0].domain_id)
+    assert client.recover_key("alice") == 0xC0FFEE
+
+
+def test_single_sign_fails_over_a_crashed_signer():
+    service = CustodyDeployment(threshold=2, num_signers=3, keygen_seed=b"failover")
+    client = CustodyClient(service, audit_before_use=False)
+    network = routed(service.plane)
+    network.crash(service.deployment.domains[1].domain_id)
+    transaction = client.sign_transaction(b"move funds while signer 1 is down")
+    assert client.verify(transaction)
+    assert transaction.signer_indices == (2, 3)
+
+
 @pytest.mark.parametrize("app", APPS)
 def test_parallel_mode_runs_every_app(app):
     report = MultiClientWorkload(app, num_clients=6, parallel=True, workers=2,
@@ -69,5 +125,13 @@ def test_resolve_many_isolates_a_mid_migration_name():
     assert [(response.found, response.address) for response in outcomes[1:]] == [
         (True, "10.0.0.1"), (True, "10.0.0.2")]
     # The moving name backed off between each of its bounded retries.
+    assert (service.plane.clock.now() - started
+            >= MIGRATION_RETRIES * MIGRATION_RETRY_DELAY)
+    # A single resolve is the same flow: the other names answer, and the
+    # moving one raises only after the same bounded back-off.
+    assert client.resolve(names[1]).address == "10.0.0.1"
+    started = service.plane.clock.now()
+    with pytest.raises(KeyMigratingError):
+        client.resolve(names[0])
     assert (service.plane.clock.now() - started
             >= MIGRATION_RETRIES * MIGRATION_RETRY_DELAY)

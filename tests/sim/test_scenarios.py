@@ -196,7 +196,7 @@ class TestReshardScenarios:
 
         driver = make_driver("keybackup", 2022, 4, shards=2)
         for op_index in range(4):
-            driver.step(op_index)
+            driver.run_span(op_index, 1)
 
         def exploding_migrate(plane, source, target, keys):
             raise RuntimeError("boom")
