@@ -328,9 +328,9 @@ class ObliviousDnsDeployment:
         """
         view: list = []
         for shard_index, shard in enumerate(self.plane.shards):
-            if shard.executor_routed:
-                # The proxy state lives in a worker process; read it over the
-                # same executor pipe the queries travelled.
+            if shard.routed:
+                # Only parallel runs read while routed: the proxy state lives
+                # in a worker process, so read it over the executor.
                 response = self.plane.invoke_on_shard(
                     shard_index, PROXY_DOMAIN, "view", {})
                 view.extend(response["value"]["seen_queries"])

@@ -85,7 +85,6 @@ class Deployment:
         self._rpc_clients: list[RpcClient] | None = None
         self._rpc_attempts = 1
         self._route_cache: tuple | None = None
-        self._executor_clients: list = []
         self.client_address: str | None = None
         self._servers: list[RpcServer] | None = None
         self._default_service_model: ServiceTimeModel | None = None
@@ -320,6 +319,9 @@ class Deployment:
         a *different* network requires a fresh deployment, since endpoint
         addresses are already registered on the old one.
 
+        ``network`` may also be a parallel executor
+        (:mod:`repro.service.parallel`).
+
         Args:
             client_address: address for the shared client endpoint (defaults
                 to ``"<deployment-name>-client"``).
@@ -341,37 +343,20 @@ class Deployment:
         return servers
 
     @property
-    def executor_routed(self) -> bool:
-        """Whether invokes currently travel to parallel worker processes."""
-        return bool(self._executor_clients)
-
-    def route_via_executor(self, executor) -> None:
-        """Route every :meth:`invoke` through a parallel shard executor.
-
-        The executor's clients (:class:`repro.service.parallel
-        .ExecutorRpcClient`) are call-compatible with the networked RPC
-        clients, so the whole invoke/batch/scatter surface works unchanged —
-        but requests are served by worker *processes* holding this
-        deployment's state, over OS pipes instead of the simulated network.
-        Pipes are lossless, so the retry budget is pinned to one attempt.
-        """
-        self._rpc_clients = executor.clients_for(self)
-        self._executor_clients = list(self._rpc_clients)
-        self._rpc_attempts = 1
-        self.client_address = f"{self.name}-client"
+    def routed(self) -> bool:
+        """Whether invokes currently travel as RPC (over a network or executor)."""
+        return self._rpc_clients is not None
 
     def unroute(self) -> None:
         """Restore direct (in-process) invocation after :meth:`route_via_network`."""
         self._rpc_clients = None
         self._rpc_attempts = 1
-        self._executor_clients = []
 
     def rpc_retry_total(self) -> int:
         """Total RPC retransmissions performed while routed (0 if never routed)."""
-        total = sum(client.retries for client in self._executor_clients)
         if self._route_cache is None:
-            return total
-        return total + sum(client.retries for client in self._route_cache[1])
+            return 0
+        return sum(client.retries for client in self._route_cache[1])
 
     def duplicates_answered_total(self) -> int:
         """Duplicate requests the domains' at-most-once servers deduplicated

@@ -18,6 +18,10 @@ handles multi-frame payloads), matches responses out of order, and after a
 timeout retransmits only the still-unanswered requests. The server batches
 its responses per source payload, so a request batch costs one message each
 way instead of one round trip per request.
+
+A single call is a batch of one, so :class:`PendingRpcBatch` alone sends,
+retransmits and matches requests, over the simulated network or, in parallel
+mode, a :class:`repro.service.parallel.ParallelShardExecutor` transport.
 """
 
 from __future__ import annotations
@@ -400,7 +404,7 @@ class RpcServer:
 
 
 class RpcClient:
-    """Issues RPC calls to a server address over the simulated network."""
+    """Issues RPC calls to a server address over a network or executor."""
 
     def __init__(self, network: Network, endpoint: Endpoint, server_address: str):
         self.network = network
@@ -440,37 +444,18 @@ class RpcClient:
     def call_with_retry(self, method: str, params=None, attempts: int = 3):
         """Call ``method``, retransmitting after timeouts up to ``attempts`` times.
 
-        Every attempt resends the *same* request id and bytes, so an
-        at-most-once server deduplicates re-deliveries and the handler runs at
-        most one time no matter how lossy the network is.
+        A one-request batch (:meth:`begin_many`): every attempt resends the
+        *same* request id and bytes, so an at-most-once server deduplicates
+        re-deliveries and the handler runs at most one time no matter how
+        lossy the network is.
 
         Raises:
             RpcError: the server reported an application-level error.
             TimeoutError: every attempt timed out.
         """
-        request_id = next(self._ids)
-        request_bytes = frame_message(encode(
-            {"id": request_id, "method": method, "params": params}
-        ))
-        found: dict[int, dict] = {}
-        pending = {request_id}
-        for attempt in range(max(1, attempts)):
-            if attempt > 0:
-                self.retries += 1
-            self.endpoint.send(self.server_address, request_bytes)
-            self.network.run_until_idle()
-            self.demux.take(pending, found)
-            if not pending:
-                break
-        self.demux.complete([request_id])
-        if pending:
-            raise TimeoutError(
-                f"no response to request {request_id} from {self.server_address}"
-            )
-        response = found[request_id]
-        if "error" in response and response["error"] is not None:
-            raise RpcError(f"{method} failed: {response['error']}")
-        return response.get("result")
+        [result] = self.begin_many([(method, params)]).collect(
+            attempts=attempts)
+        return result
 
     def call_many(self, calls, attempts: int = 3, return_errors: bool = False):
         """Issue many calls as one batched payload and return their results.

@@ -12,8 +12,14 @@ the parent built (the build runs under the crypto layer's seeded DRBG, so
 keys and enclave state come out identical) and serves its assigned shards
 through :meth:`repro.net.rpc.RpcServer.dispatch_payload` — the full trust
 domain stack, vsock hops and sandbox included, minus only the simulated
-transport. Requests travel as the exact serialize-once wire bytes the
-networked path uses, shuttled over OS pipes instead of the event heap.
+transport.
+
+The executor is a transport beneath the ordinary RPC client: it offers the
+slice of :class:`~repro.net.transport.Network` that
+:class:`~repro.net.rpc.RpcClient` and :func:`~repro.net.eventloop.drive`
+use, so the parent routes with ``plane.route_via_network(executor,
+attempts=1)`` and every request is a :class:`~repro.net.rpc.PendingRpcBatch`
+whose wire bytes cross an OS pipe instead of the event heap.
 
 What this mode is and is not:
 
@@ -40,12 +46,14 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+from collections import deque
 
 from repro.errors import RpcError, TimeoutError
+from repro.net.transport import Endpoint, Message
 from repro.wire.codec import decode, encode
 from repro.wire.framing import frame_message, split_frames
 
-__all__ = ["ParallelShardExecutor", "ExecutorRpcClient", "ExecutorRpcBatch"]
+__all__ = ["ParallelShardExecutor"]
 
 # How long (wall seconds) the parent waits for a worker to finish building
 # its deployment before declaring the fleet dead. Builds are CPU-bound key
@@ -127,8 +135,7 @@ class ParallelShardExecutor:
         self.ops = ops
         self.shards = shards
         self.workers = workers
-        self.requests_sent = 0
-        self._request_ids = itertools.count(1)
+        self.clock = None  # the plane's clock, set by start()
         self._seq = itertools.count(1)
         self._processes: list = []
         self._connections: list = []
@@ -137,6 +144,10 @@ class ParallelShardExecutor:
         # Out-of-turn responses, (payload, error text or None) per seq, kept
         # for the caller that owns the seq.
         self._results: dict[int, tuple] = {}
+        self._endpoints: dict[str, Endpoint] = {}
+        # Payloads sent and not yet answered, in submission order:
+        # (seq, source, destination, payload).
+        self._in_flight: deque = deque()
         self._started = False
 
     # ------------------------------------------------------------------
@@ -180,6 +191,7 @@ class ParallelShardExecutor:
             owner = shard_index % self.workers
             for domain in shard.domains:
                 self._owner[domain.domain_id] = owner
+        self.clock = plane.clock
         self._started = True
 
     def shutdown(self) -> None:
@@ -201,12 +213,45 @@ class ParallelShardExecutor:
         self._started = False
 
     # ------------------------------------------------------------------
+    # Transport: the slice of Network that RpcClient and drive() use
+    # ------------------------------------------------------------------
+    def endpoint(self, address: str) -> Endpoint:
+        """A client endpoint whose sends travel to the workers' pipes."""
+        endpoint = Endpoint(self, address)
+        self._endpoints[address] = endpoint
+        return endpoint
+
+    def send(self, source: str, destination: str, payload: bytes,
+             extra_delay: float = 0.0) -> None:
+        """Ship ``payload`` to the worker serving ``destination``; pipes have
+        no simulated time, so ``extra_delay`` is ignored."""
+        seq = self.submit(destination, source, payload)
+        self._in_flight.append((seq, source, destination, payload))
+
+    def run_until_idle(self) -> None:
+        """Hand every in-flight payload's response, in submission order, to
+        its sending endpoint's ``on_message`` (the RPC response demux).
+
+        A worker's error reply becomes one error envelope per request of the
+        payload it answers, so it fails only those requests, as a networked
+        server's handler error would.
+        """
+        while self._in_flight:
+            seq, source, destination, payload = self._in_flight.popleft()
+            response, error = self._await(seq)
+            if error is not None:
+                response = b"".join(
+                    frame_message(encode({
+                        "id": decode(frame)["id"],
+                        "error": f"parallel request {seq} failed: {error}"}))
+                    for frame in split_frames(payload))
+            # No simulated time crosses the pipes (see the module docstring).
+            self._endpoints[source].on_message(
+                Message(destination, source, response, 0.0, 0.0))
+
+    # ------------------------------------------------------------------
     # Request shuttle
     # ------------------------------------------------------------------
-    def next_request_id(self) -> int:
-        """A fleet-unique RPC request id (at-most-once caches key on it)."""
-        return next(self._request_ids)
-
     def submit(self, address: str, source: str, payload: bytes) -> int:
         """Ship one request payload to the worker owning ``address``.
 
@@ -219,9 +264,12 @@ class ParallelShardExecutor:
         if owner is None:
             raise RpcError(f"no parallel worker serves address {address!r}")
         seq = next(self._seq)
-        self._connections[owner].send((seq, address, source, payload))
+        try:
+            self._connections[owner].send((seq, address, source, payload))
+        except OSError:
+            raise RpcError(f"parallel worker {owner} died before request "
+                           f"{seq} was sent") from None
         self._seq_worker[seq] = owner
-        self.requests_sent += 1
         return seq
 
     def result(self, seq: int) -> bytes:
@@ -231,6 +279,13 @@ class ParallelShardExecutor:
         included — are buffered for their own callers, so an error is only
         ever raised against the request it answers.
         """
+        response, error = self._await(seq)
+        if error is not None:
+            raise RpcError(f"parallel request {seq} failed: {error}")
+        return response
+
+    def _await(self, seq: int) -> tuple:
+        """Block for ``seq``'s ``(response bytes, error text or None)``."""
         if seq not in self._results:
             owner = self._seq_worker.get(seq)
             if owner is None:
@@ -247,120 +302,4 @@ class ParallelShardExecutor:
                                    f"serving request {seq}") from None
                 self._seq_worker.pop(got_seq, None)
                 self._results[got_seq] = (response, error)
-        response, error = self._results.pop(seq)
-        if error is not None:
-            raise RpcError(f"parallel request {seq} failed: {error}")
-        return response
-
-    def clients_for(self, deployment) -> list:
-        """One :class:`ExecutorRpcClient` per trust domain of ``deployment``.
-
-        The drop-in replacement for the networked RPC clients that
-        :meth:`Deployment.route_via_network` installs.
-        """
-        source = f"{deployment.name}-client"
-        return [ExecutorRpcClient(self, domain.domain_id, source)
-                for domain in deployment.domains]
-
-
-class ExecutorRpcClient:
-    """RPC-client facade over the executor's pipes.
-
-    Call-compatible with the slice of :class:`repro.net.rpc.RpcClient` the
-    deployment layer uses (``call``, ``call_with_retry``, ``begin_many``,
-    ``retries``), so :class:`~repro.core.deployment.PendingInvokeBatch` and
-    the scatter/gather plane work unchanged on top of it. Requests are the
-    same framed envelope bytes the networked client puts on the wire; pipes
-    are lossless and ordered, so there is exactly one attempt and
-    ``retries`` stays zero.
-    """
-
-    def __init__(self, executor: ParallelShardExecutor, server_address: str,
-                 source: str):
-        self.executor = executor
-        self.server_address = server_address
-        self.source = source
-        self.retries = 0
-
-    def call(self, method: str, params=None):
-        """Call ``method`` on the owning worker and return the result."""
-        return self.call_with_retry(method, params, attempts=1)
-
-    def call_with_retry(self, method: str, params=None, attempts: int = 3):
-        """Single-attempt call (the pipe cannot lose the request)."""
-        del attempts  # lossless transport; signature kept for compatibility
-        results = self.begin_many([(method, params)]).collect(
-            attempts=1, return_errors=False)
-        return results[0]
-
-    def begin_many(self, calls) -> "ExecutorRpcBatch":
-        """Frame a batch, ship it to the owning worker, return the handle."""
-        calls = list(calls)
-        requests = []
-        for method, params in calls:
-            request_id = self.executor.next_request_id()
-            requests.append((request_id, method, frame_message(encode(
-                {"id": request_id, "method": method, "params": params}
-            ))))
-        seq = None
-        if requests:
-            seq = self.executor.submit(
-                self.server_address, self.source,
-                b"".join(frame for _, _, frame in requests))
-        return ExecutorRpcBatch(self, requests, seq)
-
-
-class ExecutorRpcBatch:
-    """An in-flight batch on the executor; mirrors ``PendingRpcBatch``.
-
-    ``collect`` blocks on the owning worker's response payload, matches
-    response frames to requests by id, and reports failures exactly as the
-    networked batch does: with ``return_errors`` they become exception
-    instances in the result list, otherwise the first failure raises.
-    """
-
-    def __init__(self, client: ExecutorRpcClient, requests: list,
-                 seq: int | None):
-        self.client = client
-        self.requests = requests
-        self._seq = seq
-        self._found: dict[int, dict] | None = None
-
-    def wait_event(self, attempts: int = 3, timeout: float = 0.25):
-        """Task-generator form of the wait: there is nothing to yield on.
-
-        The response travels over the worker's pipe, not the simulated
-        network, so the generator finishes at once and :meth:`collect`
-        blocks on the pipe; flows run unchanged in parallel mode.
-        """
-        del attempts, timeout  # lossless transport, no simulated clock
-        return
-        yield
-
-    def collect(self, attempts: int = 3, return_errors: bool = False):
-        """Gather this batch's results, in call order."""
-        del attempts  # lossless transport
-        if self._found is None:
-            self._found = {}
-            if self._seq is not None:
-                payload = self.client.executor.result(self._seq)
-                for frame in split_frames(payload):
-                    response = decode(frame)
-                    if isinstance(response, dict) and "id" in response:
-                        self._found[response["id"]] = response
-        results = []
-        for request_id, method, _ in self.requests:
-            response = self._found.get(request_id)
-            if response is None:
-                outcome = TimeoutError(
-                    f"no response to parallel request {request_id} "
-                    f"from {self.client.server_address}")
-            elif response.get("error") is not None:
-                outcome = RpcError(f"{method} failed: {response['error']}")
-            else:
-                results.append(response.get("result"))
-                continue
-            if not return_errors:
-                raise outcome
-            results.append(outcome)
-        return results
+        return self._results.pop(seq)

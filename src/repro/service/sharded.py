@@ -326,7 +326,9 @@ class ShardedService:
         Shard deployments get distinct client endpoints
         (``<shard-name>-client``), so their in-flight batches never share an
         inbox. ``self.client_address`` is the primary shard's, matching the
-        single-deployment attribute legacy callers read.
+        single-deployment attribute legacy callers read. ``network`` may be
+        a parallel executor (:mod:`repro.service.parallel`), whose workers own
+        shard state no reshard can migrate.
         """
         servers: dict = {}
         for shard in self.shards:
@@ -337,21 +339,6 @@ class ShardedService:
         self._network = network
         self._route_attempts = attempts
         return servers
-
-    def route_via_executor(self, executor) -> None:
-        """Route every shard's invokes through a parallel shard executor.
-
-        The wall-clock counterpart of :meth:`route_via_network`: requests
-        become the same serialize-once wire bytes, but they are served by
-        worker processes (see :mod:`repro.service.parallel`) instead of the
-        discrete-event transport. Live resharding is not supported while
-        executor-routed — worker processes hold shard state the coordinator
-        cannot migrate — so the wiring is deliberately *not* remembered for
-        shards attached later.
-        """
-        for shard in self.shards:
-            shard.route_via_executor(executor)
-        self.client_address = self.primary.client_address
 
     def unroute(self) -> None:
         """Restore direct (in-process) invocation on every shard.

@@ -553,9 +553,9 @@ class MultiClientWorkload:
         """Drive the batched pipeline against true-parallel shard workers.
 
         The client side (this process) builds the same deterministic
-        deployment the workers build, routes every invoke through the
-        executor's pipes, and runs the ordinary span schedule. Only
-        wall-clock throughput is reported: ``sim_seconds`` stays zero
+        deployment the workers build, routes the plane over the executor
+        (the parallel-mode transport), and runs the ordinary span schedule.
+        Only wall-clock throughput is reported: ``sim_seconds`` stays zero
         because no simulated clock spans the worker processes, and
         publishing a sim-time number from a parallel run would misrepresent
         what was measured. Worker startup (spawn + per-worker deployment
@@ -574,7 +574,7 @@ class MultiClientWorkload:
                                          self.shards, workers=self.workers)
         executor.start(plane)
         try:
-            plane.route_via_executor(executor)
+            plane.route_via_network(executor, attempts=1)
             ctx = ScenarioContext(None, driver)
             wall_started = time.perf_counter()
             run = run_ops(ctx, FaultPlan(), self.total_ops,
@@ -582,8 +582,8 @@ class MultiClientWorkload:
             report.wall_seconds = time.perf_counter() - wall_started
             self._tally(report, run)
             # Consistency checks read the workers' state, so they must run
-            # while the plane is still executor-routed (the parent's own
-            # domain state never saw the traffic).
+            # while the plane is still routed through the executor (the
+            # parent's own domain state never saw the traffic).
             report.consistency_issues = self._consistency_issues(driver, ctx)
             report.retries = plane.rpc_retry_total()
         finally:
