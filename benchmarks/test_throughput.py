@@ -389,6 +389,28 @@ def _pinned_wall_reference() -> float | None:
         return None
 
 
+# Fields that measure the host rather than the code: the whole ``wall``
+# series, and these keys (plus ``parallel_vs_serial*``) wherever they sit.
+WALL_CLOCK_FIELDS = frozenset({"ops_per_sec", "wall_seconds", "speedup",
+                               "rates", "wall_seconds_median"})
+
+
+def _sim_leaves(node, path: str = ""):
+    """``(path, value)`` for every leaf of a throughput series that does not
+    depend on the host: everything but the wall-clock fields."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if ((not path and key == "wall") or key in WALL_CLOCK_FIELDS
+                    or key.startswith("parallel_vs_serial")):
+                continue
+            yield from _sim_leaves(value, f"{path}/{key}")
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _sim_leaves(value, f"{path}[{index}]")
+    else:
+        yield path, node
+
+
 def _measure_wall_arm(*, batched: bool, shards: int,
                       parallel: bool = False) -> dict:
     """Median-of-N wall rate for one arm of the wall series."""
@@ -705,3 +727,16 @@ def test_write_throughput_baseline():
             f"committed wall series lacks the ≥{WALL_MIN_PARALLEL_SPEEDUP}x "
             f"parallel-vs-serial win: {_WALL}"
         )
+        # Every sim field is a pure function of the code, so the fresh run
+        # must reproduce the committed series exactly: the committed file
+        # changes only by a deliberate copy of a fresh run.
+        with open(OUTPUT_PATH, encoding="utf-8") as handle:
+            fresh = dict(_sim_leaves(json.load(handle)))
+        with open(COMMITTED_PATH, encoding="utf-8") as handle:
+            committed = dict(_sim_leaves(json.load(handle)))
+        drift = {path: (committed.get(path), fresh.get(path))
+                 for path in sorted(set(fresh) | set(committed))
+                 if committed.get(path) != fresh.get(path)}
+        assert fresh == committed, (
+            "sim fields differ from the committed BENCH_throughput.json "
+            f"(path: (committed, fresh)): {drift}")

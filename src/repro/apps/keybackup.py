@@ -33,7 +33,6 @@ from repro.errors import (
 )
 from repro.net.eventloop import drive, one_op
 from repro.service import (
-    MigrationOutcome,
     PackageBinding,
     ServiceClient,
     ServiceSpec,
@@ -81,11 +80,11 @@ APP_VERSION = "1.0.0"
 class _KeyBackupShardMigrator(ShardMigrator):
     """Moves users' Shamir-share records between shards during a reshard.
 
-    Copy-then-delete per user: all of a user's reachable shares must land on
-    the target shard before the source copies are deleted. A user whose copy
-    fails stays authoritative on the source (partial target writes are rolled
-    back), so a crashed domain or a partition mid-handoff pins the user to
-    their old shard instead of losing records.
+    A user's records are their shares, one per domain that holds one; the
+    base class's copy-then-delete protocol moves them. A user whose copy
+    fails stays authoritative on the source (partial target writes are
+    rolled back), so a crashed domain or a partition mid-handoff pins the
+    user to their old shard instead of losing records.
     """
 
     def __init__(self, service: "KeyBackupDeployment"):
@@ -112,70 +111,53 @@ class _KeyBackupShardMigrator(ShardMigrator):
             )
         return sorted(users)
 
-    def migrate(self, plane, source: int, target: int, keys: list) -> MigrationOutcome:
+    def export(self, plane, shard_index: int, keys: list) -> tuple[dict, dict]:
+        # Every user's shares from the shard, in one scatter; a user is
+        # exported only if every domain answered.
         num_domains = self.service.num_domains
-        outcome = MigrationOutcome()
-        # 1. Fetch every user's shares from the source shard in one scatter.
         fetches = plane.scatter_to_shards([
-            (source, domain_index, "fetch_share", {"user": user})
+            (shard_index, domain_index, "fetch_share", {"user": user})
             for user in keys for domain_index in range(num_domains)
         ])
         shares: dict[str, list[tuple[int, dict]]] = {}
+        failed: dict[str, str] = {}
         for position, user in enumerate(keys):
             row = fetches[position * num_domains:(position + 1) * num_domains]
             errors = [result for result in row if isinstance(result, Exception)]
             if errors:
-                outcome.failed[user] = f"fetch from source failed: {errors[0]}"
+                failed[user] = f"fetch from source failed: {errors[0]}"
                 continue
             shares[user] = [(domain_index, result["value"])
                             for domain_index, result in enumerate(row)
                             if result["value"]["found"]]
-        # 2. Store on the target (overwrite: re-migration is idempotent).
+        return shares, failed
+
+    def load(self, plane, shard_index: int, records: dict) -> dict:
+        # Overwrite, so a re-migration is idempotent.
         store_calls = []
         store_index: list[tuple[str, int]] = []
-        for user in sorted(shares):
-            for domain_index, share in shares[user]:
-                store_calls.append((target, domain_index, "store_share", {
+        for user in sorted(records):
+            for domain_index, share in records[user]:
+                store_calls.append((shard_index, domain_index, "store_share", {
                     "user": user, "index": share["index"],
                     "value": share["value"], "overwrite": True,
                 }))
                 store_index.append((user, domain_index))
-        failed_stores: dict[str, str] = {}
+        failed: dict[str, str] = {}
         for (user, domain_index), result in zip(
                 store_index, plane.scatter_to_shards(store_calls)):
             if isinstance(result, Exception):
-                failed_stores.setdefault(
+                failed.setdefault(
                     user, f"store on target domain {domain_index} failed: {result}")
-        # Roll back partial target copies so a failed user never shows up on
-        # two shards; the source stays authoritative for them.
-        self._delete(plane, target, sorted(failed_stores), num_domains)
-        outcome.failed.update(failed_stores)
-        moved = [user for user in sorted(shares) if user not in failed_stores]
-        # 3. Delete the source copies of fully moved users (retried — a stale
-        # source copy would double-count the user on a presence scan). A user
-        # whose deletes are defeated anyway stays *moved* — the target holds
-        # the verified full set, while the source may be left sub-threshold,
-        # so pinning them back would strand recovery — and is queued stale
-        # for finish_reshard() to clean up.
-        outcome.stale = self._delete(plane, source, moved, num_domains)
-        outcome.moved = moved
-        outcome.records_moved = sum(len(shares[user]) for user in moved)
-        return outcome
+        return failed
 
-    def cleanup(self, plane, shard_index: int, keys: list) -> list:
-        """Retry removing moved users' leftover source shares."""
-        leftover = self._delete(plane, shard_index, list(keys),
-                                self.service.num_domains)
-        return [user for user in keys if user not in leftover]
-
-    @staticmethod
-    def _delete(plane, shard_index: int, users: list, num_domains: int,
-                attempts: int = 3) -> list:
-        """Delete every user's shares on one shard; returns users with
-        deletes still outstanding after ``attempts`` rounds."""
-        pending = [(user, domain_index)
-                   for user in users for domain_index in range(num_domains)]
-        for _ in range(attempts):
+    def remove(self, plane, shard_index: int, keys: list) -> list:
+        # Three rounds: a stale source copy would double-count the user on a
+        # presence scan. A user whose deletes are defeated anyway is
+        # reported back (the coordinator queues a moved one as stale).
+        pending = [(user, domain_index) for user in keys
+                   for domain_index in range(self.service.num_domains)]
+        for _ in range(3):
             if not pending:
                 break
             results = plane.scatter_to_shards([

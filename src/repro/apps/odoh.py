@@ -27,7 +27,6 @@ from repro.crypto.secp256k1 import SECP256K1
 from repro.errors import ApplicationError, ReproError, ReshardError
 from repro.net.eventloop import drive, one_op
 from repro.service import (
-    MigrationOutcome,
     PackageBinding,
     ServiceClient,
     ServiceSpec,
@@ -115,8 +114,7 @@ class _OdohShardMigrator(ShardMigrator):
 
     Migration talks straight to the resolver domains (operator-to-resolver
     traffic), so the proxies never see a name — the privacy split survives
-    the epoch transition. Records are exported from the source resolver,
-    loaded into the target resolver, and only then removed from the source.
+    the epoch transition. A name's one record is its address.
     """
 
     def shard_keys(self, plane, shard_index: int) -> list:
@@ -137,48 +135,35 @@ class _OdohShardMigrator(ShardMigrator):
             f"enumeration ({last_error}); aborting instead of guessing"
         ) from last_error
 
-    def migrate(self, plane, source: int, target: int, keys: list) -> MigrationOutcome:
-        outcome = MigrationOutcome()
+    def export(self, plane, shard_index: int, keys: list) -> tuple[dict, dict]:
+        # A name's one record is its address; a name the resolver does not
+        # hold is left out.
         try:
             exported = plane.invoke_on_shard(
-                source, RESOLVER_DOMAIN, "export_records",
+                shard_index, RESOLVER_DOMAIN, "export_records",
                 {"names": list(keys)})["value"]["records"]
         except ReproError as exc:
-            outcome.failed = {name: f"export from source failed: {exc}"
-                              for name in keys}
-            return outcome
+            return {}, {name: f"export from source failed: {exc}"
+                        for name in keys}
+        return {name: [address] for name, address in exported.items()}, {}
+
+    def load(self, plane, shard_index: int, records: dict) -> dict:
+        # The load is one call: if its reply is lost, every name may be half
+        # loaded, so every name is reported failed (and rolled back).
         try:
-            plane.invoke_on_shard(target, RESOLVER_DOMAIN, "load_records",
-                                  {"records": exported})
+            plane.invoke_on_shard(
+                shard_index, RESOLVER_DOMAIN, "load_records",
+                {"records": {name: addresses[0]
+                             for name, addresses in records.items()}})
         except ReproError as exc:
-            # The load may have been applied with only its response lost, so
-            # clear the target best-effort: the source stays authoritative
-            # for these names and must not share them with a half-loaded
-            # target. (If the cleanup is also defeated — the target is truly
-            # unreachable — a later drain re-migrates with overwrite.)
-            self._remove(plane, target, list(exported))
-            outcome.failed = {name: f"load into target failed: {exc}"
-                              for name in keys}
-            return outcome
-        # Copy verified by the load's reply; now retire the source records
-        # (retried — a stale copy would answer for a name it no longer owns).
-        # Names whose removal is defeated anyway stay *moved* — the target
-        # is authoritative — and are queued stale for finish_reshard().
-        outcome.stale = self._remove(plane, source, list(exported))
-        outcome.moved = sorted(exported)
-        outcome.records_moved = len(exported)
-        return outcome
+            return {name: f"load into target failed: {exc}" for name in records}
+        return {}
 
-    def cleanup(self, plane, shard_index: int, keys: list) -> list:
-        """Retry retiring moved names' leftover source records."""
-        leftover = set(self._remove(plane, shard_index, list(keys)))
-        return [name for name in keys if name not in leftover]
-
-    @staticmethod
-    def _remove(plane, shard_index: int, names: list, attempts: int = 3) -> list:
-        """Remove ``names`` from one resolver; returns names still present
-        after ``attempts`` rounds (the whole call is atomic per attempt)."""
-        for _ in range(attempts):
+    def remove(self, plane, shard_index: int, keys: list) -> list:
+        # Three rounds, each atomic: a stale copy would answer for a name
+        # the resolver no longer owns.
+        names = list(keys)
+        for _ in range(3):
             if not names:
                 break
             try:

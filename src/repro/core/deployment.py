@@ -87,8 +87,7 @@ class Deployment:
         self._route_cache: tuple | None = None
         self.client_address: str | None = None
         self._servers: list[RpcServer] | None = None
-        self._default_service_model: ServiceTimeModel | None = None
-        self._domain_service_models: dict[int, ServiceTimeModel] = {}
+        self._service_model: ServiceTimeModel | None = None
         self._build_domains()
 
     # ------------------------------------------------------------------
@@ -225,32 +224,24 @@ class Deployment:
     # ------------------------------------------------------------------
     # Service-time model
     # ------------------------------------------------------------------
-    def set_service_time(self, per_request: float, domain_index: int | None = None,
-                         per_byte: float = 0.0) -> None:
+    def set_service_time(self, seconds: float) -> None:
         """Make each trust domain's RPC server a serial busy-until queue.
 
-        ``per_request`` simulated seconds are charged per request a domain
-        processes (``domain_index=None`` applies to every domain; a specific
-        index overrides the default for that domain only). The model takes
-        effect on the servers created by :meth:`attach_to_network` /
-        :meth:`route_via_network`, including ones created later. Without a
-        service model, domains answer in zero simulated time and horizontal
-        scaling is invisible in sim-time measurements.
+        ``seconds`` of simulated time are charged per request a domain
+        processes. The model takes effect on the servers created by
+        :meth:`attach_to_network` / :meth:`route_via_network`, including ones
+        created later. Without a service model, domains answer in zero
+        simulated time and horizontal scaling is invisible in sim-time
+        measurements.
         """
-        model = ServiceTimeModel(per_request=per_request, per_byte=per_byte)
-        if domain_index is None:
-            self._default_service_model = model
-        else:
-            self._domain_service_models[domain_index] = model
-        self._apply_service_models()
+        self._service_model = ServiceTimeModel(per_request=seconds)
+        self._apply_service_model()
 
-    def _apply_service_models(self) -> None:
-        if self._servers is None:
+    def _apply_service_model(self) -> None:
+        if self._servers is None or self._service_model is None:
             return
-        for index, server in enumerate(self._servers):
-            model = self._domain_service_models.get(index, self._default_service_model)
-            if model is not None:
-                server.service_model = model
+        for server in self._servers:
+            server.service_model = self._service_model
 
     @staticmethod
     def _batch_params(chunk: list) -> dict:
@@ -302,7 +293,7 @@ class Deployment:
             domain.register_rpc(server)
             servers[domain.domain_id] = server
         self._servers = [servers[domain.domain_id] for domain in self.domains]
-        self._apply_service_models()
+        self._apply_service_model()
         return servers
 
     def route_via_network(self, network: Network, client_address: str | None = None,

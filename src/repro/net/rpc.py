@@ -142,21 +142,16 @@ class ServiceTimeModel:
     """How long one server takes to process requests, in simulated seconds.
 
     A server with a service model is a *serial busy-until queue*: requests are
-    processed one after another, each costing ``per_request`` seconds (plus
-    ``per_byte`` per payload byte), and a response leaves only when the queue
-    has drained to it. Without a model, servers answer in zero simulated time
-    — which makes every deployment look infinitely fast and hides the benefit
-    of horizontal sharding entirely. Installing a model is what makes shard
-    parallelism measurable in sim time: two shards each own a queue, so their
-    service time genuinely overlaps.
+    processed one after another, each costing ``per_request`` seconds, and a
+    response leaves only when the queue has drained to it. Without a model,
+    servers answer in zero simulated time — which makes every deployment
+    look infinitely fast and hides the benefit of horizontal sharding
+    entirely. Installing a model is what makes shard parallelism measurable
+    in sim time: two shards each own a queue, so their service time
+    genuinely overlaps.
     """
 
     per_request: float = 0.0
-    per_byte: float = 0.0
-
-    def cost(self, requests: int, payload_bytes: int = 0) -> float:
-        """Total service time for ``requests`` requests in one payload."""
-        return requests * self.per_request + payload_bytes * self.per_byte
 
 
 class ServiceQueue:
@@ -271,7 +266,7 @@ class RpcServer:
                 self.batches_served += 1
             self.endpoint.send(
                 message.source, outgoing,
-                extra_delay=self._service_delay(executed, len(message.payload)))
+                extra_delay=self._service_delay(executed))
 
     def dispatch_payload(self, payload: bytes, source: str) -> bytes:
         """Process one request payload and return the response payload bytes.
@@ -375,7 +370,7 @@ class RpcServer:
         """High-water mark of the service queue over this server's lifetime."""
         return self.queue.max_depth
 
-    def _service_delay(self, executed: int, payload_bytes: int) -> float:
+    def _service_delay(self, executed: int) -> float:
         """Seconds this payload's responses wait for the serial service queue.
 
         Requests join the queue behind whatever the server is still busy with
@@ -385,7 +380,7 @@ class RpcServer:
             return 0.0
         now = self.endpoint.network.clock.now()
         return self.queue.enqueue(
-            now, executed, self.service_model.cost(executed, payload_bytes))
+            now, executed, executed * self.service_model.per_request)
 
     def _dispatch(self, request) -> dict:
         if not isinstance(request, dict) or "method" not in request or "id" not in request:

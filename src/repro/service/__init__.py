@@ -6,7 +6,7 @@ layer that makes the claim concrete on the client side:
 
 * :mod:`repro.service.spec` — :class:`ServiceSpec`, a declarative description
   of an app service (packages, domains per shard, shard count, threshold,
-  service-time model) that synthesizes the attested
+  regions) that synthesizes the attested
   :class:`~repro.core.deployment.Deployment` replica set;
 * :mod:`repro.service.ring` — :class:`HashRing`, deterministic
   consistent-hash placement of keys onto shards;

@@ -36,22 +36,19 @@ from repro.service.gates import (
     HeartbeatGate,
     ReconciliationGate,
 )
+from repro.sim.metrics import percentile as nearest_rank
 
 __all__ = ["AutoscalerPolicy", "MetricsSample", "AutoscaleDecision",
            "Autoscaler", "percentile"]
 
 
 def percentile(values, fraction: float) -> float | None:
-    """The ``fraction`` percentile of ``values`` (nearest-rank), or ``None``
-    for an empty window — the autoscaler treats "no completed requests" as
-    silence, not as zero latency."""
+    """The ``fraction`` percentile of ``values`` (nearest-rank, see
+    :func:`repro.sim.metrics.percentile`), or ``None`` for an empty window —
+    the autoscaler treats "no completed requests" as silence, not as zero
+    latency."""
     ordered = sorted(values)
-    if not ordered:
-        return None
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be within [0, 1]")
-    rank = max(0, math.ceil(fraction * len(ordered)) - 1)
-    return ordered[rank]
+    return nearest_rank(ordered, fraction) if ordered else None
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from typing import Callable
 from repro.core.client import AuditingClient
 from repro.errors import KeyMigratingError, ServiceSpecError
 from repro.net.eventloop import Sleep
-from repro.service.sharded import ShardedService
 
 __all__ = ["ServiceClient"]
 
@@ -36,9 +35,7 @@ class ServiceClient:
     """A client session against a sharded service plane.
 
     Args:
-        plane: the :class:`~repro.service.ShardedService` to talk to (or a
-            bare :class:`~repro.core.deployment.Deployment`, which is adopted
-            as a single-shard plane).
+        plane: the :class:`~repro.service.ShardedService` to talk to.
         audit_policy: when :meth:`checkpoint` audits — ``"always"`` re-audits
             at every checkpoint (key backup's paranoia: verify before every
             operation that touches secrets), ``"once"`` audits on the first
@@ -54,8 +51,6 @@ class ServiceClient:
     def __init__(self, plane, audit_policy: str = "always",
                  auditing_client: AuditingClient | None = None,
                  audit_fn: Callable | None = None):
-        if not isinstance(plane, ShardedService):
-            plane = ShardedService.adopt(plane)
         if audit_policy not in AUDIT_POLICIES:
             raise ServiceSpecError(
                 f"unknown audit policy {audit_policy!r} (expected one of "

@@ -8,8 +8,8 @@ transition:
 1. **Synthesize** (grow only). The new shards are built from the same
    :class:`~repro.service.ServiceSpec` as the originals — measured enclaves,
    published packages, the shared clock and vendor roots — and joined to the
-   plane's network wiring and service-time model. A shrink synthesizes
-   nothing; its targets are the surviving shards.
+   plane's network wiring and service time. A shrink synthesizes nothing;
+   its targets are the surviving shards.
 2. **Plan.** The application's :class:`ShardMigrator` enumerates the keys each
    old shard actually holds; diffing the old ring against the resized ring
    yields the minimal moved-key set (~``1 - N/M`` of the keyspace for a
@@ -17,10 +17,10 @@ transition:
    ``N → N-k`` shrink; everything else never moves).
 3. **Migrate.** Moved keys are marked *in motion* — keyed routing fails
    safely with :class:`~repro.errors.KeyMigratingError` instead of guessing
-   an owner — while the migrator copies records source → target over the
-   simulated network (so packet loss, partitions, and crashes hit migration
-   traffic exactly as they hit request traffic), verifies the copy, and only
-   then deletes the source records.
+   an owner — while :meth:`ShardMigrator.migrate` copies records source →
+   target over the simulated network (so packet loss, partitions, and
+   crashes hit migration traffic exactly as they hit request traffic),
+   verifies the copy, and only then deletes the source records.
 4. **Verify** (shrink only). Each retiring shard is re-enumerated after the
    evacuation: any key the migrator left behind — or never reported — is
    pinned rather than released, so a record can be stranded on a shard about
@@ -34,6 +34,9 @@ transition:
    queues and service model leave the plane with it); one still holding
    pinned or stale records stays attached as a *draining* shard and is
    detached by ``finish_reshard`` once empty.
+
+``finish_reshard`` runs the same migrate, evacuate, retire and publish
+steps (see :class:`ReshardCoordinator`).
 
 The invariant the scenario matrix pins: across the epoch boundary, in either
 direction, no record is lost and no record ends up authoritative on two
@@ -76,10 +79,11 @@ class ShardMigrator:
     """How an application's per-shard state follows its keys across epochs.
 
     The base class models a *stateless* (or fully replicated) service: no
-    keys to enumerate, nothing to move — correct for threshold signing, where
-    every shard holds the same signer group. Stateful apps override
-    :meth:`shard_keys` and :meth:`migrate`; apps that must prepare fresh
-    shards (install key shares, push configuration) override
+    keys to enumerate, nothing to move — correct for threshold signing,
+    where every shard holds the same signer group. Stateful apps override
+    :meth:`shard_keys` and the :meth:`export` / :meth:`load` /
+    :meth:`remove` hooks that :meth:`migrate` runs; apps that must prepare
+    fresh shards (install key shares, push configuration) override
     :meth:`provision`.
     """
 
@@ -91,24 +95,42 @@ class ShardMigrator:
         """The routing keys whose state currently lives on ``shard_index``."""
         return []
 
-    def migrate(self, plane, source: int, target: int, keys: list) -> MigrationOutcome:
-        """Move ``keys``' records from shard ``source`` to shard ``target``.
+    def export(self, plane, shard_index: int, keys: list) -> tuple[dict, dict]:
+        """Read ``keys``' records off ``shard_index``: returns
+        ``({key: [records]}, {key: error})``."""
+        return {key: [] for key in keys}, {}
 
-        Must be copy-then-delete: a key may only be reported ``moved`` once
-        its records are verified on the target; if the source removal then
-        fails, the key stays ``moved`` and is listed ``stale`` (see
-        :class:`MigrationOutcome`). A stateless service has nothing to do.
-        """
-        return MigrationOutcome(moved=list(keys))
+    def load(self, plane, shard_index: int, records: dict) -> dict:
+        """Write exported records onto ``shard_index``; returns
+        ``{key: error}`` for keys whose copy may be incomplete."""
+        return {}
+
+    def remove(self, plane, shard_index: int, keys: list) -> list:
+        """Delete ``keys``' records from ``shard_index``; returns the keys
+        whose records may remain after the app's own retries."""
+        return []
+
+    def migrate(self, plane, source: int, target: int, keys: list) -> MigrationOutcome:
+        """Move ``keys``' records from shard ``source`` to shard ``target``,
+        copy-then-delete: a key is ``moved`` once loaded on the target (a
+        failed load's target copy is removed again — the source stays
+        authoritative), and ``stale`` if its source copy then survives
+        removal (see :class:`MigrationOutcome`)."""
+        exported, failed = self.export(plane, source, keys)
+        load_failed = self.load(plane, target, exported) if exported else {}
+        self.remove(plane, target, sorted(load_failed))
+        failed.update(load_failed)
+        moved = [key for key in sorted(exported) if key not in load_failed]
+        return MigrationOutcome(
+            moved=moved, failed=failed,
+            stale=self.remove(plane, source, moved),
+            records_moved=sum(len(exported[key]) for key in moved))
 
     def cleanup(self, plane, shard_index: int, keys: list) -> list:
-        """Remove ``keys``' leftover records from ``shard_index``.
-
-        Called by :meth:`ShardedService.finish_reshard` for keys a migration
-        left ``stale``. Returns the keys actually cleaned (the rest stay
-        queued). The stateless default has nothing to clean.
-        """
-        return list(keys)
+        """Remove a migration's ``stale`` leftovers from ``shard_index``;
+        returns the keys actually cleaned (the rest stay queued)."""
+        leftover = set(self.remove(plane, shard_index, list(keys)))
+        return [key for key in keys if key not in leftover]
 
     def residue(self, plane, shard_index: int) -> int:
         """Records on ``shard_index`` that no routing key addresses.
@@ -205,10 +227,16 @@ class ReshardReport:
 
 
 class ReshardCoordinator:
-    """Drives one epoch transition on a :class:`ShardedService`."""
+    """Drives one epoch transition on a :class:`ShardedService`.
+
+    :meth:`reshard` and :meth:`finish` differ only in how they plan and
+    commit; both then run the same migrate, evacuate, retire and publish
+    steps.
+    """
 
     def __init__(self, plane):
         self.plane = plane
+        self.migrator = plane.migrator or ShardMigrator()
 
     def reshard(self, new_shard_count: int) -> ReshardReport:
         """Resize the plane to ``new_shard_count`` shards; see the module doc.
@@ -220,11 +248,7 @@ class ReshardCoordinator:
         synthesized or any record moves.
         """
         plane = self.plane
-        if plane.spec is None:
-            raise ReshardError(
-                "adopted planes carry no ServiceSpec and cannot synthesize "
-                "new shards; reshard a spec-built service instead"
-            )
+        migrator = self.migrator
         old_count = len(plane.shards)
         if new_shard_count < 1:
             raise InvalidReshardError(
@@ -243,7 +267,6 @@ class ReshardCoordinator:
                 "previous shrink; call finish_reshard() before resharding "
                 "again"
             )
-        migrator = plane.migrator or ShardMigrator()
         # Quiesce barrier: when requests are genuinely in flight (the
         # discrete-event workload), writes still on the wire would be
         # invisible to the key enumeration below and their records could be
@@ -312,55 +335,13 @@ class ReshardCoordinator:
         # migrator crashes, the transition must commit so every key keeps
         # routing to whichever shard actually holds its records — processed
         # keys to their new owner, everything else pinned to its source.
-        moving = [key for keys in moves.values() for key in keys]
-        plane.begin_epoch(moving)
-        unmigrated: dict = {}
-        moved_keys: set = set()
-        migration_error: Exception | None = None
-        try:
-            for (source, target), keys in sorted(moves.items()):
-                outcome = migrator.migrate(plane, source, target, keys)
-                moved_keys.update(outcome.moved)
-                report.migrated_keys += len(outcome.moved)
-                report.records_moved += outcome.records_moved
-                for key in outcome.stale:
-                    plane.mark_stale(key, source)
-                    report.stale_keys.append(key)
-                for key, error in outcome.failed.items():
-                    report.failed_keys[key] = error
-                    unmigrated[key] = source
-                # A key the migrator reported in *neither* list must not be
-                # released to the new ring — that would strand its records
-                # on the source with nothing pinning them there.
-                for key in keys:
-                    if key not in moved_keys and key not in unmigrated:
-                        report.failed_keys[key] = (
-                            "migrator reported no outcome for this key")
-                        unmigrated[key] = source
-        except Exception as exc:
-            migration_error = exc
-            for (source, _), keys in moves.items():
-                for key in keys:
-                    if key not in moved_keys and key not in unmigrated:
-                        report.failed_keys[key] = f"migration interrupted: {exc}"
-                        unmigrated[key] = source
+        plane.begin_epoch([key for keys in moves.values() for key in keys])
+        moved_keys, unmigrated, migration_error = self._migrate(moves, report)
 
-        # 3b. Fold unkeyed residue off the retiring shards. State no routing
-        # key addresses (an additive accumulator, say) never appears in the
-        # keyed plan, yet a retiring shard holding it is not empty. Each
-        # retiring shard folds into a deterministic survivor; a shard whose
+        # 3b. Fold unkeyed residue off the retiring shards. A shard whose
         # residue cannot be proven gone stays attached to drain and is
-        # retried by finish_reshard().
-        undrained: set[int] = set()
-        for shard_index in retiring:
-            try:
-                if migrator.residue(plane, shard_index):
-                    report.records_moved += migrator.evacuate(
-                        plane, shard_index, shard_index % new_shard_count)
-                if migrator.residue(plane, shard_index):
-                    undrained.add(shard_index)
-            except Exception:
-                undrained.add(shard_index)
+        # retried by finish_reshard(); the error itself is not raised.
+        undrained, _ = self._evacuate(retiring, new_shard_count, report)
 
         # 4. Verify (shrink only): re-enumerate each retiring shard after
         # the evacuation. A record the migrator left behind without reporting
@@ -371,12 +352,11 @@ class ReshardCoordinator:
         # authoritative; cleanup comes later). A shard whose enumeration
         # itself fails (e.g. every domain crashed) cannot be proven empty
         # and is kept attached to drain.
-        unverifiable: set[int] = set()
         for shard_index in retiring:
             try:
                 leftovers = migrator.shard_keys(plane, shard_index)
             except Exception:
-                unverifiable.add(shard_index)
+                undrained.add(shard_index)
                 continue
             for key in leftovers:
                 if key in moved_keys or key in unmigrated:
@@ -388,36 +368,19 @@ class ReshardCoordinator:
 
         # 5. Commit the epoch; stale overrides for keys that moved are
         # dropped, failures stay pinned to the shard holding their records.
-        # Then retire: detach every retiring shard that evacuated cleanly.
-        # Only a contiguous tail can go — detaching an inner index would
-        # renumber the shards behind it under every pinned override — so
-        # walk from the highest index down and stop at the first shard that
-        # must keep draining.
+        # Then retire every retiring shard that evacuated cleanly.
         plane.commit_epoch(new_ring, unmigrated=unmigrated)
         for key in owned:
             if key not in unmigrated:
                 plane.clear_override(key)
-        for shard_index in sorted(retiring, reverse=True):
-            pinned = {shard for _, shard in plane.pending_migrations()}
-            stale = {shard for _, shard in plane.pending_cleanups()}
-            if (shard_index != len(plane.shards) - 1
-                    or shard_index in pinned or shard_index in stale
-                    or shard_index in unverifiable
-                    or shard_index in undrained):
-                break
-            report.retired.append(plane.detach_shard(shard_index).name)
-        report.draining = [plane.shards[index].name
-                           for index in plane.draining_shards()]
+        self._retire(retiring, undrained, report)
         report.epoch = plane.epoch
         report.sim_seconds = plane.clock.now() - started
         # Epoch transparency: the commit happened (even on a faulted
         # migration the epoch flips with the leftovers pinned), so the
         # bundle must be published either way — an epoch without an
         # artifact is exactly what the auditor exists to prevent.
-        if getattr(plane, "epoch_publisher", None) is not None:
-            report.bundle = plane.epoch_publisher.publish_epoch(
-                plane, report, moves=moves, moved_keys=moved_keys,
-                kind="reshard")
+        self._publish(report, "reshard", moves, moved_keys)
         if migration_error is not None:
             error = ReshardError(
                 f"migration failed after moving {len(moved_keys)} keys "
@@ -439,10 +402,9 @@ class ReshardCoordinator:
         empties them — the deferred retire step.
         """
         plane = self.plane
-        migrator = plane.migrator or ShardMigrator()
         started = plane.clock.now()
         report = ReshardReport(
-            service=plane.spec.name if plane.spec else plane.primary.name,
+            service=plane.spec.name,
             old_shard_count=len(plane.shards),
             new_shard_count=len(plane.shards),
             epoch=plane.epoch,
@@ -459,61 +421,103 @@ class ReshardCoordinator:
             moved_triples.append((key, source, target))
         report.diff = RingDiff(total_keys=len(pending),
                                moved=tuple(moved_triples))
-        # As in reshard(): an unexpected migrator crash must not escape as a
-        # harness crash — the affected keys simply stay queued (their
-        # overrides/stale entries are only cleared on success) and the error
-        # surfaces as a ReshardError carrying the partial report.
-        drain_error: Exception | None = None
-        moved_keys: set = set()
-        for (source, target), keys in sorted(moves.items()):
-            try:
-                outcome = migrator.migrate(plane, source, target, keys)
-            except Exception as exc:
-                drain_error = exc
-                for key in keys:
-                    report.failed_keys[key] = f"drain interrupted: {exc}"
-                continue
-            report.migrated_keys += len(outcome.moved)
-            report.records_moved += outcome.records_moved
-            moved_keys.update(outcome.moved)
-            for key in outcome.moved:
-                plane.clear_override(key)
-            for key in outcome.stale:
-                plane.mark_stale(key, source)
-                report.stale_keys.append(key)
-            report.failed_keys.update(outcome.failed)
+        moved_keys, _, migrate_error = self._migrate(moves, report)
+        for key in moved_keys:
+            plane.clear_override(key)
+        cleanup_error: Exception | None = None
         cleanups: dict[int, list] = {}
         for key, source in plane.pending_cleanups():
             cleanups.setdefault(source, []).append(key)
         for source, keys in sorted(cleanups.items()):
             try:
-                cleaned = migrator.cleanup(plane, source, keys)
+                cleaned = self.migrator.cleanup(plane, source, keys)
             except Exception as exc:
-                drain_error = exc
+                cleanup_error = exc
                 continue
             for key in cleaned:
                 plane.clear_stale(key)
         # Unkeyed residue a faulted shrink left behind is retried the same
         # way (the evacuate protocol is idempotent, so a fold torn mid-way
-        # resumes without double-counting).
-        undrained: set[int] = set()
-        for shard_index in plane.draining_shards():
+        # resumes without double-counting); then the deferred retire.
+        undrained, evacuate_error = self._evacuate(
+            plane.draining_shards(), plane.ring.shard_count, report)
+        self._retire(plane.draining_shards(), undrained, report)
+        report.new_shard_count = len(plane.shards)
+        report.sim_seconds = plane.clock.now() - started
+        # A drain pass is an epoch-relevant action too: pinned keys moved to
+        # their ring owners and draining shards may have detached, so it
+        # publishes its own bundle (kind="drain", ring width unchanged).
+        if (report.migrated_keys or report.records_moved
+                or report.retired or report.stale_keys):
+            self._publish(report, "drain", moves, moved_keys)
+        drain_error = evacuate_error or cleanup_error or migrate_error
+        if drain_error is not None:
+            error = ReshardError(f"drain failed: {drain_error}")
+            error.report = report
+            raise error from drain_error
+        return report
+
+    def _migrate(self, moves: dict, report: ReshardReport):
+        """Migrate every ``(source, target)`` group; returns ``(moved keys,
+        {unmoved key: source}, first error)``.
+
+        A group whose ``migrate`` raises fails alone. A key reported neither
+        moved nor failed is unmoved too: releasing it would strand its
+        records on the source with nothing pinning them there.
+        """
+        plane = self.plane
+        moved_keys: set = set()
+        unmoved: dict = {}
+        first_error: Exception | None = None
+        for (source, target), keys in sorted(moves.items()):
             try:
-                if migrator.residue(plane, shard_index):
-                    report.records_moved += migrator.evacuate(
-                        plane, shard_index,
-                        shard_index % plane.ring.shard_count)
-                if migrator.residue(plane, shard_index):
+                outcome = self.migrator.migrate(plane, source, target, keys)
+            except Exception as exc:
+                first_error = first_error or exc
+                outcome = MigrationOutcome(failed={
+                    key: f"migration interrupted: {exc}" for key in keys})
+            moved_keys.update(outcome.moved)
+            report.migrated_keys += len(outcome.moved)
+            report.records_moved += outcome.records_moved
+            for key in outcome.stale:
+                plane.mark_stale(key, source)
+                report.stale_keys.append(key)
+            failed = dict(outcome.failed)
+            for key in keys:
+                if key not in moved_keys and key not in failed:
+                    failed[key] = "migrator reported no outcome for this key"
+            for key, error in failed.items():
+                report.failed_keys[key] = error
+                unmoved[key] = source
+        return moved_keys, unmoved, first_error
+
+    def _evacuate(self, shards: list, width: int, report: ReshardReport):
+        """Fold each shard's unkeyed residue (state no key addresses, which
+        the keyed plan never sees) into survivor ``shard % width``; returns
+        ``(shards not proven empty, first error)``."""
+        plane = self.plane
+        undrained: set[int] = set()
+        first_error: Exception | None = None
+        for shard_index in shards:
+            try:
+                if self.migrator.residue(plane, shard_index):
+                    report.records_moved += self.migrator.evacuate(
+                        plane, shard_index, shard_index % width)
+                if self.migrator.residue(plane, shard_index):
                     undrained.add(shard_index)
             except Exception as exc:
-                drain_error = exc
+                first_error = first_error or exc
                 undrained.add(shard_index)
-        # Deferred retire: a shrink's draining shards can finally detach
-        # once the drain emptied them (tail-first, same renumbering rule as
-        # the commit-time retire).
-        for shard_index in sorted(plane.draining_shards(), reverse=True):
-            pinned = {shard for _, shard in plane.pending_migrations()}
-            stale = {shard for _, shard in plane.pending_cleanups()}
+        return undrained, first_error
+
+    def _retire(self, leaving: list, undrained: set, report: ReshardReport) -> None:
+        """Detach ``leaving`` shards tail-first, stopping at the first one
+        still pinned, stale or undrained — detaching an inner index would
+        renumber the shards behind it under every pinned override."""
+        plane = self.plane
+        pinned = {shard for _, shard in plane.pending_migrations()}
+        stale = {shard for _, shard in plane.pending_cleanups()}
+        for shard_index in sorted(leaving, reverse=True):
             if (shard_index != len(plane.shards) - 1
                     or shard_index in pinned or shard_index in stale
                     or shard_index in undrained):
@@ -521,22 +525,14 @@ class ReshardCoordinator:
             report.retired.append(plane.detach_shard(shard_index).name)
         report.draining = [plane.shards[index].name
                            for index in plane.draining_shards()]
-        report.new_shard_count = len(plane.shards)
-        report.sim_seconds = plane.clock.now() - started
-        # A drain pass is an epoch-relevant action too: pinned keys moved to
-        # their ring owners and draining shards may have detached, so it
-        # publishes its own bundle (kind="drain", ring width unchanged).
-        if getattr(plane, "epoch_publisher", None) is not None and (
-                report.migrated_keys or report.records_moved
-                or report.retired or report.stale_keys):
-            report.bundle = plane.epoch_publisher.publish_epoch(
-                plane, report, moves=moves, moved_keys=moved_keys,
-                kind="drain")
-        if drain_error is not None:
-            error = ReshardError(f"drain failed: {drain_error}")
-            error.report = report
-            raise error from drain_error
-        return report
+
+    def _publish(self, report: ReshardReport, kind: str, moves: dict,
+                 moved_keys: set) -> None:
+        """Sign this transition's epoch bundle when the plane publishes."""
+        if self.plane.epoch_publisher is not None:
+            report.bundle = self.plane.epoch_publisher.publish_epoch(
+                self.plane, report, moves=moves, moved_keys=moved_keys,
+                kind=kind)
 
     def _rollback(self, old_count: int) -> None:
         """Abandon a transition that has not moved any records yet.

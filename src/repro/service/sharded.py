@@ -81,9 +81,7 @@ class PendingScatter:
 class ShardedService:
     """N shard deployments routed by a consistent-hash ring.
 
-    Built by :meth:`repro.service.ServiceSpec.synthesize`; or wrap an
-    existing single deployment with :meth:`adopt` to give legacy code the
-    plane interface.
+    Built by :meth:`repro.service.ServiceSpec.synthesize`.
     """
 
     def __init__(self, spec, shards: list[Deployment], ring: HashRing, clock):
@@ -127,16 +125,9 @@ class ShardedService:
         self._network: Network | None = None
         self._route_attempts = 3
         self._latency_map = None  # LatencyMap applied while routed (geo/WAN)
-        # domain_index (None = every domain) -> (per_request, per_byte); the
-        # last model set for each slot, replayed onto shards grown later.
-        self._service_times: dict[int | None, tuple[float, float]] = {}
-
-    @classmethod
-    def adopt(cls, deployment: Deployment, ring_vnodes: int = 128) -> "ShardedService":
-        """Wrap one existing deployment as a single-shard service plane."""
-        ring = HashRing(1, vnodes=ring_vnodes,
-                        salt=b"repro/service/" + deployment.name.encode("utf-8"))
-        return cls(None, [deployment], ring, deployment.clock)
+        # The last per-request service time set, replayed onto shards grown
+        # later (None: no service model).
+        self._service_time: float | None = None
 
     # ------------------------------------------------------------------
     # Topology
@@ -359,9 +350,7 @@ class ShardedService:
 
     def region_of(self, shard_index: int) -> str | None:
         """The named region shard ``shard_index`` is placed in, per the spec's
-        ``regions`` rotation; ``None`` for single-region (or adopted) planes."""
-        if self.spec is None:
-            return None
+        ``regions`` rotation; ``None`` for single-region planes."""
         return self.spec.shard_region(shard_index)
 
     def _address_regions(self, shard_index: int) -> dict[str, str]:
@@ -390,7 +379,7 @@ class ShardedService:
         traffic keeps the network's default. Remembered so shards grown by a
         live reshard join the same geography (:meth:`attach_shard`).
         """
-        if self.spec is None or not self.spec.regions:
+        if not self.spec.regions:
             raise ServiceSpecError(
                 "apply_latency_map needs a spec with named regions")
         self._latency_map = latency_map
@@ -460,14 +449,14 @@ class ShardedService:
         """Whether an epoch transition currently has keys mid-move."""
         return bool(self._moving)
 
-    def set_service_time(self, per_request: float,
-                         domain_index: int | None = None,
-                         per_byte: float = 0.0) -> None:
-        """Install a serial service-time model on every shard's domains."""
-        self._service_times[domain_index] = (per_request, per_byte)
+    def set_service_time(self, seconds: float) -> None:
+        """Charge ``seconds`` of simulated service time per request on every
+        shard's domains (a serial queue each), shards grown later included."""
+        if seconds < 0:
+            raise ServiceSpecError("service time cannot be negative")
+        self._service_time = seconds
         for shard in self.shards:
-            shard.set_service_time(per_request, domain_index=domain_index,
-                                   per_byte=per_byte)
+            shard.set_service_time(seconds)
 
     # ------------------------------------------------------------------
     # Live resharding (epoch-based; see repro.service.reshard)
@@ -480,7 +469,6 @@ class ShardedService:
         every moved key's state travels through the app's :attr:`migrator`
         (over the simulated network when routed) and a new epoch commits.
         Returns the :class:`~repro.service.reshard.ReshardReport`. Raises
-        :class:`~repro.errors.ReshardError` for adopted (spec-less) planes and
         :class:`~repro.errors.InvalidReshardError` — before anything moves —
         for a degenerate transition (``n < 1`` or ``n`` equal to the current
         count).
@@ -505,14 +493,13 @@ class ShardedService:
         """Join a freshly synthesized shard to the plane's wiring.
 
         Used by the reshard coordinator: the shard is appended, routed over
-        the plane's network (when routed), and given every service-time model
-        the plane has accumulated. Keyed routing does *not* see it until the
-        coordinator commits the new ring.
+        the plane's network (when routed), and given the plane's service
+        time. Keyed routing does *not* see it until the coordinator commits
+        the new ring.
         """
         self.shards.append(deployment)
-        for domain_index, (per_request, per_byte) in self._service_times.items():
-            deployment.set_service_time(per_request, domain_index=domain_index,
-                                        per_byte=per_byte)
+        if self._service_time is not None:
+            deployment.set_service_time(self._service_time)
         if self._network is not None:
             deployment.route_via_network(self._network,
                                          attempts=self._route_attempts)

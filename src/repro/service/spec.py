@@ -2,8 +2,8 @@
 
 A :class:`ServiceSpec` is the whole description of an application service —
 which code packages run where, how many trust domains one shard spans, how
-many shards carry the keyspace, the reconstruction/signing threshold, and the
-per-domain service-time model — as *data*. :meth:`ServiceSpec.synthesize`
+many shards carry the keyspace, the reconstruction/signing threshold, and
+where shards are placed — as *data*. :meth:`ServiceSpec.synthesize`
 turns that data into the running, attested artifact: one
 :class:`~repro.core.deployment.Deployment` replica set per shard, every
 package published to the release registry and CT-style log and installed as a
@@ -68,12 +68,6 @@ class ServiceSpec:
             secure hardware on the developer's own infrastructure.
         heterogeneous: alternate enclave vendors across domains.
         use_vsock: route enclave requests through the vsock-style hops.
-        service_time_per_request: simulated seconds each domain spends per
-            request (a serial busy-until queue); 0 disables the model.
-        service_time_per_byte: additional simulated seconds per payload byte
-            (models payload-proportional server work).
-        service_times: per-domain-index overrides of the service time, as
-            ``(domain_index, seconds)`` pairs.
         ring_vnodes: virtual nodes per shard on the consistent-hash ring.
         regions: named regions shards are placed into, round-robin — shard
             ``i`` lives in ``regions[i % len(regions)]`` (and so do shards a
@@ -92,9 +86,6 @@ class ServiceSpec:
     include_developer_domain: bool = True
     heterogeneous: bool = True
     use_vsock: bool = True
-    service_time_per_request: float = 0.0
-    service_time_per_byte: float = 0.0
-    service_times: tuple[tuple[int, float], ...] = ()
     ring_vnodes: int = 128
     regions: tuple[str, ...] = ()
 
@@ -111,8 +102,6 @@ class ServiceSpec:
             raise ServiceSpecError(
                 f"threshold {self.threshold} outside [1, {self.domains_per_shard}]"
             )
-        if self.service_time_per_request < 0 or self.service_time_per_byte < 0:
-            raise ServiceSpecError("service time cannot be negative")
         bindings = tuple(
             binding if isinstance(binding, PackageBinding) else PackageBinding(binding)
             for binding in self.packages
@@ -156,8 +145,8 @@ class ServiceSpec:
     def synthesize_shard(self, shard_index: int, developer: DeveloperIdentity,
                          clock: SimClock,
                          vendors: list[HardwareVendor]) -> Deployment:
-        """Build one shard's attested deployment (packages installed,
-        service-time model applied). Used both by :meth:`synthesize` and by
+        """Build one shard's attested deployment (packages installed).
+        Used both by :meth:`synthesize` and by
         the live-resharding coordinator when it grows an existing plane."""
         config = DeploymentConfig(
             num_domains=self.domains_per_shard,
@@ -168,7 +157,6 @@ class ServiceSpec:
         deployment = Deployment(self.shard_name(shard_index), developer,
                                 config, vendors=vendors, clock=clock)
         self._install_packages(deployment, developer)
-        self._apply_service_times(deployment)
         return deployment
 
     def synthesize(self, developer: DeveloperIdentity,
@@ -214,11 +202,3 @@ class ServiceSpec:
             for domain_index in binding.domains:
                 deployment.install_on_domain(domain_index, manifest, binding.package)
                 next_sequence[domain_index] = manifest.sequence + 1
-
-    def _apply_service_times(self, deployment: Deployment) -> None:
-        if self.service_time_per_request > 0 or self.service_time_per_byte > 0:
-            deployment.set_service_time(self.service_time_per_request,
-                                        per_byte=self.service_time_per_byte)
-        for domain_index, seconds in self.service_times:
-            deployment.set_service_time(seconds, domain_index=domain_index,
-                                        per_byte=self.service_time_per_byte)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["LatencyStats", "summarize"]
+__all__ = ["LatencyStats", "percentile", "summarize"]
 
 
 @dataclass(frozen=True)
@@ -65,18 +65,19 @@ class LatencyStats:
         }
 
 
-def _percentile(ordered: list[float], fraction: float) -> float:
+def percentile(ordered: list[float], fraction: float) -> float:
     """Nearest-rank percentile over an already sorted sample list.
 
-    With ``n`` samples, the ``fraction`` percentile is the value at rank
-    ``ceil(fraction * n)`` (1-based), clamped into the list — so a single
-    sample is every percentile, and small samples report an actual observed
-    value rather than an interpolation.
+    With ``n`` samples, the ``fraction`` percentile (``fraction`` in
+    ``[0, 1]``) is the value at rank ``ceil(fraction * n)`` (1-based, at
+    least 1) — so a single sample is every percentile, and small samples
+    report an actual observed value rather than an interpolation.
     """
     if not ordered:
         raise ValueError("no samples")
-    index = min(len(ordered) - 1, max(0, int(math.ceil(fraction * len(ordered))) - 1))
-    return ordered[index]
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError("fraction must be within [0, 1]")
+    return ordered[max(0, math.ceil(fraction * len(ordered)) - 1)]
 
 
 def summarize(samples: list[float]) -> LatencyStats:
@@ -90,9 +91,9 @@ def summarize(samples: list[float]) -> LatencyStats:
     return LatencyStats(
         count=count,
         mean=mean,
-        median=_percentile(ordered, 0.5),
-        p95=_percentile(ordered, 0.95),
-        p99=_percentile(ordered, 0.99),
+        median=percentile(ordered, 0.5),
+        p95=percentile(ordered, 0.95),
+        p99=percentile(ordered, 0.99),
         minimum=ordered[0],
         maximum=ordered[-1],
         stddev=math.sqrt(variance),

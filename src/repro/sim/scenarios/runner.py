@@ -91,14 +91,12 @@ class ScenarioContext:
             shard_index = int(shard_index)
             if shard_index < len(self.plane.shards):
                 shard_name = self.plane.shards[shard_index].name
-            elif self.plane.spec is not None:
+            else:
                 # A shard a later ReshardService event will create: deployment
                 # names are deterministic, so the fault can be laid down on
                 # its addresses before the shard exists (e.g. a partition
                 # that hits the migration's import path the moment it forms).
                 shard_name = self.plane.spec.shard_name(shard_index)
-            else:
-                raise ValueError(f"party {party!r} names a nonexistent shard")
             if rest == "client":
                 return f"{shard_name}-client"
             if rest.startswith("domain:"):
@@ -236,8 +234,7 @@ class ScenarioContext:
         from repro.net.rpc import RpcClient, RpcServer
 
         if self._epoch_rpc is None:
-            service = (self.plane.spec.name if self.plane.spec is not None
-                       else "service")
+            service = self.plane.spec.name
             server = RpcServer(self.network.endpoint(f"{service}-epoch-log"),
                                name="epoch-log")
             server.register("get_count", lambda params: len(publisher.artifacts))
@@ -531,14 +528,13 @@ class ScenarioRunner:
                                    service_time=scenario.service_time,
                                    recorder=recorder)
         network = ctx.network
-        if plane.spec is not None:
-            # Every epoch transition the run performs leaves a signed,
-            # self-contained transparency bundle behind (publishing is pure
-            # computation — deterministic signatures, no network traffic —
-            # so scenarios without transitions are byte-identical to before).
-            from repro.transparency.epochs import EpochPublisher
+        # Every epoch transition the run performs leaves a signed,
+        # self-contained transparency bundle behind (publishing is pure
+        # computation — deterministic signatures, no network traffic —
+        # so scenarios without transitions are byte-identical to before).
+        from repro.transparency.epochs import EpochPublisher
 
-            plane.epoch_publisher = EpochPublisher(plane.spec.name)
+        plane.epoch_publisher = EpochPublisher(plane.spec.name)
 
         log_baseline = {
             domain.domain_id: domain.framework.log_export()

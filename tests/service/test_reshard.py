@@ -17,10 +17,8 @@ from repro.service import (
     MigrationOutcome,
     RingDiff,
     ServiceSpec,
-    ShardedService,
     ShardMigrator,
 )
-from repro.core.deployment import Deployment
 from repro.core.package import CodePackage, DeveloperIdentity
 
 COUNTER_APP = '''
@@ -254,13 +252,6 @@ class TestLiveReshard:
         # the plane is untouched.
         assert CountingMigrator.enumerations == 0
         assert plane.epoch == 0 and plane.num_shards == 2
-        # A plane adopted without a spec cannot reshard at all.
-        package = CodePackage("bare", "1.0.0", "python", COUNTER_APP)
-        deployment = Deployment("bare", DeveloperIdentity("bare-dev"))
-        deployment.publish_and_install(package)
-        adopted = ShardedService.adopt(deployment)
-        with pytest.raises(ReshardError):
-            adopted.reshard(3)
 
     def test_moving_keys_fail_safely_during_migration(self):
         """Mid-migration, a moving key's routing raises instead of guessing."""
@@ -370,6 +361,104 @@ class TestLiveReshard:
         drain = plane.finish_reshard()
         assert drain.migrated_keys == len(report.failed_keys)
         assert plane.pending_migration_keys == 0
+
+    def _pinned_plane(self, keys):
+        """A 2 -> 4 grow whose migrator moved nothing: every moved key is
+        pinned to its source, grouped by ``(source, target)``."""
+        plane = self._loaded_plane(keys)
+
+        class RefusingMigrator(CounterMigrator):
+            def migrate(self, plane, source, target, keys):
+                return MigrationOutcome(
+                    failed={key: "target unreachable" for key in keys})
+
+        plane.migrator = RefusingMigrator()
+        report = plane.reshard(4)
+        groups: dict = {}
+        for key, source in plane.pending_migrations():
+            groups.setdefault((source, plane.ring.shard_for(key)), []).append(key)
+        assert len(groups) > 1 and len(report.failed_keys) == sum(
+            len(group) for group in groups.values())
+        return plane, groups
+
+    def test_reshard_crash_fails_only_its_own_group(self):
+        """A migrator that raises for one (source, target) group pins only
+        that group's keys; every other group still moves, and the epoch
+        commits with the partial report on the error."""
+        keys = [f"key-{i}" for i in range(40)]
+        plane = self._loaded_plane(keys)
+        before = {key: plane.shard_for(key) for key in keys}
+        groups = plane.ring.diff(plane.ring.grow(4), keys).by_route()
+        assert len(groups) > 1
+        crashed = min(groups)
+
+        class CrashesOnOneGroup(CounterMigrator):
+            def migrate(self, plane, source, target, keys):
+                if (source, target) == crashed:
+                    raise RuntimeError("boom")
+                return super().migrate(plane, source, target, keys)
+
+        plane.migrator = CrashesOnOneGroup()
+        with pytest.raises(ReshardError, match="migration failed") as excinfo:
+            plane.reshard(4)
+        report = excinfo.value.report
+        assert plane.epoch == 1 and report.epoch == 1
+        assert sorted(report.failed_keys) == sorted(groups[crashed])
+        assert report.migrated_keys == sum(
+            len(moved) for route, moved in groups.items() if route != crashed)
+        for key in keys:
+            if key in groups[crashed]:
+                assert plane.shard_for(key) == before[key]
+            else:
+                assert plane.shard_for(key) == plane.ring.shard_for(key)
+            assert plane.invoke(key, 0, "get",
+                                {"key": key})["value"]["value"] == f"v-{key}"
+
+    def test_finish_crash_fails_only_its_own_group(self):
+        """The same crash in a drain pass: every other group drains."""
+        keys = [f"key-{i}" for i in range(40)]
+        plane, groups = self._pinned_plane(keys)
+        crashed = min(groups)
+
+        class CrashesOnOneGroup(CounterMigrator):
+            def migrate(self, plane, source, target, keys):
+                if (source, target) == crashed:
+                    raise RuntimeError("boom")
+                return super().migrate(plane, source, target, keys)
+
+        plane.migrator = CrashesOnOneGroup()
+        with pytest.raises(ReshardError, match="drain failed") as excinfo:
+            plane.finish_reshard()
+        drain = excinfo.value.report
+        assert sorted(drain.failed_keys) == sorted(groups[crashed])
+        assert sorted(plane.pending_migrations()) == sorted(
+            (key, crashed[0]) for key in groups[crashed])
+        assert drain.migrated_keys == sum(
+            len(moved) for route, moved in groups.items() if route != crashed)
+        for key in keys:
+            assert plane.invoke(key, 0, "get",
+                                {"key": key})["value"]["value"] == f"v-{key}"
+
+    def test_finish_pins_and_reports_a_key_with_no_outcome(self):
+        """A key the migrator reports neither moved nor failed in a drain
+        pass stays pinned and is listed in the report's failed keys."""
+        keys = [f"key-{i}" for i in range(40)]
+        plane, groups = self._pinned_plane(keys)
+        (source, _), group = min(groups.items())
+        forgotten = group[0]
+
+        class ForgetfulMigrator(CounterMigrator):
+            def migrate(self, plane, source, target, keys):
+                return super().migrate(plane, source, target,
+                                       [key for key in keys if key != forgotten])
+
+        plane.migrator = ForgetfulMigrator()
+        drain = plane.finish_reshard()
+        assert list(drain.failed_keys) == [forgotten] and not drain.ok
+        assert plane.pending_migrations() == [(forgotten, source)]
+        assert plane.shard_for(forgotten) == source
+        assert plane.invoke(forgotten, 0, "get",
+                            {"key": forgotten})["value"]["value"] == f"v-{forgotten}"
 
     def test_stale_source_records_are_cleaned_on_finish(self):
         """A moved key whose source cleanup was lost stays authoritative on

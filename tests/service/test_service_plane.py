@@ -4,10 +4,8 @@ the session facade, and the capacity-model mechanics it depends on."""
 import pytest
 
 from repro.apps.keybackup import KEY_BACKUP_APP_SOURCE
-from repro.core.deployment import Deployment
 from repro.core.package import CodePackage, DeveloperIdentity
 from repro.errors import ApplicationError, MisbehaviorDetected, ServiceSpecError
-from repro.net.eventloop import drive
 from repro.net.latency import lan_profile
 from repro.net.rpc import RpcClient, RpcServer, ServiceTimeModel
 from repro.net.transport import Network
@@ -16,7 +14,6 @@ from repro.service import (
     PackageBinding,
     ServiceClient,
     ServiceSpec,
-    ShardedService,
 )
 
 COUNTER_APP = '''
@@ -94,8 +91,6 @@ class TestServiceSpec:
             ServiceSpec(name="x", domains_per_shard=0)
         with pytest.raises(ServiceSpecError):
             ServiceSpec(name="x", domains_per_shard=2, threshold=3)
-        with pytest.raises(ServiceSpecError):
-            ServiceSpec(name="x", service_time_per_request=-1.0)
         package = CodePackage("x", "1.0.0", "python", COUNTER_APP)
         with pytest.raises(ServiceSpecError):
             ServiceSpec(name="x", domains_per_shard=2,
@@ -130,7 +125,10 @@ class TestServiceSpec:
             assert set(shard.registry.digests()) == {alpha.digest(), beta.digest()}
 
     def test_spec_service_time_reaches_routed_servers(self):
-        plane = make_plane(shards=1, service_time_per_request=0.001)
+        plane = make_plane(shards=1)
+        with pytest.raises(ServiceSpecError):
+            plane.set_service_time(-1.0)
+        plane.set_service_time(0.001)
         network = Network(clock=plane.clock)
         servers = plane.route_via_network(network, attempts=1)
         assert all(server.service_model.per_request == 0.001
@@ -174,14 +172,6 @@ class TestShardedServiceRouting:
         assert outcomes[0]["value"]["stored"] and outcomes[2]["value"]["stored"]
         assert isinstance(outcomes[1], Exception)
 
-    def test_adopt_wraps_a_legacy_deployment(self):
-        package = CodePackage("legacy", "1.0.0", "python", COUNTER_APP)
-        deployment = Deployment("legacy", DeveloperIdentity("legacy-dev"))
-        deployment.publish_and_install(package)
-        plane = ShardedService.adopt(deployment)
-        assert plane.primary is deployment and plane.num_shards == 1
-        assert plane.invoke("any-key", 0, "put", {"key": "k", "value": 9})
-
 
 class TestCapacityModel:
     """The two mechanisms shard scaling rests on, pinned individually."""
@@ -201,7 +191,8 @@ class TestCapacityModel:
         assert server.busy_until >= 0.05
 
     def test_batched_invoke_charges_per_inner_call(self):
-        plane = make_plane(shards=1, domains=1, service_time_per_request=0.01)
+        plane = make_plane(shards=1, domains=1)
+        plane.set_service_time(0.01)
         network = Network(clock=plane.clock, default_latency=lan_profile())
         plane.route_via_network(network, attempts=1)
         started = plane.clock.now()
@@ -221,8 +212,8 @@ class TestCapacityModel:
         network between per-shard sends, this collapses to ~1x and fails.
         """
         def sim_time(shards):
-            plane = make_plane(shards=shards, domains=1,
-                               service_time_per_request=0.002)
+            plane = make_plane(shards=shards, domains=1)
+            plane.set_service_time(0.002)
             network = Network(clock=plane.clock, default_latency=lan_profile())
             plane.route_via_network(network, attempts=1)
             started = plane.clock.now()
@@ -290,15 +281,6 @@ class TestServiceClient:
         session = ServiceClient(plane, audit_policy="always")
         with pytest.raises(MisbehaviorDetected):
             session.checkpoint()
-
-    def test_accepts_bare_deployment(self):
-        package = CodePackage("bare", "1.0.0", "python", COUNTER_APP)
-        deployment = Deployment("bare", DeveloperIdentity("bare-dev"))
-        deployment.publish_and_install(package)
-        session = ServiceClient(deployment, audit_policy="once")
-        session.checkpoint()
-        [result] = drive(session.scatter_wave([("k", 0, "put", {"key": "k", "value": 1})]))
-        assert result["value"] == {"stored": True}
 
 
 class TestShardedAppsEndToEnd:

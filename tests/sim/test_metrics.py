@@ -3,7 +3,8 @@
 import pytest
 
 from repro.service.autoscaler import Autoscaler, MetricsSample, percentile
-from repro.sim.metrics import LatencyStats, _percentile, summarize
+from repro.sim.metrics import LatencyStats, summarize
+from repro.sim.metrics import percentile as nearest_rank
 
 
 class TestSummarize:
@@ -77,11 +78,11 @@ class TestLatencyStats:
 class TestPercentileHelpers:
     def test_internal_percentile_rejects_empty(self):
         with pytest.raises(ValueError, match="no samples"):
-            _percentile([], 0.99)
+            nearest_rank([], 0.99)
 
     def test_internal_percentile_clamps_fraction_zero(self):
-        assert _percentile([1.0, 2.0, 3.0], 0.0) == 1.0
-        assert _percentile([1.0, 2.0, 3.0], 1.0) == 3.0
+        assert nearest_rank([1.0, 2.0, 3.0], 0.0) == 1.0
+        assert nearest_rank([1.0, 2.0, 3.0], 1.0) == 3.0
 
     def test_windowed_percentile_empty_window_is_silence(self):
         # The autoscaler treats "no completed requests" as no signal — not

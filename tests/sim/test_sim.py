@@ -5,7 +5,7 @@ import pytest
 from repro.core.deployment import Deployment, DeploymentConfig
 from repro.core.package import CodePackage, DeveloperIdentity
 from repro.sim.adversary import DeveloperCompromise, VendorExploit
-from repro.sim.metrics import _percentile, summarize
+from repro.sim.metrics import percentile, summarize
 from repro.sim.workload import WorkloadGenerator
 
 
@@ -70,25 +70,25 @@ class TestMetrics:
 
     def test_percentile_single_sample_is_every_percentile(self):
         for fraction in (0.0, 0.5, 0.95, 0.99, 1.0):
-            assert _percentile([7.0], fraction) == 7.0
+            assert percentile([7.0], fraction) == 7.0
 
     def test_percentile_with_ties(self):
         ordered = [1.0, 2.0, 2.0, 2.0, 3.0]
-        assert _percentile(ordered, 0.5) == 2.0
-        assert _percentile(ordered, 0.75) == 2.0
-        assert _percentile(ordered, 0.99) == 3.0
+        assert percentile(ordered, 0.5) == 2.0
+        assert percentile(ordered, 0.75) == 2.0
+        assert percentile(ordered, 0.99) == 3.0
 
     def test_percentile_tiny_samples_nearest_rank(self):
         # Nearest-rank on two samples: the 50th percentile is the first
         # value, anything above falls to the second; never an interpolation.
-        assert _percentile([1.0, 9.0], 0.5) == 1.0
-        assert _percentile([1.0, 9.0], 0.51) == 9.0
-        assert _percentile([1.0, 9.0], 0.99) == 9.0
-        assert _percentile([1.0, 2.0, 30.0], 0.99) == 30.0
+        assert percentile([1.0, 9.0], 0.5) == 1.0
+        assert percentile([1.0, 9.0], 0.51) == 9.0
+        assert percentile([1.0, 9.0], 0.99) == 9.0
+        assert percentile([1.0, 2.0, 30.0], 0.99) == 30.0
 
     def test_percentile_rejects_empty(self):
         with pytest.raises(ValueError):
-            _percentile([], 0.5)
+            percentile([], 0.5)
 
     def test_overhead_vs(self):
         baseline = summarize([0.010] * 3)
