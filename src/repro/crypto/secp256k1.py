@@ -5,17 +5,20 @@ to its security argument: the developer's code-update signing key (sealed into
 each TEE at provisioning time) and the simulated hardware vendors' attestation
 keys. Schnorr and ECDSA signatures are built on top of this module.
 
-The implementation is textbook short-Weierstrass arithmetic in affine
-coordinates with a Jacobian fast path for scalar multiplication. It is not
-constant time — the repository is a simulator, not a production crypto library
-— but it is functionally correct and validated against the curve equation and
-known-answer tests.
+Points are affine at the API. Scalar multiplication accumulates in Jacobian
+coordinates and adds precomputed points that were normalized to affine with
+one field inversion per batch, so every step of its hot loops is an inlined
+mixed (Jacobian + affine) addition or doubling. It is not constant time — the
+repository is a simulator, not a production crypto library — but it is
+functionally correct and validated against the curve equation, known-answer
+tests and a textbook double-and-add oracle.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from repro.errors import CryptoError, InvalidPointError
@@ -44,20 +47,20 @@ _GLV_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
 _GLV_B2 = _GLV_A1
 
 # Bound on the number of per-point multiplication tables retained by
-# ``Secp256k1.table_for`` (LRU). Each table is ~1k Jacobian tuples, about
-# 240 KB, so this caps the cache near 4 MB however many distinct keys recur
+# ``Secp256k1.table_for`` (LRU). Each table is 960 affine pairs, about
+# 177 KB, so this caps the cache near 3 MB however many distinct keys recur
 # over a long run; the benchmark workloads keep at most five tables in use.
 _TABLE_CACHE_SIZE = 16
 
 # ``multiply_cached`` promotes a point to a table on this sighting: the
-# break-even count of uses. Measured on a 2-vCPU Xeon (medians of nine
-# rounds), a table costs 8.5 plain (GLV + wNAF) multiplies to build and a
-# table multiply costs 0.53 of one, so a table pays for itself after 18 uses
-# (12-21 across rounds). Buying at the break-even point costs at most twice
-# the better choice in hindsight. In the benchmark workloads a point is seen
-# 1-16 times (a key that lives for one deployment) and a few are seen 18-36
-# times, so only those few get tables.
-_PROMOTE_AT_SIGHTING = 18
+# break-even count of uses. Measured on a 2-vCPU Xeon (Python 3.11, medians
+# of nine rounds), a table costs 13.7 plain (GLV + wNAF) multiplies to build
+# and a table multiply costs 0.39 of one, so a table pays for itself after 22
+# uses (21-27 across rounds). Buying at the break-even point costs at most
+# twice the better choice in hindsight. In the benchmark workloads a point is
+# seen 1-16 times (a key that lives for one deployment) and a few are seen
+# 18-36 times, so only the few seen 22 times or more get tables.
+_PROMOTE_AT_SIGHTING = 22
 
 # Window width for the non-adjacent-form ladder inside ``multiply``: width 4
 # means 8 precomputed odd multiples per half-scalar and roughly one addition
@@ -114,11 +117,14 @@ class FixedBaseTable:
 
     Splits a scalar into ``ceil(256 / window)`` digits of ``window`` bits and
     precomputes ``digit * 2^(window*i) * P`` for every window position ``i``
-    and digit value, so each multiplication costs one Jacobian addition per
+    and digit value, so each multiplication costs one mixed addition (a
+    Jacobian accumulator plus an affine entry, 11 field multiplications) per
     non-zero digit — no doublings at all — instead of the ~256 doublings plus
-    ~128 additions of textbook double-and-add. Build the table once for a
-    point that is multiplied many times (the curve generator, a server's
-    long-lived public key) and amortize the one-time setup across calls.
+    ~128 additions of textbook double-and-add. The entries are built in
+    Jacobian coordinates and normalized to affine ``(x, y)`` pairs with one
+    field inversion for the whole table. Build the table once for a point
+    that is multiplied many times (the curve generator, a server's long-lived
+    public key) and amortize the one-time setup across calls.
     """
 
     def __init__(self, curve: "Secp256k1", point: Point, window: int = 4):
@@ -132,20 +138,25 @@ class FixedBaseTable:
         self._mask = (1 << window) - 1
         bits = curve.n.bit_length()
         self._num_windows = (bits + window - 1) // window
-        # _rows[i][d] = (d << (window * i)) * point in Jacobian coordinates,
+        # _rows[i][d] = (d << (window * i)) * point as an affine (x, y) pair,
         # for digits d in 1 .. 2^window - 1 (index 0 is unused: a zero digit
-        # contributes nothing).
-        self._rows: list[list[tuple[int, int, int]]] = []
+        # contributes nothing). No entry is infinity: d << (window * i) is
+        # never a multiple of the prime group order.
+        entries = []
         base = curve._to_jacobian(point)
         for _ in range(self._num_windows):
             accumulator = base
-            row = [None, accumulator]
+            entries.append(accumulator)
             for _ in range(self._mask - 1):
                 accumulator = curve._jacobian_add(accumulator, base)
-                row.append(accumulator)
-            self._rows.append(row)
+                entries.append(accumulator)
             for _ in range(window):
                 base = curve._jacobian_double(base)
+        affine = curve._to_affine_batch(entries)
+        self._rows: list[list[tuple[int, int] | None]] = [
+            [None, *affine[start:start + self._mask]]
+            for start in range(0, len(affine), self._mask)
+        ]
 
     def multiply(self, scalar: int) -> Point:
         """Return ``scalar * point`` using only table lookups and additions."""
@@ -158,16 +169,41 @@ class FixedBaseTable:
         batch Feldman verification sums many table multiplications before
         converting once).
         """
-        scalar %= self.curve.n
-        result = (0, 1, 0)
-        window_index = 0
-        while scalar:
-            digit = scalar & self._mask
-            if digit:
-                result = self.curve._jacobian_add(result, self._rows[window_index][digit])
-            scalar >>= self.window
-            window_index += 1
-        return result
+        curve = self.curve
+        p = curve.p
+        scalar %= curve.n
+        mask = self._mask
+        window = self.window
+        x1 = y1 = z1 = 0  # z1 == 0: the accumulator is the point at infinity
+        for row in self._rows:
+            if not scalar:
+                break
+            digit = scalar & mask
+            scalar >>= window
+            if not digit:
+                continue
+            x2, y2 = row[digit]
+            if not z1:
+                x1, y1, z1 = x2, y2, 1
+                continue
+            # Mixed addition (x1, y1, z1) + (x2, y2, 1), a = 0.
+            zz = z1 * z1 % p
+            h = x2 * zz % p - x1
+            r = y2 * zz * z1 % p - y1
+            if not h:
+                if r:
+                    z1 = 0
+                else:
+                    x1, y1, z1 = curve._jacobian_double((x1, y1, z1))
+                continue
+            hh = h * h % p
+            hhh = h * hh % p
+            v = x1 * hh % p
+            x3 = (r * r - hhh - 2 * v) % p
+            y1 = (r * (v - x3) - y1 * hhh) % p
+            x1 = x3
+            z1 = z1 * h % p
+        return (x1, y1, z1) if z1 else (0, 1, 0)
 
 
 class Secp256k1:
@@ -278,56 +314,105 @@ class Secp256k1:
         z3 = 2 * h * z1 * z2 % p
         return (x3, y3, z3)
 
+    def _to_affine_batch(self, points: list[tuple[int, int, int]]) -> list[tuple[int, int]]:
+        """Affine ``(x, y)`` pairs of finite Jacobian points, with one inversion.
+
+        Montgomery's trick: invert the product of every ``z`` once, then peel
+        each point's own inverse off it with two multiplications.
+        """
+        p = self.p
+        prefixes = []
+        product = 1
+        for _, _, z in points:
+            prefixes.append(product)
+            product = product * z % p
+        inverse = pow(product, -1, p)
+        affine = [None] * len(points)
+        for index in range(len(points) - 1, -1, -1):
+            x, y, z = points[index]
+            z_inv = inverse * prefixes[index] % p
+            inverse = inverse * z % p
+            z_inv2 = z_inv * z_inv % p
+            affine[index] = (x * z_inv2 % p, y * z_inv2 * z_inv % p)
+        return affine
+
     def multiply(self, point: Point, scalar: int) -> Point:
         """Scalar multiplication ``scalar * point``.
 
         Uses the GLV endomorphism: the scalar is split into two half-width
         components processed in one interleaved wNAF ladder (half the
         doublings and far fewer additions than textbook double-and-add).
-        The returned point is identical to the textbook result — this is a
-        speedup, not a behavior change, so seeded runs stay bit-identical.
+        The odd multiples of ``point`` are computed once and normalized to
+        affine with one inversion; the second half's multiples follow from
+        the endomorphism as ``(beta * x, y)``, and both halves' signs are
+        folded into the lookup tables before the ladder. The ladder itself
+        is inlined doublings and mixed additions. The returned point is
+        identical to the textbook result — this is a speedup, not a behavior
+        change, so seeded runs stay bit-identical.
         """
         scalar %= self.n
         if scalar == 0 or point.is_infinity:
             return INFINITY
         k1, k2 = self._glv_split(scalar)
         p = self.p
-        base1 = (point.x, point.y, 1)
-        if k1 < 0:
-            k1 = -k1
-            base1 = (base1[0], p - base1[1], 1)
-        base2 = (point.x * _BETA % p, point.y, 1)
-        if k2 < 0:
-            k2 = -k2
-            base2 = (base2[0], p - base2[1], 1)
-        naf1 = _wnaf(k1)
-        naf2 = _wnaf(k2)
-        odd1 = self._odd_multiples(base1) if naf1 else None
-        odd2 = self._odd_multiples(base2) if naf2 else None
-        result = (0, 1, 0)
-        double = self._jacobian_double
-        add = self._jacobian_add
-        length1 = len(naf1)
-        length2 = len(naf2)
-        for index in range(max(length1, length2) - 1, -1, -1):
-            result = double(result)
-            if index < length1:
-                digit = naf1[index]
-                if digit:
-                    if digit > 0:
-                        result = add(result, odd1[digit >> 1])
-                    else:
-                        x, y, z = odd1[(-digit) >> 1]
-                        result = add(result, (x, p - y if y else 0, z))
-            if index < length2:
-                digit = naf2[index]
-                if digit:
-                    if digit > 0:
-                        result = add(result, odd2[digit >> 1])
-                    else:
-                        x, y, z = odd2[(-digit) >> 1]
-                        result = add(result, (x, p - y if y else 0, z))
-        return self._from_jacobian(result)
+        odd = self._to_affine_batch(self._odd_multiples(self._to_jacobian(point)))
+        # (bit position, affine addend) for every non-zero digit of both
+        # halves. A signed digit d is looked up as table[d]: negative indices
+        # wrap to the table's upper half, which holds the negated multiples,
+        # and a negative half swaps the two halves.
+        additions = []
+        for half, beta in ((k1, 1), (k2, _BETA)):
+            if not half:
+                continue
+            table: list[tuple[int, int] | None] = [None] * (2 << _WNAF_WIDTH)
+            for index, (x, y) in enumerate(odd):
+                x = x * beta % p
+                plus, minus = (x, y), (x, p - y)
+                if half < 0:
+                    plus, minus = minus, plus
+                table[2 * index + 1] = plus
+                table[-2 * index - 1] = minus
+            additions += [(position, table[digit])
+                          for position, digit in enumerate(_wnaf(abs(half))) if digit]
+        additions.sort(key=itemgetter(0), reverse=True)
+        additions.append((0, None))  # runs the trailing doublings down to bit 0
+        x1 = y1 = z1 = 0  # z1 == 0: the accumulator is the point at infinity
+        position = additions[0][0]
+        for index, addend in additions:
+            for _ in range(position - index):
+                # Doubling, a = 0 (stays at infinity while z1 == 0).
+                yy = y1 * y1 % p
+                s = 4 * x1 * yy % p
+                m = 3 * x1 * x1 % p
+                x3 = (m * m - 2 * s) % p
+                z1 = 2 * y1 * z1 % p
+                y1 = (m * (s - x3) - 8 * yy * yy) % p
+                x1 = x3
+            position = index
+            if addend is None:
+                break
+            x2, y2 = addend
+            if not z1:
+                x1, y1, z1 = x2, y2, 1
+                continue
+            # Mixed addition (x1, y1, z1) + (x2, y2, 1), a = 0.
+            zz = z1 * z1 % p
+            h = x2 * zz % p - x1
+            r = y2 * zz * z1 % p - y1
+            if not h:
+                if r:
+                    z1 = 0
+                else:
+                    x1, y1, z1 = self._jacobian_double((x1, y1, z1))
+                continue
+            hh = h * h % p
+            hhh = h * hh % p
+            v = x1 * hh % p
+            x3 = (r * r - hhh - 2 * v) % p
+            y1 = (r * (v - x3) - y1 * hhh) % p
+            x1 = x3
+            z1 = z1 * h % p
+        return self._from_jacobian((x1, y1, z1))
 
     def _glv_split(self, scalar: int) -> tuple[int, int]:
         """Decompose ``scalar`` into ``(k1, k2)`` with ``k1 + k2*lambda = scalar (mod n)``."""
@@ -376,8 +461,8 @@ class Secp256k1:
     def multiply_cached(self, point: Point, scalar: int) -> Point:
         """Like :meth:`multiply`, but amortize repeated points through a table.
 
-        A :class:`FixedBaseTable` costs about eight plain multiplies to build
-        and saves about half of one per use, so building one early would
+        A :class:`FixedBaseTable` costs about fourteen plain multiplies to
+        build and saves about 0.6 of one per use, so building one early would
         penalize points seen a few times (a fresh ephemeral key, a key that
         lives for one deployment). Instead the point is multiplied directly
         until its ``_PROMOTE_AT_SIGHTING``-th sighting, the break-even count,
@@ -437,6 +522,8 @@ class Secp256k1:
                 raise InvalidPointError("bad uncompressed point length")
             x = int.from_bytes(data[1:33], "big")
             y = int.from_bytes(data[33:65], "big")
+            if x >= self.p or y >= self.p:
+                raise InvalidPointError("coordinate out of range")
             point = Point(x, y)
         elif prefix in (0x02, 0x03):
             if len(data) != 33:

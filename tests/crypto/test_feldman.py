@@ -80,6 +80,20 @@ class TestFeldmanSerialization:
             FeldmanShare.from_bytes(encoded[:40])
 
 
+def _count_table_builds(monkeypatch):
+    from repro.crypto.secp256k1 import SECP256K1
+
+    built = []
+    precompute = SECP256K1.precompute
+
+    def counting_precompute(point, window=4):
+        built.append(point)
+        return precompute(point, window=window)
+
+    monkeypatch.setattr(SECP256K1, "precompute", counting_precompute)
+    return built
+
+
 class TestBatchVerification:
     def test_verify_shares_matches_individual_verification(self):
         vss = FeldmanVSS(3, 10)
@@ -98,10 +112,27 @@ class TestBatchVerification:
         assert verdicts[3] is False
         assert sum(verdicts) == len(batch) - 1
 
-    def test_small_batch_skips_precomputation_but_agrees(self):
+    def test_small_batch_skips_precomputation_but_agrees(self, monkeypatch):
+        built = _count_table_builds(monkeypatch)
         vss = FeldmanVSS(2, 3)
         shares = vss.split(7)
         assert vss.verify_shares(shares) == [True, True, True]
+        assert built == []
+
+    def test_large_batch_precomputes_tables_and_agrees(self, monkeypatch):
+        from repro.crypto.feldman import _PRECOMPUTE_AT_BATCH
+        from repro.crypto.shamir import Share
+
+        built = _count_table_builds(monkeypatch)
+        vss = FeldmanVSS(3, _PRECOMPUTE_AT_BATCH)
+        shares = vss.split(99)
+        bad = FeldmanShare(Share(shares[5].share.index, shares[5].share.value + 1),
+                           shares[5].commitments)
+        batch = shares[:5] + [bad] + shares[6:]
+        verdicts = vss.verify_shares(batch)
+        assert len(built) == 3
+        assert verdicts == [vss.verify_share(share) for share in batch]
+        assert verdicts.count(False) == 1 and verdicts[5] is False
 
     def test_mixed_dealings_rejected(self):
         from repro.errors import SecretSharingError
