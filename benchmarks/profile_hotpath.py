@@ -43,7 +43,7 @@ DEFAULT_OUTPUT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 def run_workload(app: str) -> None:
     report = MultiClientWorkload(
-        app, num_clients=OPS, ops_per_client=1, seed=SEED,
+        app, num_clients=OPS, seed=SEED,
         batched=True, batch_size=128, rpc_attempts=1,
     ).run()
     assert report.succeeded == report.ops, report.failures[:3]

@@ -21,7 +21,7 @@ key share — runs under:
   paper identifies as the source of TEE overhead.
 
 Absolute numbers and the sandbox/native ratio differ from the paper (the WVM
-is an interpreter, not a JIT-compiled Wasm runtime; see EXPERIMENTS.md), but
+is an interpreter, not a JIT-compiled Wasm runtime; see docs/performance.md), but
 the ordering — baseline < sandbox ≤ TEE + sandbox, with the TEE adding a small
 increment on top of sandboxing — is the result being reproduced.
 """

@@ -192,7 +192,7 @@ def _measure(app: str, batched: bool, shards: int = 1,
     reports = []
     for repeat in range(REPEATS):
         report = MultiClientWorkload(
-            app, num_clients=OPS[app], ops_per_client=1, seed=2022 + repeat,
+            app, num_clients=OPS[app], seed=2022 + repeat,
             batched=batched, batch_size=BATCH_SIZE, shards=shards,
             service_time=service_time, rpc_attempts=1,
         ).run()
@@ -279,7 +279,7 @@ def test_reshard_throughput_app(app):
     """
     ops = RESHARD_OPS[app]
     seed = RESHARD_SEEDS[app]
-    common = dict(num_clients=ops, ops_per_client=1, seed=seed, batched=True,
+    common = dict(num_clients=ops, seed=seed, batched=True,
                   batch_size=ops // 2, shards=RESHARD_FROM,
                   service_time=RESHARD_SERVICE_TIME, rpc_attempts=1)
     baseline = MultiClientWorkload(app, **common).run()
@@ -329,7 +329,7 @@ def test_concurrent_event_core_app(app):
     """
     ops = CONCURRENT_OPS[app]
     report = MultiClientWorkload(
-        app, num_clients=ops, ops_per_client=1, seed=2022,
+        app, num_clients=ops, seed=2022,
         shards=CONCURRENT_SHARDS, concurrent=True,
         arrival_rate=CONCURRENT_ARRIVAL_RATE,
         service_time=CONCURRENT_SERVICE_TIME, rpc_attempts=1,
@@ -418,7 +418,7 @@ def _measure_wall_arm(*, batched: bool, shards: int,
     walls = []
     for repeat in range(WALL_MEDIAN_OF):
         kwargs = dict(
-            num_clients=WALL_OPS, ops_per_client=1, seed=2022 + repeat,
+            num_clients=WALL_OPS, seed=2022 + repeat,
             batched=batched, batch_size=BATCH_SIZE, shards=shards,
             rpc_attempts=1,
         )
@@ -508,7 +508,7 @@ def test_wall_floor_logic_trips_on_slowdown():
     by how fast this machine happens to be.
     """
     report = MultiClientWorkload(
-        WALL_APP, num_clients=40, ops_per_client=1, seed=2022,
+        WALL_APP, num_clients=40, seed=2022,
         batched=True, batch_size=BATCH_SIZE, shards=2, parallel=True,
         workers=2, rpc_attempts=1,
     ).run()
@@ -537,7 +537,7 @@ def test_elastic_autoscaler_round_trip():
     from repro.service.autoscaler import AutoscalerPolicy
 
     report = MultiClientWorkload(
-        ELASTIC_APP, num_clients=ELASTIC_OPS, ops_per_client=1,
+        ELASTIC_APP, num_clients=ELASTIC_OPS,
         seed=ELASTIC_SEED, shards=ELASTIC_SHARDS, concurrent=True,
         arrival_rate=ELASTIC_ARRIVAL_RATE,
         arrival_phases=ELASTIC_ARRIVAL_PHASES,

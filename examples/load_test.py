@@ -37,7 +37,7 @@ def main() -> None:
         reports = {}
         for batched in (False, True):
             reports[batched] = MultiClientWorkload(
-                app, num_clients=ops, ops_per_client=1,
+                app, num_clients=ops,
                 batched=batched, rpc_attempts=1,
             ).run()
         speedup = reports[True].ops_per_sec / max(reports[False].ops_per_sec, 1e-9)
@@ -52,7 +52,7 @@ def main() -> None:
         reports = {}
         for shards in (1, 4):
             reports[shards] = MultiClientWorkload(
-                app, num_clients=OPS[app], ops_per_client=1, batched=True,
+                app, num_clients=OPS[app], batched=True,
                 shards=shards, service_time=SERVICE_TIME, rpc_attempts=1,
             ).run()
             print(reports[shards].format())
@@ -62,7 +62,7 @@ def main() -> None:
 
     print("load + faults: 5% loss, duplication, reordering, 300 prio clients")
     faulty = MultiClientWorkload(
-        "prio", num_clients=300, ops_per_client=1, batched=True,
+        "prio", num_clients=300, batched=True,
         rules=(DropFault(probability=0.05),
                DuplicateFault(probability=0.2, copies=1),
                ReorderFault(probability=0.3, max_delay_s=0.01)),

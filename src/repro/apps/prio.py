@@ -8,9 +8,10 @@ Prio deployments the paper surveys (Firefox telemetry, the ENPA COVID-19
 analytics), with the trust domains bootstrapped by the framework instead of by
 bespoke cross-organization coordination.
 
-Clients also send a simple share-wise range commitment that lets the servers
-reject obviously malformed submissions (a lightweight stand-in for Prio's
-zero-knowledge SNIPs; DESIGN.md notes the substitution).
+Clients range-check each value before sharing it, and each server accepts
+only shares that are field elements (a lightweight stand-in for Prio's
+zero-knowledge SNIPs; docs/architecture.md, "Simulated substitutions", notes
+the substitution).
 """
 
 from __future__ import annotations

@@ -56,13 +56,10 @@ class DeploymentConfig:
     use_vsock: bool = True
 
     def __post_init__(self):
+        # One domain is allowed for micro-benchmarks even though it cannot
+        # distribute trust; the applications check their own thresholds.
         if self.num_domains < 1:
             raise DeploymentError("a deployment needs at least one trust domain")
-        if self.num_domains < 2:
-            # A single domain is allowed for micro-benchmarks, but it cannot
-            # distribute trust; deployments used by the applications check
-            # their own threshold requirements.
-            pass
 
 
 class Deployment:

@@ -16,8 +16,9 @@ a *structurally faithful*, cryptographically insecure stand-in:
 
 Every algebraic identity that BLS signing, verification, aggregation, and
 Lagrange-in-the-exponent rely on therefore holds, which is what the
-reproduction needs; only the hardness assumption is simulated. DESIGN.md
-documents this substitution.
+reproduction needs; only the hardness assumption is simulated.
+docs/architecture.md ("Simulated substitutions") documents this
+substitution.
 """
 
 from __future__ import annotations

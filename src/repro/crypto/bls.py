@@ -6,8 +6,8 @@ message; any ``t`` shares combine (via Lagrange interpolation in the exponent)
 into a signature that verifies under the single group public key.
 
 The scheme runs over :class:`~repro.crypto.bilinear.BilinearGroup` — a
-simulated pairing (see that module and DESIGN.md for the substitution
-rationale). All of the algebra (minimal-pubkey-size BLS: signatures in G1,
+simulated pairing (see that module and docs/architecture.md, "Simulated
+substitutions", for the rationale). All of the algebra (minimal-pubkey-size BLS: signatures in G1,
 public keys in G2) matches libBLS.
 """
 

@@ -16,7 +16,7 @@ deployment:
   vendor-wide TEE exploits so experiments can show why heterogeneous secure
   hardware matters.
 
-See DESIGN.md §2 for the substitution rationale.
+See docs/architecture.md ("Simulated substitutions") for the rationale.
 """
 
 from repro.enclave.measurement import Measurement, measure_code

@@ -16,8 +16,8 @@ This sandbox runs them the way the paper's framework runs Wasm code:
   never take down the framework.
 
 This is a *containment policy enforced on cooperative plain-data code*, not a
-hardened Python jail (CPython cannot provide one); DESIGN.md notes the
-limitation. What matters for the reproduction is that the framework treats
+hardened Python jail (CPython cannot provide one); docs/architecture.md
+("Simulated substitutions") notes the limitation. What matters for the reproduction is that the framework treats
 application code as untrusted input behind a narrow, data-only interface.
 """
 

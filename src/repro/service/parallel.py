@@ -182,7 +182,15 @@ class ParallelShardExecutor:
                 self.shutdown()
                 raise RpcError(f"parallel worker {worker_index} did not "
                                f"come up within {_READY_TIMEOUT:.0f}s")
-            status, _, detail = conn.recv()
+            try:
+                status, _, detail = conn.recv()
+            except EOFError:
+                # poll() reports a closed pipe as readable: the worker died
+                # before it said anything (e.g. a spawned child that could
+                # not re-import an unguarded main module).
+                self.shutdown()
+                raise RpcError(f"parallel worker {worker_index} exited "
+                               "before reporting ready") from None
             if status != "ready":
                 self.shutdown()
                 raise RpcError(f"parallel worker {worker_index} failed to "

@@ -1,11 +1,11 @@
-"""Latency statistics for the benchmark harness."""
+"""Latency statistics and the run totals every harness report carries."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-__all__ = ["LatencyStats", "percentile", "summarize"]
+__all__ = ["LatencyStats", "RunTotals", "percentile", "summarize"]
 
 
 @dataclass(frozen=True)
@@ -98,3 +98,96 @@ def summarize(samples: list[float]) -> LatencyStats:
         maximum=ordered[-1],
         stddev=math.sqrt(variance),
     )
+
+
+@dataclass(kw_only=True)
+class RunTotals:
+    """The totals every run report carries, whatever harness produced it.
+
+    The load harness's ``WorkloadReport`` and the scenario runner's
+    ``ScenarioReport`` both extend it, and :meth:`record` fills it the same
+    way from one finished op loop. The figures the harnesses define
+    differently stay on the reports: latency (a load run summarizes its
+    succeeded ops, a scenario every op), the in-flight count at a reshard,
+    and sim time.
+    """
+
+    succeeded: int = 0
+    failed: int = 0
+    failures: list = field(default_factory=list)  # (op index, error type name)
+    retries: int = 0
+    messages_sent: int = 0
+    messages_delivered: int = 0
+    messages_dropped: int = 0
+    messages_duplicated: int = 0
+    max_in_flight: int = 0
+    # Per-shard high-water mark of requests queued behind the serial service
+    # queues (max over the shard's domains). Only a concurrent run with a
+    # non-zero service time can push it above 1.
+    shard_queue_depth: dict = field(default_factory=dict)  # shard -> depth
+    autoscale_decisions: list = field(default_factory=list)  # decision dicts
+    final_shards: int = 0
+
+    @property
+    def success_rate(self) -> float:
+        """Fraction of operations that completed end to end."""
+        attempted = self.succeeded + self.failed
+        if attempted == 0:
+            return 0.0
+        return self.succeeded / attempted
+
+    def record(self, ctx, run) -> None:
+        """Fill the totals from ``run`` (an ``OpRun``) and its context.
+
+        Call it while the plane is still routed. The transport counters and
+        the queue depth are read only when ``ctx`` has a simulated network:
+        a parallel run's executor has neither, so it reports no messages
+        and no queue depth.
+        """
+        plane = ctx.plane
+        self.failures = run.failures
+        self.failed = len(self.failures)
+        self.succeeded = len(run.results) - self.failed
+        self.max_in_flight = run.max_in_flight
+        self.retries = plane.rpc_retry_total()
+        self.final_shards = plane.ring.shard_count
+        if ctx.autoscaler is not None:
+            self.autoscale_decisions = [decision.to_dict() for decision
+                                        in ctx.autoscaler.decisions]
+        if ctx.network is not None:
+            stats = ctx.network.stats
+            self.messages_sent = stats.messages_sent
+            self.messages_delivered = stats.messages_delivered
+            self.messages_dropped = stats.messages_dropped
+            self.messages_duplicated = stats.messages_duplicated
+            self.shard_queue_depth = plane.max_queue_depth_per_shard()
+
+    def network_line(self) -> str:
+        """The ``network:`` line of a text report."""
+        return (f"  network: sent={self.messages_sent} "
+                f"delivered={self.messages_delivered} "
+                f"dropped={self.messages_dropped} "
+                f"duplicated={self.messages_duplicated}")
+
+    def queue_depth_lines(self) -> list[str]:
+        """The ``max queue depth:`` line, when any shard queued a request."""
+        if not any(self.shard_queue_depth.values()):
+            return []
+        depths = " ".join(f"s{shard}:{depth}" for shard, depth
+                          in sorted(self.shard_queue_depth.items()))
+        return [f"  max queue depth: {depths}"]
+
+    def totals_dict(self) -> dict:
+        """The plain-data keys both reports emit from these totals."""
+        return {
+            "succeeded": self.succeeded,
+            "failed": self.failed,
+            "retries": self.retries,
+            "messages_sent": self.messages_sent,
+            "messages_dropped": self.messages_dropped,
+            "max_in_flight": self.max_in_flight,
+            "shard_queue_depth": {shard: depth for shard, depth
+                                  in sorted(self.shard_queue_depth.items())},
+            "autoscale_decisions": list(self.autoscale_decisions),
+            "final_shards": self.final_shards,
+        }

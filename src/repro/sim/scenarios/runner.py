@@ -351,32 +351,32 @@ class OpRun:
                 if error is not None]
 
 
-def routed_context(driver, rules: tuple, events: tuple, seed: int,
-                   rpc_attempts: int, service_time: float = 0.0,
+def routed_context(driver, scenario: Scenario,
                    recorder: CoverageRecorder | None = None):
-    """Route ``driver``'s plane over a fresh simulated network, install the
-    seeded fault plan on it, and return ``(ctx, plan)`` for :func:`run_ops`.
+    """Route ``driver``'s plane over a fresh simulated network, install
+    ``scenario``'s seeded fault plan on it, and return ``(ctx, plan)`` for
+    :func:`run_ops`.
 
-    A driver placed across regions gets the cross-region latency map;
-    ``service_time`` installs the per-request server model.
+    The scenario supplies the fault rules and events, the seed, the RPC
+    send attempts and the per-request service time. A driver placed across
+    regions gets the cross-region latency map.
     """
     plane = driver.plane
     network = Network(clock=plane.clock, default_latency=lan_profile())
-    plane.route_via_network(network, attempts=rpc_attempts)
+    plane.route_via_network(network, attempts=scenario.rpc_attempts)
     if driver.regions:
         plane.apply_latency_map(network, geo_profile())
-    if service_time > 0:
-        plane.set_service_time(service_time)
-    plan = FaultPlan(rules, events, seed=seed + 1)
+    if scenario.service_time > 0:
+        plane.set_service_time(scenario.service_time)
+    plan = FaultPlan(scenario.rules, scenario.events, seed=scenario.seed + 1)
     plan.install(network, recorder=recorder)
-    return ScenarioContext(network, driver, recorder, rpc_attempts), plan
+    return (ScenarioContext(network, driver, recorder, scenario.rpc_attempts),
+            plan)
 
 
-def run_ops(ctx: ScenarioContext, plan: FaultPlan, ops: int, *,
-            batch_size: int = 1, arrival_rate: float = 0.0,
-            arrival_phases: tuple = (), seed: int = 0,
-            op_timeout: float = 0.25) -> OpRun:
-    """Drive ``ops`` workload operations of ``ctx.driver`` under ``plan``'s
+def run_ops(ctx: ScenarioContext, plan: FaultPlan, scenario: Scenario, *,
+            batch_size: int = 1, op_timeout: float = 0.25) -> OpRun:
+    """Drive ``scenario.ops`` operations of ``ctx.driver`` under ``plan``'s
     events.
 
     The one op loop behind both harnesses, in one of two schedules:
@@ -384,17 +384,20 @@ def run_ops(ctx: ScenarioContext, plan: FaultPlan, ops: int, *,
     * spans of ``batch_size`` ops through ``driver.run_span`` — every event
       whose op falls inside a span fires at the span's boundary; the
       default, spans of one, runs one op at a time;
-    * with ``arrival_rate`` > 0, every op its own ``driver.op_task`` on the
-      discrete-event loop, arriving at seeded Poisson times (reshaped by
-      ``arrival_phases``), so events fire while earlier ops are genuinely in
-      flight. When the context carries an autoscaler, or the plan can enable
-      one, a monitor task samples the plane at the policy's cadence.
+    * for a concurrent scenario, every op its own ``driver.op_task`` on the
+      discrete-event loop, arriving at Poisson times seeded from
+      ``scenario.seed`` (at ``scenario.arrival_rate``, reshaped by
+      ``scenario.arrival_phases``), so events fire while earlier ops are
+      genuinely in flight; ``batch_size`` is ignored. When the context
+      carries an autoscaler, or the plan can enable one, a monitor task
+      samples the plane at the policy's cadence.
 
     Events fire through ``ctx`` with ``ctx.current_op`` set to the boundary
     op. Sim latency is the op's own time (or its span's, for every op in it).
     """
     driver = ctx.driver
     clock = driver.plane.clock
+    ops = scenario.ops
     run = OpRun()
 
     def fire(op_index: int, stop: int, in_flight: int = 0) -> None:
@@ -408,12 +411,12 @@ def run_ops(ctx: ScenarioContext, plan: FaultPlan, ops: int, *,
             run.fired.append(FiredEvent(event, len(run.results), started,
                                         clock.now(), outcome, in_flight))
 
-    if arrival_rate > 0:
+    if scenario.concurrent:
         from repro.net.eventloop import EventLoop, Sleep
         from repro.service.autoscaler import percentile
 
         loop = EventLoop(ctx.network)
-        arrivals = random.Random(seed + 2)
+        arrivals = random.Random(scenario.seed + 2)
         in_flight = 0
 
         def op_task(op_index: int):
@@ -470,8 +473,8 @@ def run_ops(ctx: ScenarioContext, plan: FaultPlan, ops: int, *,
         arrival_offset = 0.0
         started = clock.now()
         for op_index in range(ops):
-            rate = arrival_rate
-            for start_op, phase_rate in arrival_phases:
+            rate = scenario.arrival_rate
+            for start_op, phase_rate in scenario.arrival_phases:
                 if op_index >= start_op:
                     rate = phase_rate
             arrival_offset += arrivals.expovariate(rate)
@@ -523,11 +526,8 @@ class ScenarioRunner:
         plane = driver.plane
         recorder = CoverageRecorder(scenario.app, layout=scenario.layout,
                                     shards=scenario.shards)
-        ctx, plan = routed_context(driver, scenario.rules, scenario.events,
-                                   scenario.seed, scenario.rpc_attempts,
-                                   service_time=scenario.service_time,
-                                   recorder=recorder)
-        network = ctx.network
+        ctx, plan = routed_context(driver, scenario, recorder=recorder)
+        clock = ctx.network.clock
         # Every epoch transition the run performs leaves a signed,
         # self-contained transparency bundle behind (publishing is pure
         # computation — deterministic signatures, no network traffic —
@@ -541,39 +541,20 @@ class ScenarioRunner:
             for shard in plane.shards for domain in shard.domains
         }
         report = ScenarioReport(scenario=scenario)
-        started_at = network.clock.now()
-        run = run_ops(ctx, plan, scenario.ops,
-                      arrival_rate=(scenario.arrival_rate
-                                    if scenario.concurrent else 0.0),
-                      arrival_phases=scenario.arrival_phases,
-                      seed=scenario.seed)
-        report.failures = run.failures
-        report.failed = len(report.failures)
-        report.succeeded = len(run.results) - report.failed
-        report.max_in_flight = run.max_in_flight
+        started_at = clock.now()
+        run = run_ops(ctx, plan, scenario)
+        report.sim_elapsed_s = clock.now() - started_at
+        report.record(ctx, run)
         report.in_flight_at_reshard = next(
             (mark.in_flight for mark in reversed(run.fired)
              if mark.committed_epoch), 0)
-        if ctx.autoscaler is not None:
-            report.autoscale_decisions = [decision.to_dict() for decision
-                                          in ctx.autoscaler.decisions]
-
-        report.retries = plane.rpc_retry_total()
-        report.shard_queue_depth = plane.max_queue_depth_per_shard()
         plane.unroute()
 
-        stats = network.stats
-        report.messages_sent = stats.messages_sent
-        report.messages_delivered = stats.messages_delivered
-        report.messages_dropped = stats.messages_dropped
-        report.messages_duplicated = stats.messages_duplicated
         # Collected from the live fleet, not a pre-run snapshot, so servers
         # of shards grown by a mid-run reshard are counted too.
         report.duplicates_answered = plane.duplicates_answered_total()
-        report.sim_elapsed_s = network.clock.now() - started_at
         report.latency = summarize([latency for _, latency, _ in run.results])
         report.reshards = list(ctx.reshard_reports)
-        report.final_shards = plane.ring.shard_count
 
         report.audit_ok, kinds = driver.audit_outcome()
         # Mid-run AuditNow probes contribute evidence kinds (an auditor that

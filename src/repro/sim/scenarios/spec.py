@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.sim.coverage import cell_id
-from repro.sim.metrics import LatencyStats
+from repro.sim.metrics import LatencyStats, RunTotals
 
 __all__ = ["Scenario", "InvariantResult", "ScenarioReport"]
 
@@ -133,21 +133,14 @@ class InvariantResult:
 
 
 @dataclass
-class ScenarioReport:
-    """Everything one scenario run produced."""
+class ScenarioReport(RunTotals):
+    """Everything one scenario run produced (the shared totals come from
+    :class:`~repro.sim.metrics.RunTotals`)."""
 
     scenario: Scenario
-    succeeded: int = 0
-    failed: int = 0
-    failures: list = field(default_factory=list)  # (op_index, error type name)
-    retries: int = 0
-    messages_sent: int = 0
-    messages_delivered: int = 0
-    messages_dropped: int = 0
-    messages_duplicated: int = 0
     duplicates_answered: int = 0
     sim_elapsed_s: float = 0.0
-    latency: LatencyStats | None = None
+    latency: LatencyStats | None = None  # every op, failed ones included
     audit_ok: bool = True
     detected_kinds: tuple = ()
     invariants: list = field(default_factory=list)
@@ -156,13 +149,8 @@ class ScenarioReport:
     # bundle per probe (op/index/fetched/ok/failing/forged), fetched over
     # the simulated network by the standalone auditor.
     epoch_audits: list = field(default_factory=list)
-    # Discrete-event concurrency (populated for concurrent scenarios).
-    max_in_flight: int = 0
+    # In flight when the last committed epoch transition fired.
     in_flight_at_reshard: int = 0
-    shard_queue_depth: dict = field(default_factory=dict)  # shard -> depth
-    # Elastic control loop (populated when an AutoscaleEnabled event ran).
-    autoscale_decisions: list = field(default_factory=list)  # decision dicts
-    final_shards: int = 0
     # Pairwise coverage cells this run touched (see repro.sim.coverage).
     coverage_cells: frozenset = frozenset()
 
@@ -170,13 +158,6 @@ class ScenarioReport:
     def ops(self) -> int:
         """Total operations attempted."""
         return self.succeeded + self.failed
-
-    @property
-    def success_rate(self) -> float:
-        """Fraction of workload operations that completed end to end."""
-        if self.ops == 0:
-            return 0.0
-        return self.succeeded / self.ops
 
     @property
     def all_invariants_ok(self) -> bool:
@@ -200,11 +181,8 @@ class ScenarioReport:
             f"success={self.success_rate * 100:.1f}% (floor {self.scenario.min_success_rate * 100:.1f}%) "
             f"retries={self.retries}"
         )
-        lines.append(
-            f"  network: sent={self.messages_sent} delivered={self.messages_delivered} "
-            f"dropped={self.messages_dropped} duplicated={self.messages_duplicated} "
-            f"dedup-answers={self.duplicates_answered}"
-        )
+        lines.append(f"{self.network_line()} "
+                     f"dedup-answers={self.duplicates_answered}")
         if self.latency is not None:
             lines.append(
                 f"  latency: mean={self.latency.mean_ms():.3f} ms "
@@ -224,10 +202,7 @@ class ScenarioReport:
                 + (f" (at reshard: {self.in_flight_at_reshard})"
                    if self.reshards else "")
             )
-        if any(self.shard_queue_depth.values()):
-            depths = " ".join(f"s{shard}:{depth}" for shard, depth
-                              in sorted(self.shard_queue_depth.items()))
-            lines.append(f"  max queue depth: {depths}")
+        lines.extend(self.queue_depth_lines())
         if self.autoscale_decisions:
             fired = [d for d in self.autoscale_decisions if d.get("fired")]
             gated = [d for d in self.autoscale_decisions if d.get("gated_by")]
@@ -255,15 +230,11 @@ class ScenarioReport:
     def to_dict(self) -> dict:
         """Plain-data form for experiment write-ups."""
         return {
+            **self.totals_dict(),
             "name": self.scenario.name,
             "app": self.scenario.app,
             "ops": self.ops,
-            "succeeded": self.succeeded,
-            "failed": self.failed,
-            "retries": self.retries,
-            "messages_sent": self.messages_sent,
             "messages_delivered": self.messages_delivered,
-            "messages_dropped": self.messages_dropped,
             "messages_duplicated": self.messages_duplicated,
             "sim_elapsed_s": self.sim_elapsed_s,
             "latency": self.latency.to_dict() if self.latency else None,
@@ -273,13 +244,8 @@ class ScenarioReport:
             "shards": self.scenario.shards,
             "reshards": [reshard.to_dict() for reshard in self.reshards],
             "concurrent": self.scenario.concurrent,
-            "max_in_flight": self.max_in_flight,
             "in_flight_at_reshard": self.in_flight_at_reshard,
-            "shard_queue_depth": {shard: depth for shard, depth
-                                  in sorted(self.shard_queue_depth.items())},
             "epoch_audits": list(self.epoch_audits),
-            "autoscale_decisions": list(self.autoscale_decisions),
-            "final_shards": self.final_shards,
             "regions": list(self.scenario.regions),
             "coverage_cells": sorted(cell_id(cell)
                                      for cell in self.coverage_cells),

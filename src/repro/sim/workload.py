@@ -11,9 +11,9 @@ Two layers live here:
   the event loop, or against true-parallel worker processes — and reports
   throughput alongside the transport statistics. It holds no per-app logic
   and no run loop of its own: each app is its scenario driver
-  (:func:`repro.sim.scenarios.apps.make_driver`), and every mode is a
-  configuration of the scenario engine's op loop
-  (:func:`repro.sim.scenarios.runner.run_ops`). Fault rules and scheduled
+  (:func:`repro.sim.scenarios.apps.make_driver`), a run is a scenario plus
+  volume, and every mode is a configuration of the scenario engine's op
+  loop (:func:`repro.sim.scenarios.runner.run_ops`). Fault rules and scheduled
   events therefore compose directly (see
   :meth:`MultiClientWorkload.from_scenario`), so load runs double as stress
   tests: the same drop/delay/reorder/duplicate taxonomy that the scenario
@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.sim.metrics import LatencyStats, summarize
+from repro.sim.metrics import LatencyStats, RunTotals, summarize
 
 __all__ = ["WorkloadGenerator", "WorkloadReport", "MultiClientWorkload"]
 
@@ -36,7 +36,7 @@ class WorkloadGenerator:
     """Produces reproducible synthetic workloads.
 
     All draws come from a seeded PRNG so benchmark runs are repeatable; the
-    seed is part of the experiment configuration recorded in EXPERIMENTS.md.
+    seed is part of the experiment configuration (see docs/performance.md).
     """
 
     def __init__(self, seed: int = 2022):
@@ -70,28 +70,21 @@ class WorkloadGenerator:
 
 
 @dataclass
-class WorkloadReport:
-    """Everything one load run produced."""
+class WorkloadReport(RunTotals):
+    """Everything one load run produced (the shared totals come from
+    :class:`~repro.sim.metrics.RunTotals`)."""
 
     app: str
     num_clients: int
     ops: int
-    succeeded: int = 0
-    failed: int = 0
     batched: bool = True
     batch_size: int = 0
     shards: int = 1
     service_time: float = 0.0
     wall_seconds: float = 0.0
     sim_seconds: float = 0.0
-    retries: int = 0
-    messages_sent: int = 0
-    messages_delivered: int = 0
-    messages_dropped: int = 0
-    messages_duplicated: int = 0
-    failures: list = field(default_factory=list)  # (op index, error type name)
     consistency_issues: list = field(default_factory=list)
-    latency: LatencyStats | None = None
+    latency: LatencyStats | None = None  # succeeded ops only
     # Per-shard breakdown: sim latency stats for the operations routed to
     # each shard (batched ops carry their span's completion latency).
     shard_latency: dict = field(default_factory=dict)  # shard -> LatencyStats
@@ -105,17 +98,10 @@ class WorkloadReport:
     # Discrete-event concurrency (populated when concurrent=True).
     concurrent: bool = False
     arrival_rate: float = 0.0
-    max_in_flight: int = 0
-    in_flight_at_reshard: int = 0
+    in_flight_at_reshard: int = 0  # at the workload's own reshard
     # Elastic control loop (populated when an autoscale policy is installed).
     autoscaled: bool = False
-    final_shards: int = 0
-    autoscale_decisions: list = field(default_factory=list)  # decision dicts
     autoscale_reshards: list = field(default_factory=list)   # report dicts
-    # Per-shard high-water mark of requests queued behind the serial service
-    # queues (max over the shard's domains). Populated for every mode; only
-    # a concurrent run with a non-zero service time can push it above 1.
-    shard_queue_depth: dict = field(default_factory=dict)  # shard -> depth
     # True-parallel execution (populated when parallel=True): shards served
     # by worker *processes* over OS pipes. Wall-clock only — sim_seconds
     # stays 0.0 because no simulated clock spans the processes, and a
@@ -169,13 +155,6 @@ class WorkloadReport:
         return self.succeeded / self.sim_seconds
 
     @property
-    def success_rate(self) -> float:
-        """Fraction of operations that completed end to end."""
-        if self.ops == 0:
-            return 0.0
-        return self.succeeded / self.ops
-
-    @property
     def consistent(self) -> bool:
         """Whether the end-of-run application state matched the accepted ops."""
         return not self.consistency_issues
@@ -201,8 +180,7 @@ class WorkloadReport:
             f"  throughput: {self.ops_per_sec:.0f} ops/sec "
             f"(wall {self.wall_seconds:.3f}s, sim {self.sim_seconds * 1000:.1f} ms) "
             f"retries={self.retries}",
-            f"  network: sent={self.messages_sent} delivered={self.messages_delivered} "
-            f"dropped={self.messages_dropped} duplicated={self.messages_duplicated}",
+            self.network_line(),
         ]
         if self.latency is not None:
             lines.append(
@@ -233,10 +211,7 @@ class WorkloadReport:
                 f"{len(self.autoscale_decisions)} decisions, "
                 f"final={self.final_shards})"
             )
-        if any(self.shard_queue_depth.values()):
-            depths = " ".join(f"s{shard}:{depth}" for shard, depth
-                              in sorted(self.shard_queue_depth.items()))
-            lines.append(f"  max queue depth: {depths}")
+        lines.extend(self.queue_depth_lines())
         if self.resharded:
             lines.append(
                 f"  reshard: at op {self.ops_before_reshard}, "
@@ -254,11 +229,10 @@ class WorkloadReport:
     def to_dict(self) -> dict:
         """Plain-data form for BENCH_throughput.json and experiment write-ups."""
         return {
+            **self.totals_dict(),
             "app": self.app,
             "num_clients": self.num_clients,
             "ops": self.ops,
-            "succeeded": self.succeeded,
-            "failed": self.failed,
             "batched": self.batched,
             "batch_size": self.batch_size,
             "shards": self.shards,
@@ -267,9 +241,6 @@ class WorkloadReport:
             "ops_per_sec": self.ops_per_sec,
             "sim_seconds": self.sim_seconds,
             "sim_ops_per_sec": self.sim_ops_per_sec,
-            "retries": self.retries,
-            "messages_sent": self.messages_sent,
-            "messages_dropped": self.messages_dropped,
             "consistent": self.consistent,
             "latency": self.latency.to_dict() if self.latency else None,
             "shard_latency": {
@@ -286,15 +257,10 @@ class WorkloadReport:
             "reshard_summary": self.reshard_summary,
             "concurrent": self.concurrent,
             "arrival_rate": self.arrival_rate,
-            "max_in_flight": self.max_in_flight,
             "in_flight_at_reshard": self.in_flight_at_reshard,
-            "shard_queue_depth": {shard: depth for shard, depth
-                                  in sorted(self.shard_queue_depth.items())},
             "parallel": self.parallel,
             "workers": self.workers,
             "autoscaled": self.autoscaled,
-            "final_shards": self.final_shards,
-            "autoscale_decisions": list(self.autoscale_decisions),
             "autoscale_reshards": list(self.autoscale_reshards),
         }
 
@@ -302,9 +268,13 @@ class WorkloadReport:
 class MultiClientWorkload:
     """Simulates many concurrent users driving one application over the network.
 
-    Each simulated client contributes ``ops_per_client`` operations; the
-    driver executes them through the application's public client API, either
-    one op at a time (``batched=False``: spans of one op, each request
+    A load run is a :class:`~repro.sim.scenarios.spec.Scenario` (kept as
+    :attr:`scenario`: the app, one op per simulated client, shard layout,
+    seed, fault plan, retry budget and arrival shape) plus the settings only
+    the load harness has: how the ops are grouped, the per-wave timeout, a
+    live reshard of its own, an autoscale policy and parallel workers. The
+    driver executes the ops through the application's public client API,
+    either one op at a time (``batched=False``: spans of one op, each request
     fanning out to its domains in one wave) or in spans of ``batch_size``
     ops (``batched=True``). All traffic
     crosses the simulated network as framed RPC bytes, so fault rules and
@@ -313,8 +283,7 @@ class MultiClientWorkload:
 
     Args:
         app: one of ``keybackup``, ``threshold_sign``, ``prio``, ``odoh``.
-        num_clients: how many simulated users the run models.
-        ops_per_client: operations each user performs.
+        num_clients: how many simulated users the run models, one op each.
         seed: master seed for the workload and the fault randomness.
         batched: run spans of ``batch_size`` ops instead of one op at a time.
         batch_size: operations per batch in batched mode (client requests are
@@ -363,9 +332,11 @@ class MultiClientWorkload:
             p99 over every completed op and live queue depth every
             ``policy.sample_interval_s`` and reshards through the operator
             gates; the report carries every decision.
+        parallel, workers: serve the shards from ``workers`` worker
+            processes (batched mode only; see :meth:`_run_parallel`).
     """
 
-    def __init__(self, app: str, num_clients: int = 100, ops_per_client: int = 1,
+    def __init__(self, app: str, num_clients: int = 100, *,
                  seed: int = 2022, batched: bool = True, batch_size: int = 128,
                  shards: int = 1, service_time: float = 0.0,
                  rules: tuple = (), events: tuple = (), rpc_attempts: int = 3,
@@ -376,18 +347,19 @@ class MultiClientWorkload:
                  workers: int = 4):
         from repro.sim.scenarios.spec import Scenario
 
-        if num_clients < 1 or ops_per_client < 1:
-            raise ValueError("a workload needs at least one client and one op")
-        total_ops = num_clients * ops_per_client
-        # The run shape both harnesses share (app, shards, service time,
-        # arrival rate and phases) is validated where scenarios declare it.
-        Scenario(name=f"workload-{app}", app=app, ops=total_ops, shards=shards,
-                 concurrent=concurrent, arrival_rate=arrival_rate,
-                 arrival_phases=tuple(arrival_phases), service_time=service_time)
+        if num_clients < 1:
+            raise ValueError("a workload needs at least one client")
+        # The scenario validates the run shape both harnesses share.
+        self.scenario = Scenario(
+            name=f"workload-{app}", app=app, ops=num_clients, shards=shards,
+            seed=seed, rules=tuple(rules), events=tuple(events),
+            rpc_attempts=rpc_attempts, concurrent=concurrent,
+            arrival_rate=arrival_rate, arrival_phases=tuple(arrival_phases),
+            service_time=service_time)
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if reshard_at_op is not None:
-            if not 1 <= reshard_at_op < total_ops:
+            if not 1 <= reshard_at_op < num_clients:
                 raise ValueError("reshard_at_op must fall inside the run "
                                  "(after the first op, before the last)")
             if reshard_to == shards or reshard_to < 1:
@@ -419,24 +391,11 @@ class MultiClientWorkload:
                 raise ValueError("live resharding and autoscaling migrate "
                                  "state the parallel workers own; run them "
                                  "on the discrete-event engine")
-        self.app = app
-        self.num_clients = num_clients
-        self.ops_per_client = ops_per_client
-        self.total_ops = total_ops
-        self.seed = seed
         self.batched = batched
         self.batch_size = batch_size
-        self.shards = shards
-        self.service_time = service_time
-        self.rules = tuple(rules)
-        self.events = tuple(events)
-        self.rpc_attempts = rpc_attempts
         self.reshard_at_op = reshard_at_op
         self.reshard_to = reshard_to
-        self.concurrent = concurrent
-        self.arrival_rate = arrival_rate
         self.op_timeout = op_timeout
-        self.arrival_phases = tuple(arrival_phases)
         self.autoscale_policy = autoscale_policy
         self.parallel = parallel
         self.workers = workers
@@ -447,16 +406,15 @@ class MultiClientWorkload:
         """Build a load run from a scenario's fault plan.
 
         The scenario contributes its application, shard layout, seed,
-        probabilistic rules, scheduled events, and retry budget; the load
-        harness contributes volume. This is how the PR-1 matrix composes
-        with throughput runs — sharded and reshard scenarios included
-        (shard-named events resolve against the same shard count they were
-        written for).
+        probabilistic rules, scheduled events, retry budget, and arrival
+        shape; the load harness contributes volume. This is how the scenario
+        matrix composes with throughput runs — sharded and reshard scenarios
+        included (shard-named events resolve against the same shard count
+        they were written for).
         """
         return cls(
             app=scenario.app,
             num_clients=num_clients,
-            ops_per_client=1,
             seed=scenario.seed,
             batched=batched,
             batch_size=batch_size,
@@ -467,7 +425,7 @@ class MultiClientWorkload:
             rpc_attempts=scenario.rpc_attempts,
             concurrent=scenario.concurrent,
             arrival_rate=scenario.arrival_rate,
-            arrival_phases=getattr(scenario, "arrival_phases", ()),
+            arrival_phases=scenario.arrival_phases,
         )
 
     def run(self) -> WorkloadReport:
@@ -482,70 +440,60 @@ class MultiClientWorkload:
         from repro.crypto import rng as crypto_rng
         from repro.sim.scenarios.apps import make_driver
 
-        with crypto_rng.deterministic(self.seed):
-            driver = make_driver(self.app, self.seed, self.total_ops,
-                                 shards=self.shards, tag_prefix="workload")
+        scenario = self.scenario
+        with crypto_rng.deterministic(scenario.seed):
+            driver = make_driver(scenario.app, scenario.seed, scenario.ops,
+                                 shards=scenario.shards, tag_prefix="workload")
             if self.parallel:
                 return self._run_parallel(driver)
             return self._run(driver)
+
+    def _report(self, **mode) -> WorkloadReport:
+        scenario = self.scenario
+        return WorkloadReport(app=scenario.app, num_clients=scenario.ops,
+                              ops=scenario.ops, shards=scenario.shards, **mode)
 
     def _run(self, driver) -> WorkloadReport:
         from repro.sim.faults import ReshardService
         from repro.sim.scenarios.runner import routed_context, run_ops
 
-        plane = driver.plane
-        batched = self.batched and not self.concurrent
+        scenario = self.scenario
+        batched = self.batched and not scenario.concurrent
         span = self.batch_size if batched else 1
-        events = self.events
+        report = self._report(batched=batched,
+                              batch_size=self.batch_size if batched else 0,
+                              service_time=scenario.service_time,
+                              concurrent=scenario.concurrent,
+                              arrival_rate=scenario.arrival_rate)
         reshard = None
         if self.reshard_at_op is not None:
             # A run fires it at the boundary of the span holding the
-            # requested op; first among the events of its op either way.
+            # requested op; first among the events of its op either way
+            # (the fault plan orders same-op events stably).
             at_op = self.reshard_at_op - self.reshard_at_op % span
             reshard = ReshardService(at_op=at_op, shards=self.reshard_to)
-            events = (reshard,) + events
-        ctx, plan = routed_context(driver, self.rules, events, self.seed,
-                                   self.rpc_attempts, service_time=self.service_time)
-        network = ctx.network
+            scenario = replace(scenario, events=(reshard,) + scenario.events)
+        ctx, plan = routed_context(driver, scenario)
         if self.autoscale_policy is not None:
             ctx.enable_autoscaler(self.autoscale_policy)
 
-        report = WorkloadReport(app=self.app, num_clients=self.num_clients,
-                                ops=self.total_ops, batched=batched,
-                                batch_size=self.batch_size if batched else 0,
-                                shards=self.shards, service_time=self.service_time,
-                                concurrent=self.concurrent,
-                                arrival_rate=self.arrival_rate)
-        sim_started = network.clock.now()
+        clock = ctx.network.clock
+        sim_started = clock.now()
         wall_started = time.perf_counter()
-        run = run_ops(ctx, plan, self.total_ops,
-                      batch_size=span,
-                      arrival_rate=self.arrival_rate if self.concurrent else 0.0,
-                      arrival_phases=self.arrival_phases, seed=self.seed,
+        run = run_ops(ctx, plan, scenario, batch_size=span,
                       op_timeout=self.op_timeout)
         report.wall_seconds = time.perf_counter() - wall_started
-        report.sim_seconds = network.clock.now() - sim_started
-        self._tally(report, run)
-        report.max_in_flight = run.max_in_flight
+        report.sim_seconds = clock.now() - sim_started
+        report.record(ctx, run)
         if reshard is not None:
             self._attach_reshard(report, run, reshard, sim_started)
         if ctx.autoscaler is not None:
             scaler = ctx.autoscaler
             report.autoscaled = any(d.fired for d in scaler.decisions)
-            report.autoscale_decisions = [d.to_dict() for d in scaler.decisions]
             report.autoscale_reshards = [r.to_dict()
                                          for r in scaler.reshard_reports]
-        report.retries = plane.rpc_retry_total()
-        report.shard_queue_depth = plane.max_queue_depth_per_shard()
-        report.final_shards = plane.ring.shard_count
-        plane.unroute()
+        driver.plane.unroute()
         self._attach_latency(report, driver, run)
-
-        stats = network.stats
-        report.messages_sent = stats.messages_sent
-        report.messages_delivered = stats.messages_delivered
-        report.messages_dropped = stats.messages_dropped
-        report.messages_duplicated = stats.messages_duplicated
         report.consistency_issues = self._consistency_issues(driver, ctx)
         return report
 
@@ -565,38 +513,29 @@ class MultiClientWorkload:
         from repro.sim.faults import FaultPlan
         from repro.sim.scenarios.runner import ScenarioContext, run_ops
 
+        scenario = self.scenario
         plane = driver.plane
-        report = WorkloadReport(app=self.app, num_clients=self.num_clients,
-                                ops=self.total_ops, batched=True,
-                                batch_size=self.batch_size, shards=self.shards,
-                                parallel=True, workers=self.workers)
-        executor = ParallelShardExecutor(self.app, self.seed, self.total_ops,
-                                         self.shards, workers=self.workers)
+        report = self._report(batched=True, batch_size=self.batch_size,
+                              parallel=True, workers=self.workers)
+        executor = ParallelShardExecutor(scenario.app, scenario.seed,
+                                         scenario.ops, scenario.shards,
+                                         workers=self.workers)
         executor.start(plane)
         try:
             plane.route_via_network(executor, attempts=1)
             ctx = ScenarioContext(None, driver)
             wall_started = time.perf_counter()
-            run = run_ops(ctx, FaultPlan(), self.total_ops,
-                          batch_size=self.batch_size)
+            run = run_ops(ctx, FaultPlan(), scenario, batch_size=self.batch_size)
             report.wall_seconds = time.perf_counter() - wall_started
-            self._tally(report, run)
+            report.record(ctx, run)
             # Consistency checks read the workers' state, so they must run
             # while the plane is still routed through the executor (the
             # parent's own domain state never saw the traffic).
             report.consistency_issues = self._consistency_issues(driver, ctx)
-            report.retries = plane.rpc_retry_total()
         finally:
             plane.unroute()
             executor.shutdown()
-        report.final_shards = plane.ring.shard_count
         return report
-
-    @staticmethod
-    def _tally(report: WorkloadReport, run) -> None:
-        report.failures = run.failures
-        report.failed = len(report.failures)
-        report.succeeded = len(run.results) - report.failed
 
     def _attach_reshard(self, report: WorkloadReport, run, reshard,
                         sim_started: float) -> None:

@@ -87,6 +87,31 @@ def test_a_single_call_is_a_batch_of_one_over_the_executor(shuttle):
     assert client.retries == 0
 
 
+def _exit_before_ready(*args):
+    """A worker body that returns before it reports ready."""
+
+
+def test_a_worker_that_exits_before_ready_is_an_rpc_error(monkeypatch):
+    from repro.service import parallel
+
+    monkeypatch.setattr(parallel, "_worker_main", _exit_before_ready)
+    executor = ParallelShardExecutor("keybackup", seed=2022, ops=2, shards=1,
+                                     workers=2)
+    spawned = []
+    shutdown = executor.shutdown
+
+    def recording_shutdown():
+        spawned.extend(executor._processes)
+        shutdown()
+
+    monkeypatch.setattr(executor, "shutdown", recording_shutdown)
+    # The plane is read only once every worker is ready, which never happens.
+    with pytest.raises(RpcError, match="worker 0 exited before reporting ready"):
+        executor.start(plane=None)
+    assert len(spawned) == 2
+    assert not any(process.is_alive() for process in spawned)
+
+
 def test_a_send_to_a_dead_worker_is_an_rpc_error(shuttle):
     executor, worker = shuttle
     worker.close()

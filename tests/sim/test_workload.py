@@ -17,7 +17,7 @@ APPS = ("keybackup", "prio", "threshold_sign", "odoh")
 
 def run_small(app: str, batched: bool, **kwargs):
     ops = 4 if app == "threshold_sign" else 24
-    return MultiClientWorkload(app, num_clients=ops, ops_per_client=1,
+    return MultiClientWorkload(app, num_clients=ops,
                                batched=batched, batch_size=8,
                                rpc_attempts=kwargs.pop("rpc_attempts", 1),
                                **kwargs).run()
@@ -122,7 +122,7 @@ class TestLiveReshardWorkload:
         sharded = next(s for s in sharded_matrix()
                        if s.name == "prio-reorder-jitter-4shards")
         workload = MultiClientWorkload.from_scenario(sharded, num_clients=12)
-        assert workload.shards == sharded.shards == 4
+        assert workload.scenario.shards == sharded.shards == 4
         report = workload.run()
         assert report.shards == 4 and report.consistent
 
@@ -130,7 +130,7 @@ class TestLiveReshardWorkload:
                        if s.name == "prio-reshard-under-load")
         workload = MultiClientWorkload.from_scenario(reshard, num_clients=12,
                                                      batch_size=4)
-        assert workload.shards == 2
+        assert workload.scenario.shards == 2
         report = workload.run()
         # The scenario's ReshardService event fired mid-run: the plane grew
         # from the scenario's declared 2 shards to 4.
@@ -188,8 +188,8 @@ class TestFaultComposition:
                         if s.name == "keybackup-lossy-network")
         workload = MultiClientWorkload.from_scenario(scenario, num_clients=20,
                                                      batched=batched, batch_size=8)
-        assert workload.app == scenario.app
-        assert workload.rules == scenario.rules
+        assert workload.scenario.app == scenario.app
+        assert workload.scenario.rules == scenario.rules
         report = workload.run()
         assert report.success_rate >= scenario.min_success_rate - 0.15
         assert report.consistent, report.consistency_issues
@@ -203,28 +203,50 @@ class TestFaultComposition:
         assert report.consistent
 
 
+ONE_LOOP_APPS = [("keybackup", 12), ("odoh", 12), ("threshold_sign", 4)]
+
+
 class TestOneOpLoop:
     """Both harnesses drive an app through one definition and one loop, so a
-    serial load run and a serial scenario with the same app, ops, shards and
-    seed put the same traffic on the wire at the same simulated times.
+    load run and a scenario with the same app, ops, shards, seed and arrival
+    shape put the same traffic on the wire at the same simulated times, and
+    report the same run totals.
 
     prio is left out on purpose: each harness keeps its own session tag
     (``workload-`` / ``scenario-``), which places submissions differently.
     """
 
-    @pytest.mark.parametrize("app, ops", [("keybackup", 12), ("odoh", 12),
-                                          ("threshold_sign", 4)])
-    def test_serial_workload_matches_serial_scenario(self, app, ops):
+    @staticmethod
+    def assert_one_schema(app: str, ops: int, **shape) -> None:
+        """Both reports carry one schema of run totals, filled one way."""
+        from dataclasses import fields
+
+        from repro.sim.metrics import RunTotals
         from repro.sim.scenarios.runner import ScenarioRunner
         from repro.sim.scenarios.spec import Scenario
 
         workload = MultiClientWorkload(app, num_clients=ops, seed=2031,
-                                       batched=False, shards=2).run()
+                                       batched=False, shards=2, **shape).run()
         scenario = ScenarioRunner(Scenario(name=f"{app}-one-loop", app=app,
-                                           ops=ops, shards=2, seed=2031)).run()
+                                           ops=ops, shards=2, seed=2031,
+                                           **shape)).run()
         assert workload.succeeded == scenario.succeeded == ops
-        assert workload.messages_sent == scenario.messages_sent
+        for total in fields(RunTotals):
+            assert (getattr(workload, total.name)
+                    == getattr(scenario, total.name)), total.name
+        assert workload.success_rate == scenario.success_rate == 1.0
+        assert workload.messages_sent > 0
+        assert workload.sim_seconds == scenario.sim_elapsed_s > 0
         assert workload.latency == scenario.latency
+
+    @pytest.mark.parametrize("app, ops", ONE_LOOP_APPS)
+    def test_serial_workload_matches_serial_scenario(self, app, ops):
+        self.assert_one_schema(app, ops)
+
+    @pytest.mark.parametrize("app, ops", ONE_LOOP_APPS)
+    def test_concurrent_workload_matches_concurrent_scenario(self, app, ops):
+        self.assert_one_schema(app, ops, concurrent=True,
+                               arrival_rate=20000.0, service_time=3e-4)
 
 
 class TestBatchSigningProvenance:
