@@ -18,6 +18,7 @@ cross-organization coordination. :class:`Deployment` is that workflow in code:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.core.package import CodePackage, DeveloperIdentity, UpdateManifest
 from repro.core.registry import ReleaseRegistry
@@ -246,14 +247,48 @@ class Deployment:
 
         A chunk where every call targets the same entry point — the common
         shape under load — uses the compact homogeneous form, carrying the
-        entry name once instead of once per call.
+        entry name once instead of once per call. When such a chunk has at
+        least two calls whose params are dicts with one non-empty set of
+        string keys, the field names are sent once too: ``fields`` lists them
+        sorted, and each ``params_list`` row is a list of values in
+        ``fields`` order (the server rebuilds the dicts; see
+        ``TrustDomainFramework._rpc_invoke_many``).
         """
         first_entry = chunk[0][0]
-        if all(entry == first_entry for entry, _ in chunk):
-            return {"entry": first_entry,
-                    "params_list": [params for _, params in chunk]}
-        return {"calls": [{"entry": entry, "params": params}
-                          for entry, params in chunk]}
+        if not all(entry == first_entry for entry, _ in chunk):
+            return {"calls": [{"entry": entry, "params": params}
+                              for entry, params in chunk]}
+        params_list = [params for _, params in chunk]
+        columns = Deployment._columns(params_list)
+        if columns is not None:
+            fields, rows = columns
+            return {"entry": first_entry, "fields": fields, "params_list": rows}
+        return {"entry": first_entry, "params_list": params_list}
+
+    @staticmethod
+    def _columns(params_list: list) -> tuple[list, list] | None:
+        """``(fields, rows)`` when there are at least two params and every
+        one is a dict with the first's non-empty set of string keys;
+        otherwise ``None``."""
+        first = params_list[0]
+        if not (len(params_list) >= 2 and type(first) is dict and first
+                and all(type(name) is str for name in first)):
+            return None
+        fields = sorted(first)
+        width = len(fields)
+        # itemgetter of one name returns the bare value, not a tuple.
+        values_of = (itemgetter(*fields) if width > 1
+                     else lambda params: (params[fields[0]],))
+        rows = []
+        for params in params_list:
+            # The same size and every field present: the same key set.
+            if type(params) is not dict or len(params) != width:
+                return None
+            try:
+                rows.append(list(values_of(params)))
+            except KeyError:
+                return None
+        return fields, rows
 
     # ------------------------------------------------------------------
     # Audit artifacts clients need

@@ -322,8 +322,13 @@ class TrustDomainFramework:
             # Homogeneous batch: the entry name is sent once for the whole
             # batch instead of once per call (the common shape under load).
             entry = params["entry"]
-            calls = [{"entry": entry, "params": call_params}
-                     for call_params in params["params_list"]]
+            fields = params.get("fields")
+            if fields is None:
+                calls = [{"entry": entry, "params": call_params}
+                         for call_params in params["params_list"]]
+            else:
+                calls = [{"entry": entry, "params": call_params}
+                         for call_params in _rows_to_dicts(fields, params["params_list"])]
         return self.invoke_application_many(
             calls, wire_boundary=bool(params.get("wire"))
         )
@@ -344,3 +349,28 @@ class TrustDomainFramework:
 
     def _rpc_get_announcements(self, _params: dict) -> list:
         return [announcement.to_dict() for announcement in self._announcements]
+
+
+def _rows_to_dicts(fields, rows) -> list:
+    """Rebuild the params dicts of a columnar ``invoke_many`` chunk.
+
+    ``fields`` must be strictly increasing distinct strings (the sorted key
+    set the client sent once) and every row a list of exactly that many
+    values; anything else fails the whole chunk, as a non-encodable result
+    does. Each dict is built from freshly decoded values, so the wire
+    boundary's fresh-copy argument holds for it as for the dict form.
+    """
+    if (type(fields) is not list
+            or not all(type(name) is str for name in fields)
+            or not all(a < b for a, b in zip(fields, fields[1:]))):
+        raise FrameworkError("invoke_many fields must be strictly increasing strings")
+    if type(rows) is not list:
+        raise FrameworkError("invoke_many params_list must be a list of rows")
+    width = len(fields)
+    params_list = []
+    for row in rows:
+        if type(row) is not list or len(row) != width:
+            raise FrameworkError(
+                f"invoke_many row does not match its {width} fields")
+        params_list.append(dict(zip(fields, row)))
+    return params_list

@@ -248,16 +248,25 @@ class ShardedService:
         :meth:`PendingScatter.wait_event` (inside an event loop, leaving the
         network to other tasks). Keys caught mid-migration resolve to their
         :class:`~repro.errors.KeyMigratingError` without failing the rest.
+
+        Each distinct key is routed once per call of this method (a wave
+        usually carries one call per trust domain for every key); a key
+        caught mid-migration is not cached, so each of its calls gets its
+        own error.
         """
         calls = list(calls)
         premapped: dict[int, object] = {}
         groups: dict[tuple[int, int], list[tuple[int, str, dict]]] = {}
+        routes: dict[bytes, int] = {}
         for position, (key, domain_index, entry, params) in enumerate(calls):
-            try:
-                shard_index = self.shard_for(key)
-            except KeyMigratingError as exc:
-                premapped[position] = exc
-                continue
+            key_bytes = HashRing._key_bytes(key)
+            shard_index = routes.get(key_bytes)
+            if shard_index is None:
+                try:
+                    shard_index = routes[key_bytes] = self.shard_for(key)
+                except KeyMigratingError as exc:
+                    premapped[position] = exc
+                    continue
             groups.setdefault((shard_index, domain_index), []).append(
                 (position, entry, params)
             )

@@ -10,6 +10,11 @@ and the payload — and biased toward canonical output:
 * no floats: protocol messages that need fractional values carry scaled
   integers instead, which keeps encodings exact and comparable.
 
+Decoding enforces the same promise from the other side: a leading-zero or
+negative-zero int, a sign or bool byte other than 0 or 1, unsorted dict keys
+and trailing bytes are all rejected, so every accepted input re-encodes to
+exactly its own bytes (what :func:`canonical_digest` relies on).
+
 Tags::
 
     N  None          I  int            B  bytes        S  str (UTF-8)
@@ -19,11 +24,18 @@ The implementation is the throughput floor of the whole system — every RPC
 frame, sandbox boundary copy, and digest passes through here — so both
 directions are written allocation-lean: encoding appends into one shared
 ``bytearray`` (no per-value generator frames or intermediate joins), and
-decoding walks integer offsets with the length/bounds checks inlined. The
-wire format and every canonical-form rejection are unchanged.
+decoding walks integer offsets with the length/bounds checks inlined and
+reads lengths with ``unpack_from`` instead of slicing. Inside dict and list
+loops the common leaves (int, str, bool) are encoded and decoded in place
+rather than by a recursive call; they are most of the values in a batched
+RPC frame. Each in-place path makes the same checks, in the same order and
+with the same messages, as the recursive one, and a leaf one level past the
+depth limit still takes the recursive path and its error.
 """
 
 from __future__ import annotations
+
+import struct
 
 from repro.crypto.hashes import sha256
 from repro.errors import DecodingError, EncodingError
@@ -31,6 +43,13 @@ from repro.errors import DecodingError, EncodingError
 __all__ = ["encode", "decode", "canonical_digest"]
 
 _MAX_DEPTH = 64
+
+# A big-endian 4-byte length, alone, after a tag byte, or after an int's tag
+# and sign bytes: one ``pack`` per header instead of an append per part.
+_pack_length = struct.Struct(">I").pack
+_unpack_length = struct.Struct(">I").unpack_from
+_pack_header = struct.Struct(">BI").pack
+_pack_int_header = struct.Struct(">BBI").pack
 
 
 def encode(value) -> bytes:
@@ -55,12 +74,11 @@ def _encode_into(out: bytearray, value, depth: int) -> None:
     if kind is int:
         if value >= 0:
             size = (value.bit_length() + 7) >> 3
-            out += b"I\x00"
+            out += _pack_int_header(0x49, 0, size)
         else:
             value = -value
             size = (value.bit_length() + 7) >> 3
-            out += b"I\x01"
-        out += size.to_bytes(4, "big")
+            out += _pack_int_header(0x49, 1, size)
         if size:
             out += value.to_bytes(size, "big")
     elif kind is str:
@@ -68,15 +86,13 @@ def _encode_into(out: bytearray, value, depth: int) -> None:
         size = len(raw)
         if size > 0xFFFFFFFF:
             raise EncodingError("length out of range")
-        out += b"S"
-        out += size.to_bytes(4, "big")
+        out += _pack_header(0x53, size)
         out += raw
     elif kind is bytes:
         size = len(value)
         if size > 0xFFFFFFFF:
             raise EncodingError("length out of range")
-        out += b"B"
-        out += size.to_bytes(4, "big")
+        out += _pack_header(0x42, size)
         out += value
     elif kind is dict:
         size = len(value)
@@ -86,25 +102,72 @@ def _encode_into(out: bytearray, value, depth: int) -> None:
             keys = sorted(value)
         except TypeError:
             raise EncodingError("dict keys must be strings") from None
-        out += b"D"
-        out += size.to_bytes(4, "big")
+        out += _pack_header(0x44, size)
         next_depth = depth + 1
+        inline = next_depth <= _MAX_DEPTH
         for key in keys:
             if type(key) is not str:
                 raise EncodingError("dict keys must be strings")
             raw = key.encode("utf-8")
-            out += len(raw).to_bytes(4, "big")
+            out += _pack_length(len(raw))
             out += raw
-            _encode_into(out, value[key], next_depth)
+            item = value[key]
+            kind = type(item)
+            if not inline:
+                _encode_into(out, item, next_depth)
+            elif kind is int:
+                if item >= 0:
+                    size = (item.bit_length() + 7) >> 3
+                    out += _pack_int_header(0x49, 0, size)
+                else:
+                    item = -item
+                    size = (item.bit_length() + 7) >> 3
+                    out += _pack_int_header(0x49, 1, size)
+                if size:
+                    out += item.to_bytes(size, "big")
+            elif kind is str:
+                raw = item.encode("utf-8")
+                size = len(raw)
+                if size > 0xFFFFFFFF:
+                    raise EncodingError("length out of range")
+                out += _pack_header(0x53, size)
+                out += raw
+            elif kind is bool:
+                out += b"T\x01" if item else b"T\x00"
+            else:
+                _encode_into(out, item, next_depth)
     elif kind is list or kind is tuple:
         size = len(value)
         if size > 0xFFFFFFFF:
             raise EncodingError("length out of range")
-        out += b"L"
-        out += size.to_bytes(4, "big")
+        out += _pack_header(0x4C, size)
         next_depth = depth + 1
+        inline = next_depth <= _MAX_DEPTH
         for item in value:
-            _encode_into(out, item, next_depth)
+            kind = type(item)
+            if not inline:
+                _encode_into(out, item, next_depth)
+            elif kind is int:
+                if item >= 0:
+                    size = (item.bit_length() + 7) >> 3
+                    out += _pack_int_header(0x49, 0, size)
+                else:
+                    item = -item
+                    size = (item.bit_length() + 7) >> 3
+                    out += _pack_int_header(0x49, 1, size)
+                if size:
+                    out += item.to_bytes(size, "big")
+            elif kind is str:
+                raw = item.encode("utf-8")
+                size = len(raw)
+                if size > 0xFFFFFFFF:
+                    raise EncodingError("length out of range")
+                out += _pack_header(0x53, size)
+                out += raw
+            elif kind is bool:
+                out += b"T\x01" if item else b"T\x00"
+            else:
+                _encode_into(out, item, next_depth)
     elif value is None:
         out += b"N"
     elif kind is bool:
@@ -113,8 +176,7 @@ def _encode_into(out: bytearray, value, depth: int) -> None:
         size = len(value)
         if size > 0xFFFFFFFF:
             raise EncodingError("length out of range")
-        out += b"B"
-        out += size.to_bytes(4, "big")
+        out += _pack_header(0x42, size)
         out += value
     # Subclass fallbacks, in the original precedence order (bool before int).
     elif isinstance(value, bool):
@@ -128,14 +190,7 @@ def _encode_into(out: bytearray, value, depth: int) -> None:
     elif isinstance(value, str):
         _encode_into(out, str(value), depth)
     elif isinstance(value, (list, tuple)):
-        size = len(value)
-        if size > 0xFFFFFFFF:
-            raise EncodingError("length out of range")
-        out += b"L"
-        out += size.to_bytes(4, "big")
-        next_depth = depth + 1
-        for item in value:
-            _encode_into(out, item, next_depth)
+        _encode_into(out, list(value), depth)
     elif isinstance(value, dict):
         _encode_into(out, dict(value), depth)
     else:
@@ -161,85 +216,163 @@ def _decode_value(data: bytes, offset: int, depth: int):
     if tag == 0x49:  # I
         if offset >= size:
             raise DecodingError("truncated int sign")
-        negative = data[offset] == 1
-        offset += 1
-        end = offset + 4
+        negative = data[offset]
+        if negative > 1:
+            raise DecodingError("non-canonical int sign byte")
+        end = offset + 5
         if end > size:
             raise DecodingError("truncated input")
-        length = int.from_bytes(data[offset:end], "big")
-        offset = end
-        end = offset + length
-        if end > size:
+        offset = end + _unpack_length(data, end - 4)[0]
+        if offset > size:
             raise DecodingError("truncated input")
-        raw = data[offset:end]
-        magnitude = int.from_bytes(raw, "big") if raw else 0
+        raw = data[end:offset]
+        magnitude = int.from_bytes(raw, "big")
         if magnitude == 0 and negative:
             raise DecodingError("non-canonical negative zero")
         if raw and raw[0] == 0:
             raise DecodingError("non-canonical int with leading zero")
-        return (-magnitude if negative else magnitude), end
+        return (-magnitude if negative else magnitude), offset
     if tag == 0x44:  # D
         end = offset + 4
         if end > size:
             raise DecodingError("truncated input")
-        count = int.from_bytes(data[offset:end], "big")
+        count = _unpack_length(data, offset)[0]
         offset = end
         result = {}
         previous_key = None
         next_depth = depth + 1
+        inline = next_depth <= _MAX_DEPTH
         for _ in range(count):
             end = offset + 4
             if end > size:
                 raise DecodingError("truncated input")
-            key_length = int.from_bytes(data[offset:end], "big")
-            offset = end
-            end = offset + key_length
-            if end > size:
+            offset = end + _unpack_length(data, offset)[0]
+            if offset > size:
                 raise DecodingError("truncated input")
             try:
-                key = data[offset:end].decode("utf-8")
+                key = data[end:offset].decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise DecodingError("invalid UTF-8 in dict key") from exc
             if previous_key is not None and key <= previous_key:
                 raise DecodingError("dict keys not in canonical order")
             previous_key = key
-            value, offset = _decode_value(data, end, next_depth)
-            result[key] = value
+            tag = data[offset] if inline and offset < size else 0
+            if tag == 0x49:  # I
+                offset += 1
+                if offset >= size:
+                    raise DecodingError("truncated int sign")
+                negative = data[offset]
+                if negative > 1:
+                    raise DecodingError("non-canonical int sign byte")
+                end = offset + 5
+                if end > size:
+                    raise DecodingError("truncated input")
+                offset = end + _unpack_length(data, end - 4)[0]
+                if offset > size:
+                    raise DecodingError("truncated input")
+                raw = data[end:offset]
+                magnitude = int.from_bytes(raw, "big")
+                if magnitude == 0 and negative:
+                    raise DecodingError("non-canonical negative zero")
+                if raw and raw[0] == 0:
+                    raise DecodingError("non-canonical int with leading zero")
+                result[key] = -magnitude if negative else magnitude
+            elif tag == 0x53:  # S
+                end = offset + 5
+                if end > size:
+                    raise DecodingError("truncated input")
+                offset = end + _unpack_length(data, end - 4)[0]
+                if offset > size:
+                    raise DecodingError("truncated input")
+                try:
+                    result[key] = data[end:offset].decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DecodingError("invalid UTF-8 in string") from exc
+            elif tag == 0x54:  # T
+                offset += 1
+                if offset >= size:
+                    raise DecodingError("truncated bool")
+                flag = data[offset]
+                if flag > 1:
+                    raise DecodingError("non-canonical bool byte")
+                offset += 1
+                result[key] = flag == 1
+            else:
+                result[key], offset = _decode_value(data, offset, next_depth)
         return result, offset
     if tag == 0x4C:  # L
         end = offset + 4
         if end > size:
             raise DecodingError("truncated input")
-        count = int.from_bytes(data[offset:end], "big")
+        count = _unpack_length(data, offset)[0]
         offset = end
         items = []
         append = items.append
         next_depth = depth + 1
+        inline = next_depth <= _MAX_DEPTH
         for _ in range(count):
-            item, offset = _decode_value(data, offset, next_depth)
-            append(item)
+            tag = data[offset] if inline and offset < size else 0
+            if tag == 0x49:  # I
+                offset += 1
+                if offset >= size:
+                    raise DecodingError("truncated int sign")
+                negative = data[offset]
+                if negative > 1:
+                    raise DecodingError("non-canonical int sign byte")
+                end = offset + 5
+                if end > size:
+                    raise DecodingError("truncated input")
+                offset = end + _unpack_length(data, end - 4)[0]
+                if offset > size:
+                    raise DecodingError("truncated input")
+                raw = data[end:offset]
+                magnitude = int.from_bytes(raw, "big")
+                if magnitude == 0 and negative:
+                    raise DecodingError("non-canonical negative zero")
+                if raw and raw[0] == 0:
+                    raise DecodingError("non-canonical int with leading zero")
+                append(-magnitude if negative else magnitude)
+            elif tag == 0x53:  # S
+                end = offset + 5
+                if end > size:
+                    raise DecodingError("truncated input")
+                offset = end + _unpack_length(data, end - 4)[0]
+                if offset > size:
+                    raise DecodingError("truncated input")
+                try:
+                    append(data[end:offset].decode("utf-8"))
+                except UnicodeDecodeError as exc:
+                    raise DecodingError("invalid UTF-8 in string") from exc
+            elif tag == 0x54:  # T
+                offset += 1
+                if offset >= size:
+                    raise DecodingError("truncated bool")
+                flag = data[offset]
+                if flag > 1:
+                    raise DecodingError("non-canonical bool byte")
+                offset += 1
+                append(flag == 1)
+            else:
+                item, offset = _decode_value(data, offset, next_depth)
+                append(item)
         return items, offset
     if tag == 0x42:  # B
         end = offset + 4
         if end > size:
             raise DecodingError("truncated input")
-        length = int.from_bytes(data[offset:end], "big")
-        offset = end
-        end = offset + length
-        if end > size:
+        offset = end + _unpack_length(data, end - 4)[0]
+        if offset > size:
             raise DecodingError("truncated input")
-        return data[offset:end], end
+        return data[end:offset], offset
     if tag == 0x53:  # S
         end = offset + 4
         if end > size:
             raise DecodingError("truncated input")
-        length = int.from_bytes(data[offset:end], "big")
-        offset = end
-        end = offset + length
-        if end > size:
+        offset = end + _unpack_length(data, end - 4)[0]
+        if offset > size:
             raise DecodingError("truncated input")
         try:
-            return data[offset:end].decode("utf-8"), end
+            return data[end:offset].decode("utf-8"), offset
         except UnicodeDecodeError as exc:
             raise DecodingError("invalid UTF-8 in string") from exc
     if tag == 0x4E:  # N
@@ -247,7 +380,10 @@ def _decode_value(data: bytes, offset: int, depth: int):
     if tag == 0x54:  # T
         if offset >= size:
             raise DecodingError("truncated bool")
-        return data[offset] == 1, offset + 1
+        flag = data[offset]
+        if flag > 1:
+            raise DecodingError("non-canonical bool byte")
+        return flag == 1, offset + 1
     raise DecodingError(f"unknown tag {data[offset - 1:offset]!r}")
 
 

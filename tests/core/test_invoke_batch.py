@@ -160,3 +160,85 @@ class TestEnclaveBoundaryOnBatchPath:
         batch_results = deployment.invoke_batch(1, [("get", {}), ("add", {"n": 1})])
         assert all(isinstance(result, RpcError) for result in batch_results)
         assert "Compromised" in str(batch_results[0])
+
+
+class TestColumnarChunk:
+    """A homogeneous chunk of dict params sends its field names once."""
+
+    def test_chunk_forms(self):
+        pairs = [("add", {"n": 1, "tag": "a"}), ("add", {"tag": "b", "n": 2})]
+        assert Deployment._batch_params(pairs) == {
+            "entry": "add", "fields": ["n", "tag"],
+            "params_list": [[1, "a"], [2, "b"]]}
+        assert Deployment._batch_params([("add", {"n": 1}), ("add", {"n": 2})]) == {
+            "entry": "add", "fields": ["n"], "params_list": [[1], [2]]}
+        # Everything else keeps its earlier form: a single call, list params
+        # (WVM apps), empty or differing key sets, and mixed entry points.
+        assert Deployment._batch_params([("get", {}), ("get", {})]) == {
+            "entry": "get", "params_list": [{}, {}]}
+        assert Deployment._batch_params([("add", {"n": 1}), ("add", {"n": 1, "m": 2})]) == {
+            "entry": "add", "params_list": [{"n": 1}, {"n": 1, "m": 2}]}
+        assert Deployment._batch_params([("add", {"n": 1}), ("add", [1])]) == {
+            "entry": "add", "params_list": [{"n": 1}, [1]]}
+        assert Deployment._batch_params([("add", {"n": 1})]) == {
+            "entry": "add", "params_list": [{"n": 1}]}
+        assert Deployment._batch_params([("f", [1, 2]), ("f", [3, 4])]) == {
+            "entry": "f", "params_list": [[1, 2], [3, 4]]}
+        assert Deployment._batch_params([("add", {"n": 1}), ("add", {"m": 1})]) == {
+            "entry": "add", "params_list": [{"n": 1}, {"m": 1}]}
+        assert "calls" in Deployment._batch_params([("add", {"n": 1}), ("get", {"n": 1})])
+
+    @pytest.mark.parametrize("params", [
+        {"entry": "add", "fields": ["n", "n"], "params_list": [[1, 1], [2, 2]]},
+        {"entry": "add", "fields": ["n", "m"], "params_list": [[1, 1], [2, 2]]},
+        {"entry": "add", "fields": [1], "params_list": [[1], [2]]},
+        {"entry": "add", "fields": "n", "params_list": [[1], [2]]},
+        {"entry": "add", "fields": ["n"], "params_list": [[1], [2, 3]]},
+        {"entry": "add", "fields": ["n"], "params_list": [[1], []]},
+        {"entry": "add", "fields": ["n"], "params_list": [[1], {"n": 2}]},
+    ])
+    def test_malformed_columnar_chunk_fails_whole(self, params):
+        deployment, network = make_deployment(True)
+        client = deployment._rpc_clients[0]
+        results = client.call_many([("invoke_many", params)], attempts=1,
+                                   return_errors=True)
+        # One error envelope for the whole chunk, and no call ran.
+        assert len(results) == 1 and isinstance(results[0], RpcError)
+        assert "FrameworkError" in str(results[0])
+        assert deployment.invoke(0, "get", {})["value"]["total"] == 0
+
+    def test_columnar_chunk_charged_per_row(self):
+        from repro.net.rpc import RpcServer
+
+        rows = [[index] for index in range(128)]
+        request = {"id": 1, "method": "invoke_many",
+                   "params": {"entry": "add", "fields": ["n"], "params_list": rows}}
+        assert RpcServer._request_weight(request) == 128
+
+        developer = DeveloperIdentity("columnar-weight-developer")
+        deployment = Deployment("columnar-weight", developer,
+                                DeploymentConfig(num_domains=1))
+        deployment.publish_and_install(
+            CodePackage("counter", "1.0.0", "python", COUNTER_APP))
+        deployment.set_service_time(0.001)
+        network = Network(clock=deployment.clock, default_latency=lan_profile())
+        servers = deployment.route_via_network(network, attempts=1)
+        results = deployment.invoke_batch(0, [("add", {"n": i}) for i in range(128)])
+        assert results[-1]["value"]["total"] == sum(range(128))
+        (server,) = servers.values()
+        assert server.queue.total_units == 128
+
+
+@pytest.mark.parametrize("app", ["keybackup", "prio"])
+def test_parallel_batched_matches_serial(app):
+    """Columnar chunks cross the parallel executor's pipes like the sim wire."""
+    from repro.sim import MultiClientWorkload
+
+    reports = [MultiClientWorkload(app, num_clients=16, batch_size=16, shards=2,
+                                   seed=21, parallel=parallel, workers=2).run()
+               for parallel in (False, True)]
+    serial, parallel = reports
+    assert parallel.parallel and not serial.parallel
+    assert serial.succeeded == parallel.succeeded == 16
+    assert serial.failures == parallel.failures == []
+    assert serial.consistency_issues == parallel.consistency_issues == []

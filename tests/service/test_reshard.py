@@ -267,6 +267,32 @@ class TestLiveReshard:
         plane.commit_epoch(plane.ring)
         assert plane.shard_for("key-3") in range(plane.num_shards)
 
+    def test_scatter_routes_each_key_once_per_wave(self, monkeypatch):
+        """A wave resolves each distinct key once, however many calls carry
+        it; a moving key is not cached, so each of its calls fails alone."""
+        plane = make_plane(shards=2, domains=2)
+        plane.migrator = CounterMigrator()
+        keys = [f"key-{i}" for i in range(5)]
+        for key in keys:
+            for domain in range(2):
+                plane.invoke(key, domain, "put", {"key": key, "value": f"v-{key}"})
+        plane.begin_epoch(["key-3"])
+        lookups = []
+        ring_lookup = plane.ring.shard_for
+        monkeypatch.setattr(plane.ring, "shard_for",
+                            lambda key: lookups.append(key) or ring_lookup(key))
+        calls = [(key, domain, "get", {"key": key})
+                 for _ in range(3) for key in keys for domain in range(2)]
+        outcomes = plane.scatter(calls)
+        assert sorted(lookups) == ["key-0", "key-1", "key-2", "key-4"]
+        errors = [outcome for (key, *_), outcome in zip(calls, outcomes)
+                  if key == "key-3"]
+        assert len(errors) == 6
+        assert all(isinstance(error, KeyMigratingError) for error in errors)
+        assert len({id(error) for error in errors}) == 6
+        assert all(outcome["value"]["value"] == f"v-{key}"
+                   for (key, *_), outcome in zip(calls, outcomes) if key != "key-3")
+
     def test_failed_migration_pins_key_then_finish_drains_it(self):
         """A key whose records cannot move keeps routing to its old shard."""
         keys = [f"key-{i}" for i in range(30)]

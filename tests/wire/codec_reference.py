@@ -1,0 +1,272 @@
+"""Test-only reference: the wire codec as it was before its leaf fast paths.
+
+A frozen copy of ``repro.wire.codec`` with one value-at-a-time recursion in
+both directions. ``test_codec_reference.py`` holds the production codec to
+the same bytes, values and errors as this copy. The only intended
+differences are the production codec's two canonical rejections this copy
+lacks: a bool byte or an int sign byte other than 0 or 1. Do not import it
+outside the tests.
+
+Original module docstring follows.
+
+A deterministic, self-describing binary codec.
+
+The format is deliberately tiny — a tag byte followed by a big-endian length
+and the payload — and biased toward canonical output:
+
+* dictionary keys are sorted lexicographically before encoding, so two
+  semantically equal dicts always serialize identically;
+* integers use a minimal-length two's-complement-free encoding (sign byte +
+  magnitude), so there is exactly one encoding per value;
+* no floats: protocol messages that need fractional values carry scaled
+  integers instead, which keeps encodings exact and comparable.
+
+Tags::
+
+    N  None          I  int            B  bytes        S  str (UTF-8)
+    T  True/False    L  list           D  dict
+
+The implementation is the throughput floor of the whole system — every RPC
+frame, sandbox boundary copy, and digest passes through here — so both
+directions are written allocation-lean: encoding appends into one shared
+``bytearray`` (no per-value generator frames or intermediate joins), and
+decoding walks integer offsets with the length/bounds checks inlined. The
+wire format and every canonical-form rejection are unchanged.
+"""
+
+from __future__ import annotations
+
+from repro.crypto.hashes import sha256
+from repro.errors import DecodingError, EncodingError
+
+__all__ = ["encode", "decode", "canonical_digest"]
+
+_MAX_DEPTH = 64
+
+
+def encode(value) -> bytes:
+    """Encode a Python value into canonical bytes.
+
+    Supported types: ``None``, ``bool``, ``int``, ``bytes``, ``str``, ``list``,
+    ``tuple`` (encoded as a list), and ``dict`` with string keys.
+    """
+    out = bytearray()
+    _encode_into(out, value, 0)
+    return bytes(out)
+
+
+def _encode_into(out: bytearray, value, depth: int) -> None:
+    # Exact-type checks first, ordered by frequency on the RPC hot path.
+    # ``type(x) is int`` is both faster than isinstance and safely excludes
+    # bool (a subclass of int, which must encode as T, not I); subclasses
+    # fall through to the isinstance chain at the bottom.
+    if depth > _MAX_DEPTH:
+        raise EncodingError("value nesting too deep to encode")
+    kind = type(value)
+    if kind is int:
+        if value >= 0:
+            size = (value.bit_length() + 7) >> 3
+            out += b"I\x00"
+        else:
+            value = -value
+            size = (value.bit_length() + 7) >> 3
+            out += b"I\x01"
+        out += size.to_bytes(4, "big")
+        if size:
+            out += value.to_bytes(size, "big")
+    elif kind is str:
+        raw = value.encode("utf-8")
+        size = len(raw)
+        if size > 0xFFFFFFFF:
+            raise EncodingError("length out of range")
+        out += b"S"
+        out += size.to_bytes(4, "big")
+        out += raw
+    elif kind is bytes:
+        size = len(value)
+        if size > 0xFFFFFFFF:
+            raise EncodingError("length out of range")
+        out += b"B"
+        out += size.to_bytes(4, "big")
+        out += value
+    elif kind is dict:
+        size = len(value)
+        if size > 0xFFFFFFFF:
+            raise EncodingError("length out of range")
+        try:
+            keys = sorted(value)
+        except TypeError:
+            raise EncodingError("dict keys must be strings") from None
+        out += b"D"
+        out += size.to_bytes(4, "big")
+        next_depth = depth + 1
+        for key in keys:
+            if type(key) is not str:
+                raise EncodingError("dict keys must be strings")
+            raw = key.encode("utf-8")
+            out += len(raw).to_bytes(4, "big")
+            out += raw
+            _encode_into(out, value[key], next_depth)
+    elif kind is list or kind is tuple:
+        size = len(value)
+        if size > 0xFFFFFFFF:
+            raise EncodingError("length out of range")
+        out += b"L"
+        out += size.to_bytes(4, "big")
+        next_depth = depth + 1
+        for item in value:
+            _encode_into(out, item, next_depth)
+    elif value is None:
+        out += b"N"
+    elif kind is bool:
+        out += b"T\x01" if value else b"T\x00"
+    elif kind is bytearray:
+        size = len(value)
+        if size > 0xFFFFFFFF:
+            raise EncodingError("length out of range")
+        out += b"B"
+        out += size.to_bytes(4, "big")
+        out += value
+    # Subclass fallbacks, in the original precedence order (bool before int).
+    elif isinstance(value, bool):
+        out += b"T\x01" if value else b"T\x00"
+    elif isinstance(value, int):
+        _encode_into(out, int(value), depth)
+    elif isinstance(value, bytes):
+        _encode_into(out, bytes(value), depth)
+    elif isinstance(value, bytearray):
+        _encode_into(out, bytes(value), depth)
+    elif isinstance(value, str):
+        _encode_into(out, str(value), depth)
+    elif isinstance(value, (list, tuple)):
+        size = len(value)
+        if size > 0xFFFFFFFF:
+            raise EncodingError("length out of range")
+        out += b"L"
+        out += size.to_bytes(4, "big")
+        next_depth = depth + 1
+        for item in value:
+            _encode_into(out, item, next_depth)
+    elif isinstance(value, dict):
+        _encode_into(out, dict(value), depth)
+    else:
+        raise EncodingError(f"cannot encode values of type {type(value).__name__}")
+
+
+def decode(data: bytes):
+    """Decode bytes produced by :func:`encode`; rejects trailing garbage."""
+    value, offset = _decode_value(data, 0, 0)
+    if offset != len(data):
+        raise DecodingError("trailing bytes after decoded value")
+    return value
+
+
+def _decode_value(data: bytes, offset: int, depth: int):
+    if depth > _MAX_DEPTH:
+        raise DecodingError("value nesting too deep to decode")
+    size = len(data)
+    if offset >= size:
+        raise DecodingError("unexpected end of input")
+    tag = data[offset]
+    offset += 1
+    if tag == 0x49:  # I
+        if offset >= size:
+            raise DecodingError("truncated int sign")
+        negative = data[offset] == 1
+        offset += 1
+        end = offset + 4
+        if end > size:
+            raise DecodingError("truncated input")
+        length = int.from_bytes(data[offset:end], "big")
+        offset = end
+        end = offset + length
+        if end > size:
+            raise DecodingError("truncated input")
+        raw = data[offset:end]
+        magnitude = int.from_bytes(raw, "big") if raw else 0
+        if magnitude == 0 and negative:
+            raise DecodingError("non-canonical negative zero")
+        if raw and raw[0] == 0:
+            raise DecodingError("non-canonical int with leading zero")
+        return (-magnitude if negative else magnitude), end
+    if tag == 0x44:  # D
+        end = offset + 4
+        if end > size:
+            raise DecodingError("truncated input")
+        count = int.from_bytes(data[offset:end], "big")
+        offset = end
+        result = {}
+        previous_key = None
+        next_depth = depth + 1
+        for _ in range(count):
+            end = offset + 4
+            if end > size:
+                raise DecodingError("truncated input")
+            key_length = int.from_bytes(data[offset:end], "big")
+            offset = end
+            end = offset + key_length
+            if end > size:
+                raise DecodingError("truncated input")
+            try:
+                key = data[offset:end].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DecodingError("invalid UTF-8 in dict key") from exc
+            if previous_key is not None and key <= previous_key:
+                raise DecodingError("dict keys not in canonical order")
+            previous_key = key
+            value, offset = _decode_value(data, end, next_depth)
+            result[key] = value
+        return result, offset
+    if tag == 0x4C:  # L
+        end = offset + 4
+        if end > size:
+            raise DecodingError("truncated input")
+        count = int.from_bytes(data[offset:end], "big")
+        offset = end
+        items = []
+        append = items.append
+        next_depth = depth + 1
+        for _ in range(count):
+            item, offset = _decode_value(data, offset, next_depth)
+            append(item)
+        return items, offset
+    if tag == 0x42:  # B
+        end = offset + 4
+        if end > size:
+            raise DecodingError("truncated input")
+        length = int.from_bytes(data[offset:end], "big")
+        offset = end
+        end = offset + length
+        if end > size:
+            raise DecodingError("truncated input")
+        return data[offset:end], end
+    if tag == 0x53:  # S
+        end = offset + 4
+        if end > size:
+            raise DecodingError("truncated input")
+        length = int.from_bytes(data[offset:end], "big")
+        offset = end
+        end = offset + length
+        if end > size:
+            raise DecodingError("truncated input")
+        try:
+            return data[offset:end].decode("utf-8"), end
+        except UnicodeDecodeError as exc:
+            raise DecodingError("invalid UTF-8 in string") from exc
+    if tag == 0x4E:  # N
+        return None, offset
+    if tag == 0x54:  # T
+        if offset >= size:
+            raise DecodingError("truncated bool")
+        return data[offset] == 1, offset + 1
+    raise DecodingError(f"unknown tag {data[offset - 1:offset]!r}")
+
+
+def canonical_digest(value) -> bytes:
+    """SHA-256 over the canonical encoding of ``value``.
+
+    This is how the framework computes code-package digests, update-manifest
+    digests, and the signed payloads of tree heads: the digest of a structure
+    is well-defined regardless of which party computes it.
+    """
+    return sha256(encode(value))

@@ -7,7 +7,10 @@ two properties the rest of the system depends on:
 * ``decode(encode(v)) == v`` for every encodable value, and the encoding is
   canonical (re-encoding the decoded value is byte-identical);
 * every strict prefix of a valid encoding raises ``DecodingError`` — the
-  codec never mistakes truncated input for a complete value.
+  codec never mistakes truncated input for a complete value;
+* every mutant of a valid encoding (bytes flipped, inserted, deleted or cut
+  off) either raises ``DecodingError`` or re-encodes to exactly its own
+  bytes — the decoder accepts canonical encodings only.
 """
 
 import random
@@ -45,6 +48,31 @@ def random_value(rng: random.Random, depth: int = 0):
     return {key: random_value(rng, depth + 1) for key in keys}
 
 
+MUTATION_ROUNDS = 400
+
+
+def mutants(rng: random.Random, blob: bytes, count: int = 8) -> list[bytes]:
+    """``count`` seeded mutants of ``blob``: a byte replaced, a byte inserted,
+    a byte deleted, or the tail cut off. Replacements favour the small
+    values (0, 1, 2, 0xFF) that sit next to canonical tag, sign, bool and
+    length bytes."""
+    out = []
+    for _ in range(count):
+        kind = rng.randrange(4)
+        position = rng.randrange(len(blob) + (kind == 1))
+        byte = rng.choice([0, 1, 2, 0xFF, rng.randrange(256)])
+        if kind == 0:
+            mutant = blob[:position] + bytes([byte]) + blob[position + 1:]
+        elif kind == 1:
+            mutant = blob[:position] + bytes([byte]) + blob[position:]
+        elif kind == 2:
+            mutant = blob[:position] + blob[position + 1:]
+        else:
+            mutant = blob[:position]
+        out.append(mutant)
+    return out
+
+
 class TestCodecProperties:
     def test_round_trip_and_canonical(self):
         rng = random.Random(0xC0DEC)
@@ -80,6 +108,32 @@ class TestCodecProperties:
             decode(b"I\x00" + (2).to_bytes(4, "big") + b"\x00\x01")
         with pytest.raises(DecodingError):
             decode(b"I\x01" + (0).to_bytes(4, "big"))
+
+    def test_mutants_are_rejected_or_canonical(self):
+        rng = random.Random(0x5EED)
+        checked = 0
+        for _ in range(MUTATION_ROUNDS):
+            blob = encode(random_value(rng))
+            for mutant in mutants(rng, blob):
+                try:
+                    value = decode(mutant)
+                except DecodingError:
+                    continue
+                assert encode(value) == mutant, (mutant, value)
+                checked += 1
+        assert checked > 100  # the property saw many accepted mutants too
+
+    @pytest.mark.parametrize("blob", [
+        b"T\x02", b"T\xff",
+        b"I\x02" + (1).to_bytes(4, "big") + b"\x05",
+        b"I\x07" + (0).to_bytes(4, "big"),
+        b"L" + (1).to_bytes(4, "big") + b"T\x02",
+        b"D" + (1).to_bytes(4, "big") + (1).to_bytes(4, "big") + b"k"
+        + b"I\x02" + (1).to_bytes(4, "big") + b"\x05",
+    ])
+    def test_non_canonical_bool_and_sign_bytes_rejected(self, blob):
+        with pytest.raises(DecodingError, match="non-canonical (bool|int sign) byte"):
+            decode(blob)
 
     def test_unsorted_dict_keys_rejected(self):
         blob = bytearray(b"D" + (2).to_bytes(4, "big"))
