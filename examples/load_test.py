@@ -8,12 +8,16 @@ apps' public clients over the simulated network):
    serial per-request service time on every trust domain, compared in
    *simulated* throughput (the deterministic capacity number — see
    docs/architecture.md for why wall-clock cannot show shard parallelism);
-3. load composed with fault rules from the PR-1 scenario taxonomy.
+3. load composed with fault rules from the scenario engine's taxonomy.
 
-Run with::
+Every load run is audited and checked like a scenario. The script exits 1
+when any run reports a failed invariant, or when an op fails outside the
+fault sweep. Run with::
 
     PYTHONPATH=src python examples/load_test.py
 """
+
+import sys
 
 from repro.sim import MultiClientWorkload
 from repro.sim.faults import DropFault, DuplicateFault, ReorderFault
@@ -29,7 +33,8 @@ SHARDED_APPS = ("keybackup", "prio")
 SERVICE_TIME = 500e-6
 
 
-def main() -> None:
+def main() -> int:
+    clean = []  # runs on a fault-free network: every op must succeed
     print("=" * 64)
     print("multi-client load: batched pipeline vs one-RPC-per-op seed path")
     print("=" * 64)
@@ -40,6 +45,7 @@ def main() -> None:
                 app, num_clients=ops,
                 batched=batched, rpc_attempts=1,
             ).run()
+        clean.extend(reports.values())
         speedup = reports[True].ops_per_sec / max(reports[False].ops_per_sec, 1e-9)
         for report in reports.values():
             print(report.format())
@@ -56,6 +62,7 @@ def main() -> None:
                 shards=shards, service_time=SERVICE_TIME, rpc_attempts=1,
             ).run()
             print(reports[shards].format())
+        clean.extend(reports.values())
         scaling = reports[4].sim_ops_per_sec / reports[1].sim_ops_per_sec
         print(f"  => shard scaling: {scaling:.2f}x sim throughput at 4 shards")
         print("-" * 64)
@@ -70,6 +77,14 @@ def main() -> None:
     ).run()
     print(faulty.format())
 
+    problems = [f"{report.app}: {issue}" for report in clean + [faulty]
+                for issue in report.consistency_issues]
+    problems += [f"{report.app}: {report.failed} failed ops {report.failures[:3]}"
+                 for report in clean if report.failed]
+    for problem in problems:
+        print(f"LOAD TEST FAILED: {problem}")
+    return 1 if problems else 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

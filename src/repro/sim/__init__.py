@@ -10,12 +10,13 @@ summary statistics the experiment write-ups report. The
 scenario engine that drives every application end to end; it is imported
 explicitly (``from repro.sim.scenarios import ...``) rather than re-exported
 here, because the engine depends on :mod:`repro.apps` while the applications
-themselves depend on this package's adversary helpers.
+themselves depend on this package's adversary helpers. The load harness in
+:mod:`repro.sim.workload` runs on that engine, so its names load on first
+use.
 """
 
 from repro.sim.coverage import CoverageRecorder, CoverageReport
 from repro.sim.metrics import LatencyStats, summarize
-from repro.sim.workload import MultiClientWorkload, WorkloadGenerator, WorkloadReport
 from repro.sim.adversary import DeveloperCompromise, ScheduledCompromise, VendorExploit
 from repro.sim.faults import (
     AuditNow,
@@ -55,3 +56,11 @@ __all__ = [
     "UnannouncedUpdate",
     "AuditNow",
 ]
+
+
+def __getattr__(name):
+    if name in ("MultiClientWorkload", "WorkloadGenerator", "WorkloadReport"):
+        from repro.sim import workload
+
+        return getattr(workload, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

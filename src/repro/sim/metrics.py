@@ -104,12 +104,9 @@ def summarize(samples: list[float]) -> LatencyStats:
 class RunTotals:
     """The totals every run report carries, whatever harness produced it.
 
-    The load harness's ``WorkloadReport`` and the scenario runner's
-    ``ScenarioReport`` both extend it, and :meth:`record` fills it the same
-    way from one finished op loop. The figures the harnesses define
-    differently stay on the reports: latency (a load run summarizes its
-    succeeded ops, a scenario every op), the in-flight count at a reshard,
-    and sim time.
+    The scenario runner's ``ScenarioReport`` extends it, the load harness's
+    ``WorkloadReport`` extends that, and :meth:`record` fills it the same
+    way from one finished op loop — a parallel run's too.
     """
 
     succeeded: int = 0

@@ -32,7 +32,6 @@ from repro.crypto.shamir import Share
 from repro.errors import ApplicationError, ReproError, ThresholdError
 from repro.net.eventloop import one_op
 from repro.sim.scenarios.spec import InvariantResult
-from repro.sim.workload import WorkloadGenerator
 
 __all__ = [
     "ScenarioDriver",
@@ -56,6 +55,9 @@ class ScenarioDriver:
     app_name = "?"
 
     def __init__(self, seed: int, regions: tuple = ()):
+        # Imported here: the load harness module imports this engine.
+        from repro.sim.workload import WorkloadGenerator
+
         self.regions = tuple(regions)
         self.workload = WorkloadGenerator(seed)
 

@@ -17,12 +17,17 @@ The runner composes everything the engine needs for one scenario:
    the expected verdict (detecting every unannounced update and compromised
    TEE), epoch transitions committed with no key left unroutable, and the
    application-specific secrecy/conservation properties held.
+
+These steps are :meth:`ScenarioRunner._run`, the one serial/concurrent run:
+a load run (:class:`~repro.sim.workload.MultiClientWorkload`) is the same
+run with more ops, so it is audited and checked the same way.
 """
 
 from __future__ import annotations
 
 import contextlib
 import random
+import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -48,7 +53,7 @@ from repro.sim.scenarios.spec import InvariantResult, Scenario, ScenarioReport
 from repro.transparency.log import DigestLog
 
 __all__ = ["ScenarioContext", "ScenarioRunner", "OpRun", "FiredEvent",
-           "routed_context", "run_ops"]
+           "run_ops"]
 
 
 class ScenarioContext:
@@ -343,35 +348,15 @@ class OpRun:
     results: list = field(default_factory=list)
     fired: list = field(default_factory=list)  # FiredEvent per applied event
     max_in_flight: int = 0
+    sim_started: float = 0.0  # sim time the loop started at
+    sim_seconds: float = 0.0  # sim time the loop took
+    wall_seconds: float = 0.0  # wall-clock time the loop took
 
     @property
     def failures(self) -> list:
         """``(op index, error type name)`` per failed op, in completion order."""
         return [(op_index, error) for op_index, _, error in self.results
                 if error is not None]
-
-
-def routed_context(driver, scenario: Scenario,
-                   recorder: CoverageRecorder | None = None):
-    """Route ``driver``'s plane over a fresh simulated network, install
-    ``scenario``'s seeded fault plan on it, and return ``(ctx, plan)`` for
-    :func:`run_ops`.
-
-    The scenario supplies the fault rules and events, the seed, the RPC
-    send attempts and the per-request service time. A driver placed across
-    regions gets the cross-region latency map.
-    """
-    plane = driver.plane
-    network = Network(clock=plane.clock, default_latency=lan_profile())
-    plane.route_via_network(network, attempts=scenario.rpc_attempts)
-    if driver.regions:
-        plane.apply_latency_map(network, geo_profile())
-    if scenario.service_time > 0:
-        plane.set_service_time(scenario.service_time)
-    plan = FaultPlan(scenario.rules, scenario.events, seed=scenario.seed + 1)
-    plan.install(network, recorder=recorder)
-    return (ScenarioContext(network, driver, recorder, scenario.rpc_attempts),
-            plan)
 
 
 def run_ops(ctx: ScenarioContext, plan: FaultPlan, scenario: Scenario, *,
@@ -394,11 +379,13 @@ def run_ops(ctx: ScenarioContext, plan: FaultPlan, scenario: Scenario, *,
 
     Events fire through ``ctx`` with ``ctx.current_op`` set to the boundary
     op. Sim latency is the op's own time (or its span's, for every op in it).
+    The returned run also times the loop, in sim and in wall-clock seconds.
     """
     driver = ctx.driver
     clock = driver.plane.clock
     ops = scenario.ops
-    run = OpRun()
+    run = OpRun(sim_started=clock.now())
+    wall_started = time.perf_counter()
 
     def fire(op_index: int, stop: int, in_flight: int = 0) -> None:
         # Events of every op in [op_index, stop) fire here, in op order.
@@ -497,6 +484,8 @@ def run_ops(ctx: ScenarioContext, plan: FaultPlan, scenario: Scenario, *,
                 (start + offset, latency,
                  type(outcome).__name__ if isinstance(outcome, Exception) else None)
                 for offset, outcome in enumerate(outcomes))
+    run.wall_seconds = time.perf_counter() - wall_started
+    run.sim_seconds = clock.now() - run.sim_started
     return run
 
 
@@ -516,18 +505,39 @@ class ScenarioRunner:
         """
         from repro.crypto import rng as crypto_rng
 
+        report = ScenarioReport(scenario=self.scenario)
         with crypto_rng.deterministic(self.scenario.seed):
-            return self._run()
+            self._run(report)
+        return report
 
-    def _run(self) -> ScenarioReport:
+    def _run(self, report: ScenarioReport, *, batch_size: int = 1,
+             op_timeout: float = 0.25, autoscale_policy=None,
+             tag_prefix: str = "scenario"):
+        """Run the scenario into ``report`` and return ``(ctx, run)``.
+
+        The steps of the module docstring, for both harnesses. The load
+        harness adds only what it alone has: its span size, its per-wave
+        timeout, an autoscale policy enabled before the loop, and its prio
+        session tag.
+        """
         scenario = self.scenario
         driver = make_driver(scenario.app, scenario.seed, scenario.ops,
-                             shards=scenario.shards, regions=scenario.regions)
+                             shards=scenario.shards, regions=scenario.regions,
+                             tag_prefix=tag_prefix)
         plane = driver.plane
         recorder = CoverageRecorder(scenario.app, layout=scenario.layout,
                                     shards=scenario.shards)
-        ctx, plan = routed_context(driver, scenario, recorder=recorder)
-        clock = ctx.network.clock
+        network = Network(clock=plane.clock, default_latency=lan_profile())
+        plane.route_via_network(network, attempts=scenario.rpc_attempts)
+        if driver.regions:
+            plane.apply_latency_map(network, geo_profile())
+        if scenario.service_time > 0:
+            plane.set_service_time(scenario.service_time)
+        plan = FaultPlan(scenario.rules, scenario.events, seed=scenario.seed + 1)
+        plan.install(network, recorder=recorder)
+        ctx = ScenarioContext(network, driver, recorder, scenario.rpc_attempts)
+        if autoscale_policy is not None:
+            ctx.enable_autoscaler(autoscale_policy)
         # Every epoch transition the run performs leaves a signed,
         # self-contained transparency bundle behind (publishing is pure
         # computation — deterministic signatures, no network traffic —
@@ -540,10 +550,9 @@ class ScenarioRunner:
             domain.domain_id: domain.framework.log_export()
             for shard in plane.shards for domain in shard.domains
         }
-        report = ScenarioReport(scenario=scenario)
-        started_at = clock.now()
-        run = run_ops(ctx, plan, scenario)
-        report.sim_elapsed_s = clock.now() - started_at
+        run = run_ops(ctx, plan, scenario, batch_size=batch_size,
+                      op_timeout=op_timeout)
+        report.sim_elapsed_s = run.sim_seconds
         report.record(ctx, run)
         report.in_flight_at_reshard = next(
             (mark.in_flight for mark in reversed(run.fired)
@@ -574,7 +583,7 @@ class ScenarioRunner:
                                                      bundle_verdicts)
         report.invariants.extend(driver.finish(ctx))
         report.coverage_cells = frozenset(recorder.cells)
-        return report
+        return ctx, run
 
     # ------------------------------------------------------------------
     # Generic invariants (checked for every app)

@@ -10,24 +10,26 @@ Two layers live here:
   through the batched request pipeline, as overlapping Poisson arrivals on
   the event loop, or against true-parallel worker processes — and reports
   throughput alongside the transport statistics. It holds no per-app logic
-  and no run loop of its own: each app is its scenario driver
-  (:func:`repro.sim.scenarios.apps.make_driver`), a run is a scenario plus
-  volume, and every mode is a configuration of the scenario engine's op
-  loop (:func:`repro.sim.scenarios.runner.run_ops`). Fault rules and scheduled
-  events therefore compose directly (see
-  :meth:`MultiClientWorkload.from_scenario`), so load runs double as stress
-  tests: the same drop/delay/reorder/duplicate taxonomy that the scenario
-  matrix exercises can be applied while thousands of operations are in
-  flight.
+  and no runner of its own: a run is a scenario plus volume, and a serial
+  or concurrent run is the scenario runner's one run
+  (:class:`repro.sim.scenarios.runner.ScenarioRunner`), so the report
+  carries its invariants, audit verdict and coverage cells and
+  ``consistency_issues`` lists every invariant that failed. Only the
+  parallel mode, which brings its own transport, drives the op loop
+  (:func:`repro.sim.scenarios.runner.run_ops`) itself. Three figures stay
+  the harness's own: latency over succeeded ops, the in-flight count at its
+  own reshard, and the prio session tag. Fault rules and scheduled events
+  compose directly (see :meth:`MultiClientWorkload.from_scenario`), so load
+  runs double as stress tests.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field, replace
 
-from repro.sim.metrics import LatencyStats, RunTotals, summarize
+from repro.sim.metrics import summarize
+from repro.sim.scenarios.spec import ScenarioReport
 
 __all__ = ["WorkloadGenerator", "WorkloadReport", "MultiClientWorkload"]
 
@@ -70,35 +72,31 @@ class WorkloadGenerator:
 
 
 @dataclass
-class WorkloadReport(RunTotals):
-    """Everything one load run produced (the shared totals come from
-    :class:`~repro.sim.metrics.RunTotals`)."""
+class WorkloadReport(ScenarioReport):
+    """Everything one load run produced.
 
-    app: str
-    num_clients: int
-    ops: int
+    A load run is a scenario run, so the report is a
+    :class:`~repro.sim.scenarios.spec.ScenarioReport` — run totals,
+    invariants, audit verdict, coverage cells — whose ``latency`` covers the
+    succeeded ops only and whose ``in_flight_at_reshard`` counts the ops in
+    flight at the workload's own reshard. The fields below are what only
+    the load harness measures.
+    """
+
     batched: bool = True
     batch_size: int = 0
-    shards: int = 1
-    service_time: float = 0.0
     wall_seconds: float = 0.0
-    sim_seconds: float = 0.0
-    consistency_issues: list = field(default_factory=list)
-    latency: LatencyStats | None = None  # succeeded ops only
     # Per-shard breakdown: sim latency stats for the operations routed to
     # each shard (batched ops carry their span's completion latency).
     shard_latency: dict = field(default_factory=dict)  # shard -> LatencyStats
     # Live-reshard segmentation (populated when reshard_at_op fires).
     resharded: bool = False
     reshard_to: int = 0
-    ops_before_reshard: int = 0
+    reshard_at_op: int = 0  # the op boundary the reshard fired at
+    ops_before_reshard: int = 0  # succeeded ops completed before the fire
     sim_seconds_before_reshard: float = 0.0
     reshard_sim_seconds: float = 0.0
     reshard_summary: dict = field(default_factory=dict)
-    # Discrete-event concurrency (populated when concurrent=True).
-    concurrent: bool = False
-    arrival_rate: float = 0.0
-    in_flight_at_reshard: int = 0  # at the workload's own reshard
     # Elastic control loop (populated when an autoscale policy is installed).
     autoscaled: bool = False
     autoscale_reshards: list = field(default_factory=list)   # report dicts
@@ -108,6 +106,37 @@ class WorkloadReport(RunTotals):
     # sim-time number from such a run would be meaningless.
     parallel: bool = False
     workers: int = 0
+
+    @property
+    def app(self) -> str:
+        return self.scenario.app
+
+    @property
+    def num_clients(self) -> int:
+        """Simulated users, one op each."""
+        return self.scenario.ops
+
+    @property
+    def shards(self) -> int:
+        """Shards the run started with."""
+        return self.scenario.shards
+
+    @property
+    def service_time(self) -> float:
+        return self.scenario.service_time
+
+    @property
+    def concurrent(self) -> bool:
+        return self.scenario.concurrent
+
+    @property
+    def arrival_rate(self) -> float:
+        return self.scenario.arrival_rate
+
+    @property
+    def sim_seconds(self) -> float:
+        """Sim time of the op loop (0.0 for a parallel run)."""
+        return self.sim_elapsed_s
 
     @property
     def pre_reshard_sim_ops_per_sec(self) -> float:
@@ -155,8 +184,15 @@ class WorkloadReport(RunTotals):
         return self.succeeded / self.sim_seconds
 
     @property
+    def consistency_issues(self) -> list[str]:
+        """The details of every invariant the run saw fail."""
+        return [f"{result.name}: {result.detail}"
+                for result in self.invariants if not result.ok]
+
+    @property
     def consistent(self) -> bool:
-        """Whether the end-of-run application state matched the accepted ops."""
+        """Whether every invariant held, the end-of-run application state
+        matching the accepted ops included."""
         return not self.consistency_issues
 
     def format(self) -> str:
@@ -213,8 +249,10 @@ class WorkloadReport(RunTotals):
             )
         lines.extend(self.queue_depth_lines())
         if self.resharded:
+            completed = ("" if self.ops_before_reshard == self.reshard_at_op
+                         else f" ({self.ops_before_reshard} ops done before it)")
             lines.append(
-                f"  reshard: at op {self.ops_before_reshard}, "
+                f"  reshard: at op {self.reshard_at_op}{completed}, "
                 f"{self.reshard_sim_seconds * 1000:.1f} ms sim migration; "
                 f"sim throughput {self.pre_reshard_sim_ops_per_sec:.0f} -> "
                 f"{self.post_reshard_sim_ops_per_sec:.0f} ops/sec"
@@ -269,37 +307,24 @@ class MultiClientWorkload:
     """Simulates many concurrent users driving one application over the network.
 
     A load run is a :class:`~repro.sim.scenarios.spec.Scenario` (kept as
-    :attr:`scenario`: the app, one op per simulated client, shard layout,
-    seed, fault plan, retry budget and arrival shape) plus the settings only
+    :attr:`scenario`, one op per simulated client) plus the settings only
     the load harness has: how the ops are grouped, the per-wave timeout, a
     live reshard of its own, an autoscale policy and parallel workers. The
-    driver executes the ops through the application's public client API,
-    either one op at a time (``batched=False``: spans of one op, each request
-    fanning out to its domains in one wave) or in spans of ``batch_size``
-    ops (``batched=True``). All traffic
-    crosses the simulated network as framed RPC bytes, so fault rules and
-    scheduled events from the scenario engine apply to it exactly as they do
-    in the scenario matrix.
+    ops run through the application's public client API, one op at a time
+    (``batched=False``: spans of one op) or in spans of ``batch_size`` ops.
+    All traffic crosses the simulated network as framed RPC bytes, so fault
+    rules and scheduled events apply to it exactly as they do in the
+    scenario matrix, and the run is audited and checked like a scenario.
 
     Args:
-        app: one of ``keybackup``, ``threshold_sign``, ``prio``, ``odoh``.
+        app, seed, shards, service_time, rules, events, rpc_attempts,
+            concurrent, arrival_rate, arrival_phases: the run shape, as the
+            :class:`~repro.sim.scenarios.spec.Scenario` attributes of the
+            same names (``batched`` is ignored when ``concurrent``).
         num_clients: how many simulated users the run models, one op each.
-        seed: master seed for the workload and the fault randomness.
         batched: run spans of ``batch_size`` ops instead of one op at a time.
-        batch_size: operations per batch in batched mode (client requests are
-            grouped in spans of this size; scheduled events fire at span
-            boundaries rather than between individual ops).
-        shards: how many service-plane shards carry the app (1 = the classic
-            single-deployment layout).
-        service_time: simulated seconds each trust domain spends per request
-            (a serial busy-until queue). 0 leaves servers infinitely fast —
-            fine for message-count comparisons, but shard scaling is only
-            measurable in sim time with a non-zero service time (see
-            docs/architecture.md).
-        rules: probabilistic :class:`~repro.sim.faults.FaultRule` instances.
-        events: scheduled :class:`~repro.sim.faults.ScheduledEvent` instances.
-        rpc_attempts: send attempts per request (retries are safe against the
-            at-most-once servers).
+        batch_size: operations per span in batched mode; scheduled events
+            fire at span boundaries rather than between individual ops.
         reshard_at_op: resize the service *live* just before this operation
             index — a :class:`~repro.sim.faults.ReshardService` event that
             fires first among that op's events (a batched run fires it at
@@ -309,23 +334,9 @@ class MultiClientWorkload:
         reshard_to: the shard count the live reshard resizes to — above
             ``shards`` grows, below it shrinks (evacuate + retire); it must
             differ from ``shards`` and be at least 1.
-        concurrent: drive ops as overlapping tasks on the discrete-event
-            loop instead of serially. Each op arrives at its own simulated
-            time (Poisson arrivals at ``arrival_rate``) and runs as a
-            generator that yields while its requests are on the wire, so
-            hundreds of ops are genuinely in flight at once — queueing,
-            tail latency, and reshard-under-load become measurable.
-            ``batched`` is ignored in this mode.
-        arrival_rate: mean op arrivals per simulated second in concurrent
-            mode (required > 0 when ``concurrent=True``).
         op_timeout: per-wave response timeout (simulated seconds) for
             concurrent ops; each wave retransmits up to ``rpc_attempts``
             times before the op fails with a timeout.
-        arrival_phases: optional load shape for concurrent mode — a tuple of
-            ``(start_op, rate)`` pairs with ascending start ops. Arrivals
-            before the first phase use ``arrival_rate``; from each phase's
-            start op onward, its rate applies. A flash crowd is one phase
-            (spike), a diurnal wave is several.
         autoscale_policy: enable a metrics-driven
             :class:`~repro.service.autoscaler.Autoscaler` before the run
             starts (concurrent mode only). A monitor task samples windowed
@@ -403,30 +414,17 @@ class MultiClientWorkload:
     @classmethod
     def from_scenario(cls, scenario, num_clients: int = 100,
                       batched: bool = True, batch_size: int = 128) -> "MultiClientWorkload":
-        """Build a load run from a scenario's fault plan.
+        """Build a load run of ``scenario`` with ``num_clients`` ops.
 
-        The scenario contributes its application, shard layout, seed,
-        probabilistic rules, scheduled events, retry budget, and arrival
-        shape; the load harness contributes volume. This is how the scenario
-        matrix composes with throughput runs — sharded and reshard scenarios
-        included (shard-named events resolve against the same shard count
-        they were written for).
+        The scenario is kept whole (regions, name and audit expectations
+        included); the load harness contributes volume and how the ops are
+        grouped. This is how the scenario matrix composes with throughput
+        runs — sharded, reshard and epoch-audit scenarios included.
         """
-        return cls(
-            app=scenario.app,
-            num_clients=num_clients,
-            seed=scenario.seed,
-            batched=batched,
-            batch_size=batch_size,
-            shards=scenario.shards,
-            service_time=scenario.service_time,
-            rules=scenario.rules,
-            events=scenario.events,
-            rpc_attempts=scenario.rpc_attempts,
-            concurrent=scenario.concurrent,
-            arrival_rate=scenario.arrival_rate,
-            arrival_phases=scenario.arrival_phases,
-        )
+        workload = cls(scenario.app, num_clients, batched=batched,
+                       batch_size=batch_size)
+        workload.scenario = replace(scenario, ops=num_clients)
+        return workload
 
     def run(self) -> WorkloadReport:
         """Execute the workload and return its report.
@@ -435,36 +433,21 @@ class MultiClientWorkload:
         operation — executes with the crypto layer's randomness routed
         through a DRBG seeded from the workload seed, which is what makes
         same-seed replay bit-identical down to payload byte lengths (and
-        therefore simulated latencies).
+        therefore simulated latencies). A serial or concurrent run is the
+        scenario runner's run of :attr:`scenario`, so it is audited and
+        checked like any scenario; its own reshard is one more scenario
+        event.
         """
         from repro.crypto import rng as crypto_rng
-        from repro.sim.scenarios.apps import make_driver
-
-        scenario = self.scenario
-        with crypto_rng.deterministic(scenario.seed):
-            driver = make_driver(scenario.app, scenario.seed, scenario.ops,
-                                 shards=scenario.shards, tag_prefix="workload")
-            if self.parallel:
-                return self._run_parallel(driver)
-            return self._run(driver)
-
-    def _report(self, **mode) -> WorkloadReport:
-        scenario = self.scenario
-        return WorkloadReport(app=scenario.app, num_clients=scenario.ops,
-                              ops=scenario.ops, shards=scenario.shards, **mode)
-
-    def _run(self, driver) -> WorkloadReport:
         from repro.sim.faults import ReshardService
-        from repro.sim.scenarios.runner import routed_context, run_ops
+        from repro.sim.scenarios.runner import ScenarioRunner
 
         scenario = self.scenario
+        if self.parallel:
+            with crypto_rng.deterministic(scenario.seed):
+                return self._run_parallel()
         batched = self.batched and not scenario.concurrent
         span = self.batch_size if batched else 1
-        report = self._report(batched=batched,
-                              batch_size=self.batch_size if batched else 0,
-                              service_time=scenario.service_time,
-                              concurrent=scenario.concurrent,
-                              arrival_rate=scenario.arrival_rate)
         reshard = None
         if self.reshard_at_op is not None:
             # A run fires it at the boundary of the span holding the
@@ -473,31 +456,26 @@ class MultiClientWorkload:
             at_op = self.reshard_at_op - self.reshard_at_op % span
             reshard = ReshardService(at_op=at_op, shards=self.reshard_to)
             scenario = replace(scenario, events=(reshard,) + scenario.events)
-        ctx, plan = routed_context(driver, scenario)
-        if self.autoscale_policy is not None:
-            ctx.enable_autoscaler(self.autoscale_policy)
-
-        clock = ctx.network.clock
-        sim_started = clock.now()
-        wall_started = time.perf_counter()
-        run = run_ops(ctx, plan, scenario, batch_size=span,
-                      op_timeout=self.op_timeout)
-        report.wall_seconds = time.perf_counter() - wall_started
-        report.sim_seconds = clock.now() - sim_started
-        report.record(ctx, run)
+        report = WorkloadReport(scenario=scenario, batched=batched,
+                                batch_size=self.batch_size if batched else 0)
+        with crypto_rng.deterministic(scenario.seed):
+            ctx, run = ScenarioRunner(scenario)._run(
+                report, batch_size=span, op_timeout=self.op_timeout,
+                autoscale_policy=self.autoscale_policy, tag_prefix="workload")
+        report.wall_seconds = run.wall_seconds
+        # Only the workload's own reshard sets the in-flight figure.
+        report.in_flight_at_reshard = 0
         if reshard is not None:
-            self._attach_reshard(report, run, reshard, sim_started)
+            self._attach_reshard(report, run, reshard)
         if ctx.autoscaler is not None:
             scaler = ctx.autoscaler
             report.autoscaled = any(d.fired for d in scaler.decisions)
             report.autoscale_reshards = [r.to_dict()
                                          for r in scaler.reshard_reports]
-        driver.plane.unroute()
-        self._attach_latency(report, driver, run)
-        report.consistency_issues = self._consistency_issues(driver, ctx)
+        self._attach_latency(report, ctx.driver, run)
         return report
 
-    def _run_parallel(self, driver) -> WorkloadReport:
+    def _run_parallel(self) -> WorkloadReport:
         """Drive the batched pipeline against true-parallel shard workers.
 
         The client side (this process) builds the same deterministic
@@ -511,12 +489,15 @@ class MultiClientWorkload:
         """
         from repro.service.parallel import ParallelShardExecutor
         from repro.sim.faults import FaultPlan
+        from repro.sim.scenarios.apps import make_driver
         from repro.sim.scenarios.runner import ScenarioContext, run_ops
 
         scenario = self.scenario
+        driver = make_driver(scenario.app, scenario.seed, scenario.ops,
+                             shards=scenario.shards, tag_prefix="workload")
         plane = driver.plane
-        report = self._report(batched=True, batch_size=self.batch_size,
-                              parallel=True, workers=self.workers)
+        report = WorkloadReport(scenario=scenario, batch_size=self.batch_size,
+                                parallel=True, workers=self.workers)
         executor = ParallelShardExecutor(scenario.app, scenario.seed,
                                          scenario.ops, scenario.shards,
                                          workers=self.workers)
@@ -524,21 +505,19 @@ class MultiClientWorkload:
         try:
             plane.route_via_network(executor, attempts=1)
             ctx = ScenarioContext(None, driver)
-            wall_started = time.perf_counter()
             run = run_ops(ctx, FaultPlan(), scenario, batch_size=self.batch_size)
-            report.wall_seconds = time.perf_counter() - wall_started
+            report.wall_seconds = run.wall_seconds
             report.record(ctx, run)
-            # Consistency checks read the workers' state, so they must run
+            # The app's invariants read the workers' state, so they must run
             # while the plane is still routed through the executor (the
             # parent's own domain state never saw the traffic).
-            report.consistency_issues = self._consistency_issues(driver, ctx)
+            report.invariants = driver.finish(ctx)
         finally:
             plane.unroute()
             executor.shutdown()
         return report
 
-    def _attach_reshard(self, report: WorkloadReport, run, reshard,
-                        sim_started: float) -> None:
+    def _attach_reshard(self, report: WorkloadReport, run, reshard) -> None:
         """Segment the run around the workload's own live reshard.
 
         A failed reshard is a run outcome, not a harness crash: a planning
@@ -550,7 +529,8 @@ class MultiClientWorkload:
         report.ops_before_reshard = sum(
             1 for _, _, op_error in run.results[:fired.completed]
             if op_error is None)
-        report.sim_seconds_before_reshard = fired.started - sim_started
+        report.reshard_at_op = reshard.at_op
+        report.sim_seconds_before_reshard = fired.started - run.sim_started
         report.reshard_sim_seconds = fired.finished - fired.started
         report.reshard_summary = (reshard_report.to_dict()
                                   if reshard_report is not None else {})
@@ -571,18 +551,11 @@ class MultiClientWorkload:
         """
         succeeded = [(op_index, latency)
                      for op_index, latency, error in run.results if error is None]
-        if not succeeded:
-            return
-        report.latency = summarize([latency for _, latency in succeeded])
+        report.latency = (summarize([latency for _, latency in succeeded])
+                          if succeeded else None)
         per_shard: dict[int, list[float]] = {}
         for op_index, latency in succeeded:
             shard = driver.plane.shard_for(driver.routing_key(op_index))
             per_shard.setdefault(shard, []).append(latency)
         report.shard_latency = {shard: summarize(samples)
                                 for shard, samples in sorted(per_shard.items())}
-
-    @staticmethod
-    def _consistency_issues(driver, ctx) -> list[str]:
-        """The details of every end-of-run invariant the driver saw fail."""
-        return [f"{result.name}: {result.detail}"
-                for result in driver.finish(ctx) if not result.ok]

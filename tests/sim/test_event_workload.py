@@ -65,6 +65,16 @@ class TestConcurrentMode:
         assert report.failed == 0
         assert report.consistent
 
+    def test_reshard_label_names_the_op_it_fired_at(self):
+        """With every earlier op still in flight, the reshard fires at op 20
+        before any op has completed: the label names the boundary and adds
+        the completed count because the two differ."""
+        report = run_workload(num_clients=40, seed=2116, arrival_rate=2000.0,
+                              service_time=0.002, reshard_at_op=20,
+                              reshard_to=4)
+        assert report.reshard_at_op == 20 and report.ops_before_reshard == 0
+        assert "reshard: at op 20 (0 ops done before it)," in report.format()
+
     def test_in_flight_at_reshard_counts_the_workloads_own_transition(self):
         """A later caller-scheduled reshard does not overwrite the figure."""
         params = dict(num_clients=80, arrival_rate=50_000.0,

@@ -56,14 +56,13 @@ def test_a_span_of_one_and_a_concurrent_op_are_the_same_flow(app):
 def run_workload(monkeypatch, app: str, **options):
     """A small workload's outcomes, messages, bytes and simulated time."""
     networks = []
-    routed_context = runner.routed_context
+    run_ops = runner.run_ops
 
-    def spy(*args, **kwargs):
-        ctx, plan = routed_context(*args, **kwargs)
+    def spy(ctx, *args, **kwargs):
         networks.append(ctx.network)
-        return ctx, plan
+        return run_ops(ctx, *args, **kwargs)
 
-    monkeypatch.setattr(runner, "routed_context", spy)
+    monkeypatch.setattr(runner, "run_ops", spy)
     report = MultiClientWorkload(app, num_clients=4, shards=2,
                                  service_time=500e-6, **options).run()
     [network] = networks

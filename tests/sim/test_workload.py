@@ -194,6 +194,34 @@ class TestFaultComposition:
         assert report.success_rate >= scenario.min_success_rate - 0.15
         assert report.consistent, report.consistency_issues
 
+    @pytest.mark.parametrize("grouping", [dict(batched=False),
+                                          dict(batch_size=4)],
+                             ids=["unbatched", "spans-of-4"])
+    def test_a_forged_epoch_is_detected_under_load(self, grouping):
+        """The load run installs the epoch publisher, so the scenario's
+        reshard publishes a bundle, the forge rewrites it and the auditor
+        rejects it. The spans stay short enough for the reshard to fire
+        after the first backups (one 128-op span would fire every event at
+        op 0, before there is a key to migrate or a digest to forge)."""
+        scenario = next(s for s in default_matrix()
+                        if s.name == "keybackup-forged-epoch-detected")
+        report = MultiClientWorkload.from_scenario(scenario, num_clients=12,
+                                                   **grouping).run()
+        assert "forged-epoch" in report.detected_kinds
+        verdicts = {result.name: result.ok for result in report.invariants}
+        assert verdicts["epoch-bundles-verify"]
+        assert report.consistent, report.consistency_issues
+
+    def test_from_scenario_keeps_the_regions(self):
+        scenario = next(s for s in default_matrix()
+                        if s.name == "pinned-geo-reshard-reorder-2152")
+        workload = MultiClientWorkload.from_scenario(scenario, num_clients=12)
+        assert workload.scenario.regions == scenario.regions
+        assert workload.scenario.name == scenario.name
+        report = workload.run()
+        assert any(value.startswith("geo/")
+                   for cell in report.coverage_cells for value in cell)
+
     def test_duplicate_storm_does_not_double_apply(self):
         scenario = next(s for s in default_matrix()
                         if s.name == "sign-duplicate-storm")
@@ -247,6 +275,39 @@ class TestOneOpLoop:
     def test_concurrent_workload_matches_concurrent_scenario(self, app, ops):
         self.assert_one_schema(app, ops, concurrent=True,
                                arrival_rate=20000.0, service_time=3e-4)
+
+    @pytest.mark.parametrize("scenario", default_matrix(),
+                             ids=lambda scenario: scenario.name)
+    def test_a_load_run_of_a_scenario_is_that_scenario_run(self, scenario):
+        """One runner: a load run of a matrix scenario with the scenario's
+        own op count — epoch audits, forged bundles and geo regions
+        included — reports the scenario's totals and invariant verdicts.
+
+        A prio run keeps the load harness's session tag (``workload-``
+        rather than ``scenario-``) by design. The tag places submissions
+        differently, so a prio run's timing is left uncompared: its sim
+        time and, when ops overlap, its in-flight peak, queue depths and
+        autoscale decisions.
+        """
+        from dataclasses import fields
+
+        from repro.sim.metrics import RunTotals
+        from repro.sim.scenarios.runner import ScenarioRunner
+
+        load = MultiClientWorkload.from_scenario(
+            scenario, num_clients=scenario.ops, batched=False).run()
+        alone = ScenarioRunner(scenario).run()
+        timing = ({"max_in_flight", "shard_queue_depth", "autoscale_decisions"}
+                  if scenario.app == "prio" else set())
+        for total in fields(RunTotals):
+            if total.name not in timing:
+                assert (getattr(load, total.name)
+                        == getattr(alone, total.name)), total.name
+        assert ([(result.name, result.ok) for result in load.invariants]
+                == [(result.name, result.ok) for result in alone.invariants])
+        assert load.consistent == alone.all_invariants_ok
+        if scenario.app != "prio":
+            assert load.sim_seconds == alone.sim_elapsed_s
 
 
 class TestBatchSigningProvenance:
