@@ -18,7 +18,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.common import constant_time_equal
-from repro.core.client import AuditingClient
 from repro.core.package import CodePackage, DeveloperIdentity
 from repro.crypto import rng
 from repro.crypto.hashes import hkdf, hmac_sha256
@@ -340,44 +339,26 @@ class ObliviousDnsClient:
 
     def __init__(self, service: ObliviousDnsDeployment, audit_before_use: bool = True):
         self.service = service
-        self.auditing_client = AuditingClient(
-            service.plane.vendor_registry,
-            require_attestation_from_all_enclaves=True,
-        )
-        # The stub resolver audits once per session; proxy and resolver run
-        # *different* published applications, so the audit checks each domain
-        # individually instead of cross-checking digests (audit_fn override).
+        # The stub resolver audits once per session. Proxy and resolver are
+        # bound to different packages, so the audit checks each against its
+        # own published application.
         self.session = ServiceClient(
             service.plane,
             audit_policy="once" if audit_before_use else "never",
-            auditing_client=self.auditing_client,
-            audit_fn=self._audit_domains_individually,
         )
+        self.auditing_client = self.session.auditing_client
         self.audit_before_use = audit_before_use
         # The resolver's public key is multiplied once per query; a fixed-base
         # window table makes that about 60 mixed additions and no doublings
         # per resolution.
         self._resolver_table = SECP256K1.precompute(service.resolver_public_key.point)
 
-    def _audit_domains_individually(self):
-        reports = []
-        for shard in self.service.plane.shards:
-            report_proxy = self.auditing_client.audit_domains(
-                [shard.domains[PROXY_DOMAIN]]
-            )
-            report_resolver = self.auditing_client.audit_domains(
-                [shard.domains[RESOLVER_DOMAIN]]
-            )
-            if not (report_proxy.ok and report_resolver.ok):
-                raise ApplicationError("oblivious DNS deployment failed its audit")
-            reports.append((report_proxy, report_resolver))
-        return reports
-
     def audit(self):
-        """Audit every shard's proxy and resolver domains.
+        """Audit every shard's proxy and resolver domains; raises
+        :class:`~repro.errors.MisbehaviorDetected` on any misbehavior.
 
-        Returns the single shard's ``(proxy report, resolver report)`` pair —
-        the legacy shape — or the list of per-shard pairs when sharded.
+        A single-shard service returns its one report, a sharded one the
+        list of per-shard reports.
         """
         return self.session.audit_compat()
 

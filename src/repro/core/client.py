@@ -10,10 +10,14 @@ trust domain,
 2. that the attested state binds the current application digest and the head
    of the domain's append-only digest log;
 3. that the digest log the domain serves actually hashes to that head; and
-4. that all domains agree — same current digest, mutually consistent digest
-   histories — and that every digest they have ever run corresponds to a
-   release published in the developer's public release log and source
-   registry.
+4. that all domains bound to the same package agree — same current digest,
+   mutually consistent digest histories — and that every digest any domain
+   has ever run corresponds to a release published in the developer's public
+   release log and source registry.
+
+Domains bound to different packages (ODoH's proxy and resolver) run different
+releases by design, so the package layout a deployment declares
+(``Deployment.bindings``) groups the cross-checks of step 4.
 
 Every failed check yields a :class:`~repro.core.evidence.MisbehaviorEvidence`
 object that third parties can verify independently.
@@ -22,6 +26,7 @@ object that third parties can verify independently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from repro.common import random_bytes
 from repro.core.deployment import Deployment
@@ -73,19 +78,19 @@ class AuditReport:
 class AuditingClient:
     """Audits a distributed-trust deployment before trusting it with secrets."""
 
-    def __init__(self, vendor_registry=None, expected_measurement: Measurement | None = None,
-                 require_attestation_from_all_enclaves: bool = True):
+    def __init__(self, vendor_registry=None, expected_measurement: Measurement | None = None):
         self.verifier = AttestationVerifier(vendor_registry)
         self.expected_measurement = expected_measurement or expected_framework_measurement()
-        self.require_attestation = require_attestation_from_all_enclaves
 
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
     def audit_deployment(self, deployment: Deployment) -> AuditReport:
-        """Audit every domain of a deployment, including release-log cross-checks."""
-        report = self.audit_domains(deployment.domains)
-        report.checked_against_release_log = self._check_release_log(deployment, report)
+        """Audit every domain of a deployment against its declared package
+        layout, including the release-log cross-check."""
+        report, logged = self._audit(deployment.domains, deployment.bindings)
+        report.checked_against_release_log = self._check_release_log(
+            deployment, report, logged)
         report.ok = report.ok and report.checked_against_release_log
         return report
 
@@ -103,23 +108,33 @@ class AuditingClient:
 
     def audit_domains(self, domains: list[TrustDomain]) -> AuditReport:
         """Audit a list of trust domains and cross-check them against each other."""
+        return self._audit(domains, [None] * len(domains))[0]
+
+    def _audit(self, domains: list[TrustDomain], bindings: list):
+        """Audit each domain in index order (one nonce each), then cross-check
+        the domains that share a binding. Returns the report and, per domain,
+        the digests it has run: its verified log, or just its reported current
+        digest when its audit failed."""
         report = AuditReport(ok=True)
-        responses: list[dict] = []
-        for domain in domains:
+        groups: dict = {}
+        logged: list[list[bytes]] = []
+        for domain, binding in zip(domains, bindings):
             result, response, evidence = self._audit_single(domain)
             report.domain_results.append(result)
             if evidence is not None:
                 report.evidence.append(evidence)
-            if not result.ok:
+            if response is None:
                 report.ok = False
-            if response is not None:
-                responses.append(response)
+                logged.append([result.app_digest])
+                continue
+            groups.setdefault(binding, []).append(response)
+            logged.append([bytes(entry["code_digest"]) for entry in response["log"]])
 
-        self._cross_check_digests(report, responses)
-        self._cross_check_logs(report, responses)
+        for responses in groups.values():
+            self._cross_check(report, responses)
         if report.domain_results and report.ok:
             report.agreed_digest = report.domain_results[0].app_digest
-        return report
+        return report, logged
 
     # ------------------------------------------------------------------
     # Per-domain checks
@@ -151,36 +166,34 @@ class AuditingClient:
         if hardware != HardwareType.NONE.value:
             evidence_dict = response.get("attestation")
             if evidence_dict is None:
-                if self.require_attestation:
-                    return self._failed(
-                        response, "domain refused to attest",
-                        AttestationFailureEvidence(
-                            kind="attestation-failure",
-                            description="enclave-backed domain returned no attestation",
-                            domain_id=response["domain_id"],
-                            response=response,
-                            expected_measurement_digest=self.expected_measurement.digest,
-                            failure_reason="missing attestation",
-                        ),
-                    )
-            else:
-                verification = self.verifier.verify(
-                    evidence_dict, nonce, self.expected_measurement,
-                    user_data=response.get("user_data", b""),
+                return self._failed(
+                    response, "domain refused to attest",
+                    AttestationFailureEvidence(
+                        kind="attestation-failure",
+                        description="enclave-backed domain returned no attestation",
+                        domain_id=response["domain_id"],
+                        response=response,
+                        expected_measurement_digest=self.expected_measurement.digest,
+                        failure_reason="missing attestation",
+                    ),
                 )
-                if not verification.valid:
-                    return self._failed(
-                        response, f"attestation invalid: {verification.reason}",
-                        AttestationFailureEvidence(
-                            kind="attestation-failure",
-                            description="attestation evidence failed verification",
-                            domain_id=response["domain_id"],
-                            response=response,
-                            expected_measurement_digest=self.expected_measurement.digest,
-                            failure_reason=verification.reason,
-                        ),
-                    )
-                attested = True
+            verification = self.verifier.verify(
+                evidence_dict, nonce, self.expected_measurement,
+                user_data=response.get("user_data", b""),
+            )
+            if not verification.valid:
+                return self._failed(
+                    response, f"attestation invalid: {verification.reason}",
+                    AttestationFailureEvidence(
+                        kind="attestation-failure",
+                        description="attestation evidence failed verification",
+                        domain_id=response["domain_id"],
+                        response=response,
+                        expected_measurement_digest=self.expected_measurement.digest,
+                        failure_reason=verification.reason,
+                    ),
+                )
+            attested = True
 
         # The digest log must hash to the head bound into the attestation.
         try:
@@ -226,55 +239,51 @@ class AuditingClient:
     # ------------------------------------------------------------------
     # Cross-domain checks
     # ------------------------------------------------------------------
-    def _cross_check_digests(self, report: AuditReport, responses: list[dict]) -> None:
-        for i in range(len(responses)):
-            for j in range(i + 1, len(responses)):
-                first, second = responses[i], responses[j]
-                if bytes(first.get("app_digest", b"")) != bytes(second.get("app_digest", b"")):
-                    report.ok = False
-                    if first.get("attestation") and second.get("attestation"):
-                        # Only attested responses yield *publicly verifiable*
-                        # evidence; a mismatch involving the developer's own
-                        # un-attested domain 0 still fails the audit.
-                        report.evidence.append(DigestMismatchEvidence(
-                            kind="digest-mismatch",
-                            description="two trust domains report different current code",
-                            first_domain=first["domain_id"],
-                            second_domain=second["domain_id"],
-                            first_response=first,
-                            second_response=second,
-                        ))
-
-    def _cross_check_logs(self, report: AuditReport, responses: list[dict]) -> None:
-        for i in range(len(responses)):
-            for j in range(i + 1, len(responses)):
-                first, second = responses[i], responses[j]
-                if not DigestLog.views_consistent(first.get("log", []), second.get("log", [])):
-                    report.ok = False
-                    if first.get("attestation") and second.get("attestation"):
-                        report.evidence.append(DigestMismatchEvidence(
-                            kind="history-divergence",
-                            description="two trust domains report diverging code histories",
-                            first_domain=first["domain_id"],
-                            second_domain=second["domain_id"],
-                            first_response=first,
-                            second_response=second,
-                        ))
+    @staticmethod
+    def _cross_check(report: AuditReport, responses: list[dict]) -> None:
+        """Domains bound to one package must report the same current code
+        and mutually consistent histories."""
+        checks = (
+            ("digest-mismatch", "two trust domains report different current code",
+             lambda first, second: bytes(first.get("app_digest", b""))
+             == bytes(second.get("app_digest", b""))),
+            ("history-divergence", "two trust domains report diverging code histories",
+             lambda first, second: DigestLog.views_consistent(
+                 first.get("log", []), second.get("log", []))),
+        )
+        for kind, description, agree in checks:
+            for first, second in combinations(responses, 2):
+                if agree(first, second):
+                    continue
+                report.ok = False
+                if first.get("attestation") and second.get("attestation"):
+                    # Only attested responses yield *publicly verifiable*
+                    # evidence; a mismatch involving the developer's own
+                    # un-attested domain 0 still fails the audit.
+                    report.evidence.append(DigestMismatchEvidence(
+                        kind=kind,
+                        description=description,
+                        first_domain=first["domain_id"],
+                        second_domain=second["domain_id"],
+                        first_response=first,
+                        second_response=second,
+                    ))
 
     # ------------------------------------------------------------------
     # Release-log cross-check
     # ------------------------------------------------------------------
-    def _check_release_log(self, deployment: Deployment, report: AuditReport) -> bool:
+    def _check_release_log(self, deployment: Deployment, report: AuditReport,
+                           logged: list[list[bytes]]) -> bool:
         """Every digest any domain has ever run must be a published release."""
         published = set(deployment.registry.digests())
         ok = True
-        for result in report.domain_results:
-            if result.app_digest and result.app_digest not in published:
+        for result, digests in zip(report.domain_results, logged):
+            if any(digest and digest not in published for digest in digests):
                 ok = False
                 report.evidence.append(AttestationFailureEvidence(
                     kind="unpublished-code",
                     description=(
-                        f"domain {result.domain_id} runs code whose source was never published"
+                        f"domain {result.domain_id} ran code whose source was never published"
                     ),
                     domain_id=result.domain_id,
                     response={},

@@ -79,6 +79,10 @@ class Deployment:
         self.registry = ReleaseRegistry(framework_source())
         self.release_log = CtLog(f"{name}-releases")
         self.domains: list[TrustDomain] = []
+        # The declared package layout: the name of the package each domain
+        # is bound to, by domain index (``None`` until one is installed).
+        # Auditors cross-check only domains bound to the same package.
+        self.bindings: list[str | None] = [None] * self.config.num_domains
         self._sequence = -1
         self._rpc_clients: list[RpcClient] | None = None
         self._rpc_attempts = 1
@@ -124,7 +128,8 @@ class Deployment:
     # Release and update workflow
     # ------------------------------------------------------------------
     def publish_and_install(self, package: CodePackage) -> UpdateManifest:
-        """Publish a release publicly and install it on every trust domain.
+        """Publish a release publicly and install it on every trust domain,
+        binding every domain to ``package``.
 
         Returns the signed manifest. Raises if any domain rejects the update —
         a deployment must never be left half-updated silently.
@@ -135,6 +140,7 @@ class Deployment:
         for domain in self.domains:
             domain.install_update(manifest, package)
         self._sequence = manifest.sequence
+        self.bindings = [package.name] * len(self.domains)
         return manifest
 
     def install_on_domain(self, domain_index: int, manifest: UpdateManifest,

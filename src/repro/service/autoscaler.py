@@ -241,9 +241,16 @@ class Autoscaler:
     # Transition
     # ------------------------------------------------------------------
     def _fire(self, decision: AutoscaleDecision):
-        """Run the gated transition: census, reshard, census, reconcile."""
+        """Run the gated transition: census, reshard, census, reconcile.
+
+        A census that fails (a shard cannot enumerate its keys) refuses the
+        decision through the reconciliation gate; before the move, nothing
+        moves.
+        """
         plane = self.plane
-        before = self.reconciliation.census(plane)
+        before = self._census(decision)
+        if before is None:
+            return None
         report = None
         try:
             if plane.draining_shards():
@@ -265,6 +272,17 @@ class Autoscaler:
         self.cooldown.record(plane.clock.now())
         if report is not None:
             self.reshard_reports.append(report)
-        after = self.reconciliation.census(plane)
-        decision.reconciliation = self.reconciliation.verify(before, after)
+        after = self._census(decision)
+        decision.reconciliation = (decision.gated_by if after is None else
+                                   self.reconciliation.verify(before, after))
         return report
+
+    def _census(self, decision: AutoscaleDecision) -> dict | None:
+        """The reconciliation census, or ``None`` with the decision refused
+        when a shard cannot answer it."""
+        try:
+            return self.reconciliation.census(self.plane)
+        except ReshardError as exc:
+            decision.gated_by = GateResult(self.reconciliation.name, False,
+                                           f"census failed: {exc}")
+            return None

@@ -13,8 +13,6 @@ genuinely theirs.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.core.client import AuditingClient
 from repro.errors import KeyMigratingError, ServiceSpecError
 from repro.net.eventloop import Sleep
@@ -41,16 +39,13 @@ class ServiceClient:
             operation that touches secrets), ``"once"`` audits on the first
             checkpoint of the session, ``"never"`` disables auditing (test
             harnesses, workload drivers).
-        auditing_client: override the auditing client (defaults to one built
-            from the plane's shared vendor registry).
-        audit_fn: override what an audit *does* — e.g. ODoH audits each
-            domain individually because proxy and resolver run different
-            published applications. Must raise on failure.
+
+    Audits go through :attr:`auditing_client`, built from the plane's shared
+    vendor registry, which checks each shard against its declared package
+    layout.
     """
 
-    def __init__(self, plane, audit_policy: str = "always",
-                 auditing_client: AuditingClient | None = None,
-                 audit_fn: Callable | None = None):
+    def __init__(self, plane, audit_policy: str = "always"):
         if audit_policy not in AUDIT_POLICIES:
             raise ServiceSpecError(
                 f"unknown audit policy {audit_policy!r} (expected one of "
@@ -58,8 +53,7 @@ class ServiceClient:
             )
         self.plane = plane
         self.audit_policy = audit_policy
-        self.auditing_client = auditing_client or AuditingClient(plane.vendor_registry)
-        self._audit_fn = audit_fn
+        self.auditing_client = AuditingClient(plane.vendor_registry)
         self._audited = False
 
     # ------------------------------------------------------------------
@@ -70,12 +64,9 @@ class ServiceClient:
 
         Each shard is a complete deployment, so each gets the full treatment:
         attestation against vendor roots, digest-log verification,
-        cross-domain agreement, and the release-registry cross-check.
+        agreement among domains bound to the same package, and the
+        release-registry cross-check.
         """
-        if self._audit_fn is not None:
-            result = self._audit_fn()
-            self._audited = True
-            return result
         reports = [self.auditing_client.audit_or_raise(shard)
                    for shard in self.plane.shards]
         self._audited = True
@@ -110,7 +101,7 @@ class ServiceClient:
         session — covers the full fleet.
         """
         if self.audit_policy == "always":
-            if key is None or self._audit_fn is not None:
+            if key is None:
                 self.audit()
             else:
                 self.audit_shard(self.plane.shard_for(key))

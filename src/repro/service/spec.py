@@ -201,4 +201,5 @@ class ServiceSpec:
             deployment.release_log.append(encode(manifest.to_dict()))
             for domain_index in binding.domains:
                 deployment.install_on_domain(domain_index, manifest, binding.package)
+                deployment.bindings[domain_index] = binding.package.name
                 next_sequence[domain_index] = manifest.sequence + 1

@@ -347,8 +347,9 @@ class ForgeEpochDigest(ScheduledEvent):
     auditor's digest-conservation check can catch the lie.
     """
 
-    def apply(self, ctx) -> None:
-        ctx.forge_epoch()
+    def apply(self, ctx):
+        """Returns the error text when there was no digest to forge."""
+        return ctx.forge_epoch()
 
 
 # ---------------------------------------------------------------------------

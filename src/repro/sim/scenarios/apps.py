@@ -99,10 +99,10 @@ class ScenarioDriver:
     def audit_outcome(self):
         """Run a full client audit; returns ``(ok, evidence kinds)``.
 
-        The default audits every shard the way any end user would —
-        attestation against vendor roots, digest-log verification,
-        cross-domain agreement, and the release-registry cross-check — and
-        ANDs the verdicts (shards grown by a mid-run reshard included).
+        Audits every shard the way any end user would — attestation against
+        vendor roots, digest-log verification, agreement among domains bound
+        to the same package, and the release-registry cross-check — and ANDs
+        the verdicts (shards grown by a mid-run reshard included).
         """
         client = AuditingClient(self.deployment.vendor_registry)
         ok = True
@@ -309,8 +309,8 @@ class PrioDriver(ScenarioDriver):
                                                session_tag=f"{tag_prefix}-{seed}")
         self._values = self.workload.telemetry_values(ops, 0, self.service.max_value)
         self.accepted_values: list[int] = []
-        self.torn_submissions = 0
-        self.failed_submissions = 0
+        self.torn_values: list[int] = []
+        self.failed_values: list[int] = []
 
     def routing_key(self, op_index: int):
         # One submission per op, counter starting at zero: the op's index is
@@ -322,11 +322,11 @@ class PrioDriver(ScenarioDriver):
         if outcome is True:
             self.accepted_values.append(value)
         elif isinstance(outcome, PartialSubmissionError):
-            self.torn_submissions += 1
+            self.torn_values.append(value)
         else:
             # A "clean" failure from the client's view — but a server may
             # still have accepted a share whose response was lost in flight.
-            self.failed_submissions += 1
+            self.failed_values.append(value)
 
     def run_span(self, start: int, count: int) -> list:
         values = self._values[start:start + count]
@@ -347,67 +347,7 @@ class PrioDriver(ScenarioDriver):
         return outcomes
 
     def finish(self, ctx) -> list[InvariantResult]:
-        invariants = []
-        # Aggregation needs every server (the sum of all share vectors), so a
-        # compromised or otherwise refusing server is a *refusal*, never a
-        # silently wrong sum — the safe outcome in every branch below.
-        if self.torn_submissions == 0 and self.failed_submissions == 0:
-            try:
-                result = self.service.aggregate()
-            except ApplicationError:
-                raise
-            except ReproError as exc:
-                invariants.append(InvariantResult(
-                    "aggregate-matches-accepted-submissions", True,
-                    "aggregation refused to answer rather than publish a sum "
-                    f"from an untrusted fleet ({type(exc).__name__})",
-                ))
-            else:
-                expected = sum(self.accepted_values) % FIELD_MODULUS
-                ok = (result["sum"] == expected
-                      and result["submissions"] == len(self.accepted_values))
-                invariants.append(InvariantResult(
-                    "aggregate-matches-accepted-submissions", ok,
-                    f"{len(self.accepted_values)} submissions aggregated exactly",
-                ))
-        elif self.torn_submissions == 0:
-            # Failed submissions may or may not have reached individual
-            # servers (a lost response looks like a clean failure to the
-            # client); either the servers still agree and the aggregate is
-            # exact, or they disagree and aggregation must refuse.
-            expected = sum(self.accepted_values) % FIELD_MODULUS
-            try:
-                result = self.service.aggregate()
-            except ReproError as exc:
-                invariants.append(InvariantResult(
-                    "aggregate-matches-accepted-submissions", True,
-                    f"{self.failed_submissions} failed submissions (or an "
-                    "untrusted server) left aggregation refusing to answer "
-                    f"({type(exc).__name__})",
-                ))
-            else:
-                ok = (result["sum"] == expected
-                      and result["submissions"] == len(self.accepted_values))
-                invariants.append(InvariantResult(
-                    "aggregate-matches-accepted-submissions", ok,
-                    f"{len(self.accepted_values)} submissions aggregated exactly",
-                ))
-        else:
-            # Torn submissions leave the servers disagreeing; the operator
-            # must detect that instead of publishing a silently wrong sum.
-            try:
-                self.service.aggregate()
-            except ReproError:
-                invariants.append(InvariantResult(
-                    "torn-submissions-detected", True,
-                    f"{self.torn_submissions} torn submissions made the servers "
-                    "disagree and aggregation refused to proceed",
-                ))
-            else:
-                invariants.append(InvariantResult(
-                    "torn-submissions-detected", False,
-                    "servers disagreed on submissions but aggregation succeeded",
-                ))
+        invariants = [self._aggregate_invariant()]
         total = self.service.num_servers
         breached = sum(
             1 for domain in self.deployment.domains
@@ -419,6 +359,63 @@ class PrioDriver(ScenarioDriver):
             "individual values stay hidden while any server remains honest",
         ))
         return invariants
+
+    def _aggregate_invariant(self) -> InvariantResult:
+        """The aggregate is exact, or aggregation refuses.
+
+        Aggregation needs every server (the sum of all share vectors), so a
+        compromised or otherwise refusing server is a *refusal*, never a
+        silently wrong sum; torn submissions leave the servers disagreeing,
+        which must refuse too. But a submission the client counts as torn or
+        failed may have reached every server with only its responses lost,
+        so an aggregate passes when the accepted values plus some subset of
+        those explain it.
+        """
+        torn, failed = len(self.torn_values), len(self.failed_values)
+        name = ("torn-submissions-detected" if torn
+                else "aggregate-matches-accepted-submissions")
+        try:
+            result = self.service.aggregate()
+        except ReproError as exc:
+            if isinstance(exc, ApplicationError) and not torn + failed:
+                raise
+            if torn:
+                detail = (f"{torn} torn submissions made the servers disagree "
+                          "and aggregation refused to proceed")
+            elif failed:
+                detail = (f"{failed} failed submissions (or an untrusted server) "
+                          "left aggregation refusing to answer "
+                          f"({type(exc).__name__})")
+            else:
+                detail = ("aggregation refused to answer rather than publish a "
+                          f"sum from an untrusted fleet ({type(exc).__name__})")
+            return InvariantResult(name, True, detail)
+        accepted = len(self.accepted_values)
+        landed = result["submissions"] - accepted
+        ok = self._explains(landed, result["sum"])
+        detail = f"{accepted} submissions aggregated exactly"
+        if not ok:
+            detail = (f"the aggregate of {result['submissions']} submissions "
+                      f"matches neither the {accepted} accepted ones nor them "
+                      f"plus any of the {torn + failed} torn or failed ones")
+        elif landed:
+            detail = (f"{accepted} accepted submissions plus {landed} of the "
+                      f"{torn + failed} torn or failed ones (responses lost) "
+                      "aggregated exactly")
+        return InvariantResult(name, ok, detail)
+
+    def _explains(self, landed: int, total: int) -> bool:
+        """Whether ``landed`` torn or failed values and the accepted ones can
+        sum to ``total``. Values are bounded by ``max_value``, so the
+        reachable ``(count, sum)`` pairs stay few; no subset is enumerated."""
+        reachable = {(0, 0)}
+        for value in self.torn_values + self.failed_values:
+            reachable |= {(count + 1, partial + value)
+                          for count, partial in reachable}
+        accepted = sum(self.accepted_values)
+        return any(count == landed
+                   and (accepted + partial) % FIELD_MODULUS == total
+                   for count, partial in reachable)
 
 
 class OdohDriver(ScenarioDriver):
@@ -539,27 +536,6 @@ class OdohDriver(ScenarioDriver):
         elif unresolvable:
             detail = f"records unresolvable after the reshard: {unresolvable[:3]}"
         return InvariantResult("reshard-conserves-records", ok, detail)
-
-    def audit_outcome(self):
-        """Audit proxy and resolver individually (they run different apps)."""
-        client = AuditingClient(self.deployment.vendor_registry,
-                                require_attestation_from_all_enclaves=True)
-        kinds = set()
-        ok = True
-        for shard in self.plane.shards:
-            for domain in shard.domains:
-                report = client.audit_domains([domain])
-                ok = ok and report.ok
-                kinds.update(evidence.kind for evidence in report.evidence)
-            # The cross-registry check audit_deployment would normally do:
-            # every digest a domain has ever run must be a published release.
-            published = set(shard.registry.digests())
-            for domain in shard.domains:
-                for entry in domain.framework.log_export():
-                    if bytes(entry["code_digest"]) not in published:
-                        ok = False
-                        kinds.add("unpublished-code")
-        return ok, kinds
 
 
 _DRIVERS = {driver.app_name: driver for driver in (

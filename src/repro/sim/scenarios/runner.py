@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from repro.core.package import CodePackage
-from repro.errors import ReproError, ReshardError
+from repro.errors import EpochBundleError, ReproError, ReshardError
 from repro.net.latency import geo_profile, lan_profile
 from repro.net.transport import Network
 from repro.sim.adversary import ScheduledCompromise
@@ -211,22 +211,28 @@ class ScenarioContext:
                                  epoch=verdict.epoch, kind=verdict.kind)
                 self.epoch_audits.append(entry)
 
-    def forge_epoch(self) -> None:
+    def forge_epoch(self) -> str | None:
         """Rewrite the latest bundle's first migrator digest and republish.
 
         Fired by :class:`~repro.sim.faults.ForgeEpochDigest`: the
         compromised-coordinator attack the auditor must provably catch. The
         forged artifact's index is remembered so the invariants can demand
         its rejection (and name the digest-conservation check) while every
-        honest bundle still verifies.
+        honest bundle still verifies. When there is no digest to forge (no
+        epoch yet, or the latest moved no keys) nothing is forged and the
+        error text is returned as the event's outcome.
         """
         from repro.transparency.epochs import forge_migration_digest
 
         publisher = getattr(self.plane, "epoch_publisher", None)
         if publisher is None:
             raise ValueError("scenario deployment publishes no epoch bundles")
-        forge_migration_digest(publisher)
+        try:
+            forge_migration_digest(publisher)
+        except EpochBundleError as exc:
+            return str(exc)
         self.forged_epochs.append(len(publisher.artifacts) - 1)
+        return None
 
     def _epoch_transport(self, publisher):
         """The bundle endpoint (coordinator side) and the auditor's client.

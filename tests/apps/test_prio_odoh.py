@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro.apps.odoh import ObliviousDnsClient, ObliviousDnsDeployment
+from repro.apps.odoh import RESOLVER_DOMAIN, ObliviousDnsClient, ObliviousDnsDeployment
 from repro.apps.prio import (
     FIELD_MODULUS,
     PrivateAggregationClient,
     PrivateAggregationDeployment,
 )
-from repro.errors import ApplicationError
+from repro.core.client import AuditingClient
+from repro.core.package import CodePackage
+from repro.errors import ApplicationError, MisbehaviorDetected
 from repro.sim.workload import WorkloadGenerator
 
 
@@ -117,8 +119,36 @@ class TestObliviousDns:
 
     def test_audit_passes(self, dns_service):
         client = ObliviousDnsClient(dns_service)
-        proxy_report, resolver_report = client.audit()
-        assert proxy_report.ok and resolver_report.ok
+        assert client.audit().ok
+
+    def test_clean_shard_passes_the_deployment_audit(self):
+        """Proxy and resolver are bound to different packages, so the
+        deployment audit does not cross-check them against each other."""
+        service = ObliviousDnsDeployment(shards=2)
+        client = AuditingClient(service.plane.vendor_registry)
+        for shard in service.plane.shards:
+            assert shard.bindings == ["odoh-proxy", "odoh-resolver"]
+            report = client.audit_deployment(shard)
+            kinds = {evidence.kind for evidence in report.evidence}
+            assert report.ok, kinds
+            assert not kinds & {"digest-mismatch", "history-divergence"}
+
+    def test_unpublished_resolver_update_fails_audit_before_use(self):
+        service = ObliviousDnsDeployment(records={"host1.example.com": "192.0.2.10"})
+        shard = service.plane.shards[0]
+        resolver = shard.domains[RESOLVER_DOMAIN]
+        current = resolver.framework.current_package
+        evil = CodePackage(current.name, current.version + "-evil",
+                           current.language, current.source)
+        manifest = shard.developer.sign_update(
+            evil, resolver.framework.state().sequence + 1)
+        shard.install_on_domain(RESOLVER_DOMAIN, manifest, evil)
+        client = ObliviousDnsClient(service, audit_before_use=True)
+        with pytest.raises(MisbehaviorDetected) as caught:
+            client.resolve("host1.example.com")
+        assert caught.value.evidence.kind == "unpublished-code"
+        with pytest.raises(MisbehaviorDetected):
+            client.audit()
 
     def test_load_more_records(self, dns_service):
         assert dns_service.load_records({"new.example.org": "198.51.100.7"}) == 1

@@ -57,6 +57,27 @@ class TestHonestDeployment:
 
 
 class TestMisbehaviorDetection:
+    def test_unpublished_code_in_the_log_history_detected(self):
+        """Every domain ran an unpublished build before the current,
+        published release: the domains agree and their current digest is
+        published, but the log history still fails the release check."""
+        developer, deployment = make_deployment()
+        rogue = wvm_package("6.6.6", extra="\n; exfiltrate keys")
+        clean = wvm_package("1.1.0", extra="\n; bugfix")
+        rogue_manifest = developer.sign_update(rogue, 1)
+        clean_manifest = developer.sign_update(clean, 2)
+        deployment.registry.publish(clean, clean_manifest)
+        for index in range(len(deployment.domains)):
+            deployment.install_on_domain(index, rogue_manifest, rogue)
+            deployment.install_on_domain(index, clean_manifest, clean)
+
+        report = AuditingClient(deployment.vendor_registry).audit_deployment(deployment)
+        assert not report.ok
+        assert all(result.ok and result.app_digest == clean.digest()
+                   for result in report.domain_results)
+        unpublished = [e for e in report.evidence if e.kind == "unpublished-code"]
+        assert len(unpublished) == len(deployment.domains)
+
     def test_partial_malicious_update_detected(self):
         """A (compromised) developer updates only one domain with unpublished code."""
         developer, deployment = make_deployment()

@@ -3,6 +3,7 @@ reconciliation census around autoscaler-driven reshards."""
 
 import pytest
 
+from repro.errors import ReshardError
 from repro.net.latency import lan_profile
 from repro.net.transport import Network
 from repro.service import (
@@ -21,6 +22,18 @@ POLICY = AutoscalerPolicy(
     min_shards=2, max_shards=8, cooldown_s=5.0,
     breach_streak=2, clear_streak=3,
 )
+
+
+class UnreadableMigrator(CounterMigrator):
+    """Refuses to enumerate any shard's keys while ``failing(plane)``."""
+
+    def __init__(self, failing):
+        self.failing = failing
+
+    def shard_keys(self, plane, shard_index):
+        if self.failing(plane):
+            raise ReshardError(f"shard {shard_index} did not answer the census")
+        return super().shard_keys(plane, shard_index)
 
 
 def loaded_plane(n_keys=24, shards=2):
@@ -159,6 +172,30 @@ class TestGates:
         network.recover(crashed)
         fired = scaler.observe(p99_s=2.0)
         assert fired.fired and plane.num_shards == 4
+
+    def test_failed_census_refuses_through_the_reconciliation_gate(self):
+        """A shard that cannot enumerate its keys refuses the decision
+        before anything moves, instead of aborting the control loop."""
+        plane = loaded_plane()
+        plane.migrator = UnreadableMigrator(lambda plane: True)
+        scaler = Autoscaler(plane, POLICY)
+        scaler.observe(p99_s=2.0)
+        refused = scaler.observe(p99_s=2.0)
+        assert refused.action == "grow" and not refused.fired
+        assert refused.gated_by.gate == "reconciliation"
+        assert "census failed" in refused.gated_by.reason
+        assert plane.num_shards == 2 and plane.epoch == 0
+
+    def test_failed_census_after_the_move_fails_reconciliation(self):
+        plane = loaded_plane()
+        plane.migrator = UnreadableMigrator(lambda plane: plane.epoch > 0)
+        scaler = Autoscaler(plane, POLICY)
+        scaler.observe(p99_s=2.0)
+        decision = scaler.observe(p99_s=2.0)
+        assert decision.fired and plane.num_shards == 4
+        assert decision.gated_by.gate == "reconciliation"
+        assert decision.reconciliation is decision.gated_by
+        assert not decision.reconciliation.allowed
 
     def test_heartbeat_gate_trivially_healthy_in_process(self):
         result = HeartbeatGate().check(loaded_plane())

@@ -230,28 +230,29 @@ class TestCapacityModel:
 class TestServiceClient:
     def test_audit_policies(self):
         plane = make_plane(shards=2)
-        audits = {"count": 0}
+        audited = []
 
-        def counting_audit():
-            audits["count"] += 1
-            return ["ok"]
+        def counting(policy):
+            session = ServiceClient(plane, audit_policy=policy)
+            session.auditing_client.audit_or_raise = (
+                lambda shard: audited.append(shard.name) or True
+            )
+            return session
 
-        always = ServiceClient(plane, audit_policy="always",
-                               audit_fn=counting_audit)
+        always = counting("always")
         always.checkpoint()
         always.checkpoint()
-        assert audits["count"] == 2
+        assert len(audited) == 2 * plane.num_shards
 
-        audits["count"] = 0
-        once = ServiceClient(plane, audit_policy="once", audit_fn=counting_audit)
+        audited.clear()
+        once = counting("once")
         once.checkpoint()
         once.checkpoint()
-        assert audits["count"] == 1
+        assert len(audited) == plane.num_shards
 
-        audits["count"] = 0
-        never = ServiceClient(plane, audit_policy="never", audit_fn=counting_audit)
-        never.checkpoint()
-        assert audits["count"] == 0
+        audited.clear()
+        counting("never").checkpoint()
+        assert audited == []
 
         with pytest.raises(ServiceSpecError):
             ServiceClient(plane, audit_policy="sometimes")

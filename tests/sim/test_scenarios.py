@@ -303,6 +303,69 @@ class TestElasticScenarios:
         assert report.final_shards == scenario.shards
 
 
+    def test_census_on_a_compromised_shard_refuses_instead_of_aborting(self):
+        """synth-2000-05 of ``synthesize_batch(40, 2000)``: the autoscaler
+        wants to grow while the only resolver is compromised, so the
+        reconciliation census cannot enumerate shard 0's records. Each
+        decision is refused, nothing moves, and the run ends with the audit
+        catching the compromise."""
+        from repro.service import AutoscalerPolicy
+        from repro.sim.faults import AutoscaleEnabled
+
+        policy = AutoscalerPolicy(
+            p99_high_s=0.01, queue_high=2, p99_low_s=0.0005, queue_low=0,
+            min_shards=1, max_shards=2, cooldown_s=0.05, breach_streak=1,
+            clear_streak=200, sample_interval_s=0.05)
+        scenario = Scenario(
+            name="synth-2000-05", app="odoh", ops=10, shards=1, seed=2005,
+            events=(AutoscaleEnabled(at_op=0, policy=policy),
+                    CompromiseDomain(at_op=2, domain_index=1, shard_index=0)),
+            rpc_attempts=3, min_success_rate=0.0, expect_audit_ok=False,
+            expect_detection_kinds=("attestation-failure",), concurrent=True,
+            arrival_rate=150.0, service_time=0.0079)
+        report = ScenarioRunner(scenario).run()
+        assert report.all_invariants_ok, [
+            (r.name, r.detail) for r in report.invariants if not r.ok]
+        grows = [d for d in report.autoscale_decisions if d["action"] == "grow"]
+        assert grows and not any(d["fired"] for d in grows)
+        assert report.final_shards == 1 and not report.reshards
+
+
+class TestPrioAggregateInvariant:
+    def test_torn_submissions_that_reached_every_server_pass(self):
+        """synth-2000-30 of the seed-2000 sweep: drops lose the responses of
+        4 submissions the client counts as torn, but every server holds all
+        12, so the aggregate is exact and the invariant passes."""
+        scenario = Scenario(
+            name="synth-2000-30", app="prio", ops=12, shards=2, seed=2030,
+            rules=(DropFault(probability=0.282),), concurrent=True,
+            arrival_rate=120.0, service_time=0.0059,
+            regions=("us-east", "eu-west"))
+        report = ScenarioRunner(scenario).run()
+        verdict = next(r for r in report.invariants
+                       if r.name == "torn-submissions-detected")
+        assert verdict.ok, verdict.detail
+        assert "plus 4 of the 4" in verdict.detail
+
+    def test_an_aggregate_no_subset_explains_fails(self):
+        """The subset check still catches a wrong sum or count."""
+        from repro.sim.scenarios.apps import PrioDriver
+
+        driver = PrioDriver(2022, 0)
+        driver.accepted_values = [5, 9]
+        driver.torn_values = [7]
+        driver.failed_values = [30]
+        verdicts = {}
+        for total, count in ((14, 2), (21, 3), (51, 4), (44, 3), (22, 3),
+                             (14, 4)):
+            driver.service.aggregate = (
+                lambda total=total, count=count:
+                {"sum": total, "submissions": count})
+            verdicts[(total, count)] = driver._aggregate_invariant().ok
+        assert verdicts == {(14, 2): True, (21, 3): True, (51, 4): True,
+                            (44, 3): True, (22, 3): False, (14, 4): False}
+
+
 class TestAuditScenarios:
     def test_matrix_covers_epoch_auditing(self):
         """The audit family fetches bundles over the network and includes a

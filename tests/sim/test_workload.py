@@ -212,6 +212,19 @@ class TestFaultComposition:
         assert verdicts["epoch-bundles-verify"]
         assert report.consistent, report.consistency_issues
 
+    def test_a_forge_with_nothing_to_forge_is_an_outcome(self):
+        """One 128-op span fires the reshard, forge and audit events all at
+        op 0, before any key exists: the epoch moves no keys, so there is no
+        digest to forge. The forge forges nothing and the run reports the
+        missing evidence instead of crashing."""
+        scenario = next(s for s in default_matrix()
+                        if s.name == "keybackup-forged-epoch-detected")
+        report = MultiClientWorkload.from_scenario(scenario,
+                                                   num_clients=12).run()
+        assert "forged-epoch" not in report.detected_kinds
+        assert report.consistency_issues == [
+            "audit-ends-as-expected: audit produced no ['forged-epoch'] evidence"]
+
     def test_from_scenario_keeps_the_regions(self):
         scenario = next(s for s in default_matrix()
                         if s.name == "pinned-geo-reshard-reorder-2152")
