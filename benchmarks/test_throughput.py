@@ -531,8 +531,8 @@ def test_elastic_autoscaler_round_trip():
     the spike saturates two shards, the monitor's windowed p99 and queue
     depth breach the policy, the plane grows to 4, and the post-spike calm
     streak shrinks it back to 2 — exactly one episode each way, so the
-    cooldown and hysteresis demonstrably prevent flapping, and no operator
-    gate refuses a transition in a healthy run.
+    cooldown and hysteresis demonstrably prevent flapping. In a healthy run
+    only the cooldown gate refuses: once, for the first shrink request.
     """
     from repro.service.autoscaler import AutoscalerPolicy
 
@@ -550,7 +550,8 @@ def test_elastic_autoscaler_round_trip():
     )
     assert report.consistent, report.consistency_issues
     fired = [d for d in report.autoscale_decisions if d.get("fired")]
-    gated = [d for d in report.autoscale_decisions if d.get("gated_by")]
+    gated = [d["gated_by"] for d in report.autoscale_decisions
+             if d["gated_by"] is not None]
     _ELASTIC[ELASTIC_APP] = {
         "ops": report.ops,
         "seed": ELASTIC_SEED,
@@ -571,7 +572,11 @@ def test_elastic_autoscaler_round_trip():
     }
     assert report.autoscaled
     assert [d["action"] for d in fired] == ["grow", "shrink"], fired
-    assert not gated, gated
+    # The post-spike calm streak first asks for a shrink inside the grow's
+    # cooldown; no heartbeat or reconciliation gate refuses.
+    assert gated == ["cooldown"], gated
+    assert all(d["reconciled"] is not False
+               for d in report.autoscale_decisions)
     assert report.final_shards == ELASTIC_SHARDS
 
 

@@ -25,6 +25,7 @@ from repro.crypto.keys import SigningKey, VerifyingKey
 from repro.crypto.secp256k1 import SECP256K1
 from repro.errors import ApplicationError, ReproError, ReshardError
 from repro.net.eventloop import drive, one_op
+from repro.net.transport import Network
 from repro.service import (
     PackageBinding,
     ServiceClient,
@@ -311,10 +312,13 @@ class ObliviousDnsDeployment:
         the network does to the traffic.
         """
         view: list = []
+        # On a simulated network the proxies run in this process, so their
+        # state is read host-side (a compromised proxy answers no RPC). Under
+        # the parallel executor it lives in a worker process, so it is read
+        # over the executor.
+        host_side = isinstance(self.plane.transport, Network)
         for shard_index, shard in enumerate(self.plane.shards):
-            if shard.routed:
-                # Only parallel runs read while routed: the proxy state lives
-                # in a worker process, so read it over the executor.
+            if not host_side:
                 response = self.plane.invoke_on_shard(
                     shard_index, PROXY_DOMAIN, "view", {})
                 view.extend(response["value"]["seen_queries"])

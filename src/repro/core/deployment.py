@@ -17,8 +17,9 @@ cross-organization coordination. :class:`Deployment` is that workflow in code:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from repro.core.package import CodePackage, DeveloperIdentity, UpdateManifest
 from repro.core.registry import ReleaseRegistry
@@ -26,14 +27,19 @@ from repro.core.trust_domain import TrustDomain
 from repro.core.framework import framework_source
 from repro.enclave.tee import HardwareType
 from repro.enclave.vendor import HardwareVendor, VendorRegistry
-from repro.errors import DeploymentError, ReproError, RpcError
+from repro.errors import DeploymentError, RpcError
 from repro.net.clock import SimClock
 from repro.net.rpc import RpcClient, RpcServer, ServiceTimeModel
 from repro.net.transport import Network
 from repro.transparency.ct_log import CtLog
 from repro.wire.codec import encode
 
-__all__ = ["DeploymentConfig", "Deployment", "PendingInvokeBatch"]
+__all__ = ["DeploymentConfig", "Deployment", "PendingInvokeBatch", "CHUNK_SIZE"]
+
+# Application calls per ``invoke_many`` chunk: a batch crosses the vsock hops
+# and the sandbox boundary once per chunk, and every chunk of a batch travels
+# in one framed payload.
+CHUNK_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -63,17 +69,39 @@ class DeploymentConfig:
             raise DeploymentError("a deployment needs at least one trust domain")
 
 
+class _Route(NamedTuple):
+    """One transport the deployment is attached to: the domains' RPC servers
+    on it (by domain id) and one client per domain on a shared endpoint."""
+
+    transport: object
+    servers: dict
+    clients: list
+    address: str
+
+
 class Deployment:
-    """A running distributed-trust deployment plus its public audit artifacts."""
+    """A running distributed-trust deployment plus its public audit artifacts.
+
+    Every invoke is an RPC: the domains are served on the deployment's own
+    fault-free :attr:`network` (no latency, no fault rules, no service time)
+    from construction on, and :meth:`route_via_network` moves the traffic to
+    another transport until :meth:`unroute` moves it back.
+
+    Args:
+        network: the deployment's own network (a fresh one on a fresh clock
+            by default). The deployment runs on its clock. The shards of one
+            service plane share one.
+    """
 
     def __init__(self, name: str, developer: DeveloperIdentity,
                  config: DeploymentConfig | None = None,
                  vendors: list[HardwareVendor] | None = None,
-                 clock: SimClock | None = None):
+                 network: Network | None = None):
         self.name = name
         self.developer = developer
         self.config = config or DeploymentConfig()
-        self.clock = clock or SimClock()
+        self.network = network or Network(SimClock())
+        self.clock = self.network.clock
         self.vendors = vendors or [HardwareVendor("aws-nitro-sim"), HardwareVendor("intel-sgx-sim")]
         self.vendor_registry = VendorRegistry(self.vendors)
         self.registry = ReleaseRegistry(framework_source())
@@ -84,13 +112,10 @@ class Deployment:
         # Auditors cross-check only domains bound to the same package.
         self.bindings: list[str | None] = [None] * self.config.num_domains
         self._sequence = -1
-        self._rpc_clients: list[RpcClient] | None = None
-        self._rpc_attempts = 1
-        self._route_cache: tuple | None = None
-        self.client_address: str | None = None
-        self._servers: list[RpcServer] | None = None
         self._service_model: ServiceTimeModel | None = None
         self._build_domains()
+        self._routes: dict[object, _Route] = {}
+        self.unroute()
 
     # ------------------------------------------------------------------
     # Setup
@@ -157,29 +182,24 @@ class Deployment:
     def invoke(self, domain_index: int, entry: str, params) -> dict:
         """Invoke the application on one specific trust domain.
 
-        When :meth:`route_via_network` is active the request travels over the
-        simulated network as framed RPC bytes (and is therefore subject to any
-        injected faults); otherwise the domain is called directly.
+        The request travels as framed RPC bytes over the transport the
+        deployment is routed over (and is therefore subject to any faults
+        injected there). A failing call raises :class:`~repro.errors.RpcError`.
         """
-        if self._rpc_clients is not None:
-            return self._rpc_clients[domain_index].call_with_retry(
-                "invoke", {"entry": entry, "params": params},
-                attempts=self._rpc_attempts,
-            )
-        return self.domains[domain_index].invoke_application(entry, params)
+        return self._route.clients[domain_index].call_with_retry(
+            "invoke", {"entry": entry, "params": params},
+            attempts=self._rpc_attempts,
+        )
 
-    def invoke_all(self, entry: str, params) -> list[dict]:
-        """Invoke the application on every trust domain (e.g. collect shares)."""
-        return [domain.invoke_application(entry, params) for domain in self.domains]
-
-    def invoke_batch(self, domain_index: int, calls: list, chunk_size: int = 128) -> list:
+    def invoke_batch(self, domain_index: int, calls: list) -> list:
         """Invoke a batch of application requests on one trust domain.
 
-        ``calls`` is a sequence of ``(entry, params)`` pairs. When routed over
-        the network the batch is split into ``invoke_many`` chunks that all
-        travel in a single framed payload (see :meth:`RpcClient.call_many`),
-        so a thousand requests cost a handful of messages and one vsock/
-        sandbox crossing per chunk instead of one per request.
+        ``calls`` is a sequence of ``(entry, params)`` pairs. The batch is
+        split into ``invoke_many`` chunks of :data:`CHUNK_SIZE` calls that
+        all travel in a single framed payload (see
+        :meth:`RpcClient.call_many`), so a thousand requests cost a handful
+        of messages and one vsock/sandbox crossing per chunk instead of one
+        per request.
 
         Returns one outcome per call, in order: the same result dict
         :meth:`invoke` returns, or an exception *instance*
@@ -187,43 +207,27 @@ class Deployment:
         with an error or that went unanswered) — failures are isolated per
         call so one bad request cannot mask the rest of the batch.
         """
-        return self.begin_invoke_batch(domain_index, calls,
-                                       chunk_size=chunk_size).collect()
+        return self.begin_invoke_batch(domain_index, calls).collect()
 
-    def begin_invoke_batch(self, domain_index: int, calls: list,
-                           chunk_size: int = 128) -> "PendingInvokeBatch":
+    def begin_invoke_batch(self, domain_index: int,
+                           calls: list) -> "PendingInvokeBatch":
         """Send a batch of invokes *without* waiting for the responses.
 
-        The split-phase form of :meth:`invoke_batch`: when routed over the
-        network, the batch payload is put on the wire immediately and a
-        :class:`PendingInvokeBatch` handle is returned; nothing is delivered
-        until the handle's :meth:`~PendingInvokeBatch.collect` (or anything
-        else) pumps the network. Beginning several batches — against different
-        trust domains or different shard deployments — before the first
-        collect is what makes their round trips and service time overlap in
-        simulated time (the scatter/gather path of
-        :class:`repro.service.ShardedService`).
-
-        When not routed, the calls execute synchronously and the returned
-        handle is already complete.
+        The split-phase form of :meth:`invoke_batch`: the batch payload is
+        put on the wire immediately and a :class:`PendingInvokeBatch` handle
+        is returned; nothing is delivered until the handle's
+        :meth:`~PendingInvokeBatch.collect` (or anything else) pumps the
+        transport. Beginning several batches — against different trust
+        domains or different shard deployments — before the first collect is
+        what makes their round trips and service time overlap in simulated
+        time (the scatter/gather path of :class:`repro.service.ShardedService`).
         """
         calls = list(calls)
-        chunks = [calls[start:start + chunk_size]
-                  for start in range(0, len(calls), chunk_size)]
-        if self._rpc_clients is not None and chunks:
-            rpc_calls = [("invoke_many", self._batch_params(chunk)) for chunk in chunks]
-            batch = self._rpc_clients[domain_index].begin_many(rpc_calls)
-            return PendingInvokeBatch(chunks, batch, self._rpc_attempts)
-        domain = self.domains[domain_index]
-        chunk_results = []
-        for chunk in chunks:
-            try:
-                chunk_results.append(domain.invoke_application_many(
-                    [{"entry": entry, "params": params} for entry, params in chunk]
-                ))
-            except ReproError as exc:
-                chunk_results.append(exc)
-        return PendingInvokeBatch(chunks, None, 1, chunk_results)
+        chunks = [calls[start:start + CHUNK_SIZE]
+                  for start in range(0, len(calls), CHUNK_SIZE)]
+        batch = self._route.clients[domain_index].begin_many(
+            [("invoke_many", self._batch_params(chunk)) for chunk in chunks])
+        return PendingInvokeBatch(chunks, batch, self._rpc_attempts)
 
     # ------------------------------------------------------------------
     # Service-time model
@@ -232,19 +236,20 @@ class Deployment:
         """Make each trust domain's RPC server a serial busy-until queue.
 
         ``seconds`` of simulated time are charged per request a domain
-        processes. The model takes effect on the servers created by
-        :meth:`attach_to_network` / :meth:`route_via_network`, including ones
-        created later. Without a service model, domains answer in zero
+        processes, on every transport the domains are attached to — those
+        attached later included — except the deployment's own network,
+        which stays free. Without a service model, domains answer in zero
         simulated time and horizontal scaling is invisible in sim-time
         measurements.
         """
         self._service_model = ServiceTimeModel(per_request=seconds)
-        self._apply_service_model()
+        for route in self._routes.values():
+            self._apply_service_model(route.transport, route.servers)
 
-    def _apply_service_model(self) -> None:
-        if self._servers is None or self._service_model is None:
+    def _apply_service_model(self, transport, servers: dict) -> None:
+        if self._service_model is None or transport is self.network:
             return
-        for server in self._servers:
+        for server in servers.values():
             server.service_model = self._service_model
 
     @staticmethod
@@ -316,7 +321,7 @@ class Deployment:
         return census
 
     # ------------------------------------------------------------------
-    # Networked access (optional)
+    # Transports
     # ------------------------------------------------------------------
     def attach_to_network(self, network: Network) -> dict[str, RpcServer]:
         """Expose every trust domain as an RPC server on a simulated network.
@@ -330,23 +335,17 @@ class Deployment:
             server = RpcServer(endpoint, name=domain.domain_id)
             domain.register_rpc(server)
             servers[domain.domain_id] = server
-        self._servers = [servers[domain.domain_id] for domain in self.domains]
-        self._apply_service_model()
+        self._apply_service_model(network, servers)
         return servers
 
     def route_via_network(self, network: Network, client_address: str | None = None,
                           attempts: int = 3) -> dict[str, RpcServer]:
         """Route every :meth:`invoke` through RPC over ``network``.
 
-        Attaches the domains as RPC servers, creates one shared client
-        endpoint, and rebinds the application invocation path so that requests
-        cross the simulated wire — this is what exposes application traffic to
-        injected faults. Returns the domain RPC servers.
-
-        Calling this again with the same network (e.g. after :meth:`unroute`)
-        reuses the endpoints and clients created the first time; attaching to
-        a *different* network requires a fresh deployment, since endpoint
-        addresses are already registered on the old one.
+        The first time, attaches the domains as RPC servers on ``network``
+        and creates one shared client endpoint; routing over the same
+        network again (e.g. after :meth:`unroute`) reuses them, since
+        endpoint addresses stay registered. Returns the domain RPC servers.
 
         ``network`` may also be a parallel executor
         (:mod:`repro.service.parallel`).
@@ -356,65 +355,56 @@ class Deployment:
                 to ``"<deployment-name>-client"``).
             attempts: per-request send attempts used by the retrying RPC path.
         """
-        if self._route_cache is not None and self._route_cache[0] is network:
-            _, clients, servers, address = self._route_cache
-            self._rpc_clients = clients
-        else:
+        route = self._routes.get(network)
+        if route is None:
             servers = self.attach_to_network(network)
             address = client_address or f"{self.name}-client"
             endpoint = network.endpoint(address)
-            self._rpc_clients = [
-                RpcClient(network, endpoint, domain.domain_id) for domain in self.domains
-            ]
-            self._route_cache = (network, self._rpc_clients, servers, address)
+            clients = [RpcClient(network, endpoint, domain.domain_id)
+                       for domain in self.domains]
+            route = self._routes[network] = _Route(network, servers, clients,
+                                                   address)
+        self._route = route
         self._rpc_attempts = attempts
-        self.client_address = address
-        return servers
-
-    @property
-    def routed(self) -> bool:
-        """Whether invokes currently travel as RPC (over a network or executor)."""
-        return self._rpc_clients is not None
+        self.client_address = route.address
+        return route.servers
 
     def unroute(self) -> None:
-        """Restore direct (in-process) invocation after :meth:`route_via_network`."""
-        self._rpc_clients = None
-        self._rpc_attempts = 1
+        """Route back over the deployment's own network, one attempt per call."""
+        self.route_via_network(self.network, attempts=1)
+
+    @property
+    def servers(self) -> dict[str, RpcServer]:
+        """The domains' RPC servers on the current transport, by domain id."""
+        return self._route.servers
 
     def rpc_retry_total(self) -> int:
-        """Total RPC retransmissions performed while routed (0 if never routed)."""
-        if self._route_cache is None:
-            return 0
-        return sum(client.retries for client in self._route_cache[1])
+        """Total RPC retransmissions over the current transport."""
+        return sum(client.retries for client in self._route.clients)
 
     def duplicates_answered_total(self) -> int:
         """Duplicate requests the domains' at-most-once servers deduplicated
-        (0 before the deployment is attached to a network)."""
-        if self._servers is None:
-            return 0
-        return sum(server.duplicates_answered for server in self._servers)
+        on the current transport."""
+        return sum(server.duplicates_answered
+                   for server in self._route.servers.values())
 
     def max_queue_depths(self) -> list[int]:
-        """Per-domain high-water service-queue depth (empty if never attached).
+        """Per-domain high-water service-queue depth on the current transport.
 
         The observable left behind by the serial service queue: how many
         application calls were simultaneously queued or in service on each
         domain's RPC server at the worst moment of the run.
         """
-        if self._servers is None:
-            return []
-        return [server.max_queue_depth for server in self._servers]
+        return [server.max_queue_depth for server in self._route.servers.values()]
 
     def queue_depths(self) -> list[int]:
-        """Per-domain service-queue depth *right now* (empty if never attached).
+        """Per-domain service-queue depth *right now* on the current transport.
 
         Unlike :meth:`max_queue_depths` this is instantaneous, so it can fall
         as load subsides — the signal an autoscaler needs to decide a shard
         fleet is idle, where the high-water mark only ever ratchets up.
         """
-        if self._servers is None:
-            return []
-        return [server.queue_depth() for server in self._servers]
+        return [server.queue_depth() for server in self._route.servers.values()]
 
 
 class PendingInvokeBatch:
@@ -425,12 +415,10 @@ class PendingInvokeBatch:
     as exception instances. Collecting is idempotent.
     """
 
-    def __init__(self, chunks: list, rpc_batch, attempts: int,
-                 chunk_results: list | None = None):
+    def __init__(self, chunks: list, rpc_batch, attempts: int):
         self._chunks = chunks
         self._rpc_batch = rpc_batch
         self._attempts = attempts
-        self._chunk_results = chunk_results
         self._outcomes: list | None = None
 
     def wait_event(self, timeout: float = 0.25):
@@ -438,11 +426,9 @@ class PendingInvokeBatch:
 
         A generator for :class:`repro.net.eventloop.EventLoop` — it defers to
         :meth:`PendingRpcBatch.wait_event` for the waiting/retransmission and
-        then unpacks outcomes without pumping the network. For an unrouted
-        (already complete) batch it finishes without yielding at all.
+        then unpacks outcomes without pumping the network.
         """
-        if (self._outcomes is None and self._chunk_results is None
-                and self._rpc_batch is not None):
+        if self._outcomes is None:
             yield from self._rpc_batch.wait_event(attempts=self._attempts,
                                                   timeout=timeout)
         return self.collect()
@@ -451,10 +437,8 @@ class PendingInvokeBatch:
         """Wait for (and unpack) every call's outcome, in call order."""
         if self._outcomes is not None:
             return self._outcomes
-        chunk_results = self._chunk_results
-        if chunk_results is None:
-            chunk_results = self._rpc_batch.collect(attempts=self._attempts,
-                                                    return_errors=True)
+        chunk_results = self._rpc_batch.collect(attempts=self._attempts,
+                                                return_errors=True)
         outcomes = []
         for chunk, result in zip(self._chunks, chunk_results):
             if isinstance(result, Exception):

@@ -119,16 +119,6 @@ class TrustDomain:
         """Invoke the running application through the domain's request path."""
         return self.handle("invoke", {"entry": entry, "params": params})
 
-    def invoke_application_many(self, calls: list) -> list:
-        """Invoke a batch of application requests through one request-path trip.
-
-        ``calls`` is a list of ``{"entry": str, "params": ...}`` dicts; the
-        whole batch crosses the vsock hops (and the sandbox boundary) once,
-        which is what makes high request rates affordable. Per-call outcomes
-        follow :meth:`TrustDomainFramework.invoke_application_many`.
-        """
-        return self.handle("invoke_many", {"calls": calls})
-
     def _invoke_many_wire(self, request: dict, frame: bytes) -> bytes:
         """Raw RPC fast path for batched invocation (see ``RpcServer.register_raw``).
 
@@ -142,7 +132,8 @@ class TrustDomain:
         the only thing that leaves the domain, which is what lets the
         redundant per-layer codec round trips be cut. A non-encodable
         application result fails its whole chunk with one error envelope
-        (the per-call isolation in ``invoke_application_many`` still covers
+        (the per-call isolation of
+        :meth:`TrustDomainFramework.invoke_application_many` still covers
         ordinary application exceptions).
         """
         if self.enclave is not None and self.vsock is not None:

@@ -128,9 +128,10 @@ class AutoscaleDecision:
             "to_shards": self.to_shards,
             "reason": self.reason,
             "fired": self.fired,
-            "gated_by": self.gated_by.gate if self.gated_by else None,
+            "gated_by": (self.gated_by.gate
+                         if self.gated_by is not None else None),
             "reconciled": (self.reconciliation.allowed
-                           if self.reconciliation else None),
+                           if self.reconciliation is not None else None),
         }
 
 
@@ -226,7 +227,7 @@ class Autoscaler:
         # so the decision can fire at the next sample once the gate clears.
         for gate in (self.heartbeat, self.cooldown):
             verdict = gate.check(self.plane)
-            if not verdict:
+            if not verdict.allowed:
                 decision.gated_by = verdict
                 self.decisions.append(decision)
                 return decision

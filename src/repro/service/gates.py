@@ -35,26 +35,19 @@ class GateResult:
     allowed: bool
     reason: str
 
-    def __bool__(self) -> bool:
-        return self.allowed
-
 
 class HeartbeatGate:
     """Refuses to reshard while any attached shard domain is unreachable.
 
     Liveness comes from the simulated network's own crash registry
     (:meth:`repro.net.transport.Network.is_down`) — the same signal a
-    production control plane would take from missed heartbeats. An
-    in-process plane (no network) is trivially healthy: there is no
-    transport to partition.
+    production control plane would take from missed heartbeats.
     """
 
     name = "heartbeat"
 
     def check(self, plane) -> GateResult:
-        network = plane._network
-        if network is None:
-            return GateResult(self.name, True, "plane is in-process")
+        network = plane.transport
         down = [
             domain.domain_id
             for shard in plane.shards

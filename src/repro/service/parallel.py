@@ -66,15 +66,13 @@ def _worker_main(app: str, seed: int, ops: int, shards: int,
                  worker_index: int, conn) -> None:
     """Entry point of one worker process.
 
-    Rebuilds the application deployment deterministically, attaches every
-    shard's trust domains as RPC servers, then serves ``(seq, address,
-    source, payload)`` requests from the pipe until the ``None`` sentinel.
-    The response is whatever :meth:`RpcServer.dispatch_payload` returns —
-    the same batched response payload the networked server would send.
+    Rebuilds the application deployment deterministically, then serves
+    ``(seq, address, source, payload)`` requests from the pipe with the
+    plane's own RPC servers until the ``None`` sentinel. The response is
+    whatever :meth:`RpcServer.dispatch_payload` returns — the same batched
+    response payload the networked server would send.
     """
     from repro.crypto import rng as crypto_rng
-    from repro.net.latency import lan_profile
-    from repro.net.transport import Network
     from repro.sim.scenarios.apps import make_driver
 
     # The DRBG context stays entered for the worker's lifetime: the build
@@ -84,10 +82,9 @@ def _worker_main(app: str, seed: int, ops: int, shards: int,
     rng_context.__enter__()
     try:
         plane = make_driver(app, seed, ops, shards=shards).plane
-        network = Network(clock=plane.clock, default_latency=lan_profile())
         servers = {}
         for shard in plane.shards:
-            servers.update(shard.attach_to_network(network))
+            servers.update(shard.servers)
     except Exception as exc:  # surface build failures instead of hanging
         conn.send(("failed", worker_index, f"{type(exc).__name__}: {exc}"))
         return
@@ -106,7 +103,11 @@ def _worker_main(app: str, seed: int, ops: int, shards: int,
                                  f"{address!r}"))
             continue
         try:
-            response = server.dispatch_payload(payload, source)
+            # Request ids are unique per transport, and the build's own
+            # requests used the same client addresses on the plane's network:
+            # key at-most-once dedup on the pipe's source, or a request could
+            # be answered from a response cached during the build.
+            response = server.dispatch_payload(payload, f"pipe:{source}")
         except Exception as exc:  # a server must answer, never kill the pipe
             conn.send((seq, b"", f"{type(exc).__name__}: {exc}"))
         else:

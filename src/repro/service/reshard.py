@@ -274,8 +274,7 @@ class ReshardCoordinator:
         # plan sees every record that was accepted before the reshard began;
         # requests issued after this point fail safely as KeyMigratingError
         # until the epoch commits.
-        if plane._network is not None:
-            plane._network.run_until_idle()
+        plane.transport.run_until_idle()
         started = plane.clock.now()
         report = ReshardReport(
             service=plane.spec.name,
@@ -300,7 +299,7 @@ class ReshardCoordinator:
                     deployment = plane._spare_shards.pop(shard_index, None)
                     if deployment is None:
                         deployment = plane.spec.synthesize_shard(
-                            shard_index, developer, plane.clock, vendors)
+                            shard_index, developer, plane.network, vendors)
                     plane.attach_shard(deployment)
                     report.provisioned.append(deployment.name)
                 migrator.provision(plane, new_indices)

@@ -122,8 +122,12 @@ class ShardedService:
         # network endpoints are already registered, so a retry must get the
         # same deployment objects back rather than synthesizing twins.
         self._spare_shards: dict[int, Deployment] = {}
-        self._network: Network | None = None
-        self._route_attempts = 3
+        # The plane's own fault-free network, every shard's home (the spec
+        # builds them all on it), and the transport the shards are routed
+        # over now: that network until route_via_network picks another.
+        self.network: Network = self.primary.network
+        self.transport = self.network
+        self._route_attempts = 1
         self._latency_map = None  # LatencyMap applied while routed (geo/WAN)
         # The last per-request service time set, replayed onto shards grown
         # later (None: no service model).
@@ -225,7 +229,7 @@ class ShardedService:
     # ------------------------------------------------------------------
     # Scatter/gather
     # ------------------------------------------------------------------
-    def scatter(self, calls, chunk_size: int = 128) -> list:
+    def scatter(self, calls) -> list:
         """Run a keyed batch across shards; outcomes come back in call order.
 
         ``calls`` is a sequence of ``(key, domain_index, entry, params)``
@@ -237,9 +241,9 @@ class ShardedService:
         including a key caught mid-migration, which fails only its own call
         with :class:`~repro.errors.KeyMigratingError`.
         """
-        return self.begin_scatter(calls, chunk_size=chunk_size).collect()
+        return self.begin_scatter(calls).collect()
 
-    def begin_scatter(self, calls, chunk_size: int = 128) -> PendingScatter:
+    def begin_scatter(self, calls) -> PendingScatter:
         """Route, group, and *send* a keyed batch; return the in-flight handle.
 
         The split-phase form of :meth:`scatter`: every shard group's payload
@@ -271,9 +275,9 @@ class ShardedService:
                 (position, entry, params)
             )
         return PendingScatter(len(calls), groups,
-                              self._begin_groups(groups, chunk_size), premapped)
+                              self._begin_groups(groups), premapped)
 
-    def scatter_to_shards(self, calls, chunk_size: int = 128) -> list:
+    def scatter_to_shards(self, calls) -> list:
         """Scatter with explicit shard indices instead of routing keys.
 
         ``calls`` is a sequence of ``(shard_index, domain_index, entry,
@@ -281,10 +285,9 @@ class ShardedService:
         the ODoH client routes by query name *before* encrypting, so the
         operator never needs the plaintext name to pick a shard).
         """
-        return self.begin_scatter_to_shards(calls, chunk_size=chunk_size).collect()
+        return self.begin_scatter_to_shards(calls).collect()
 
-    def begin_scatter_to_shards(self, calls,
-                                chunk_size: int = 128) -> PendingScatter:
+    def begin_scatter_to_shards(self, calls) -> PendingScatter:
         """Split-phase :meth:`scatter_to_shards`; see :meth:`begin_scatter`."""
         calls = list(calls)
         groups: dict[tuple[int, int], list[tuple[int, str, dict]]] = {}
@@ -297,10 +300,9 @@ class ShardedService:
             groups.setdefault((shard_index, domain_index), []).append(
                 (position, entry, params)
             )
-        return PendingScatter(len(calls), groups,
-                              self._begin_groups(groups, chunk_size))
+        return PendingScatter(len(calls), groups, self._begin_groups(groups))
 
-    def _begin_groups(self, groups: dict, chunk_size: int) -> dict:
+    def _begin_groups(self, groups: dict) -> dict:
         # Send phase: every group's payload goes on the wire before any
         # delivery happens. This ordering is the whole point — see the module
         # docstring and docs/architecture.md ("scatter before pump"). The
@@ -312,7 +314,6 @@ class ShardedService:
                 self.shards[shard_index].begin_invoke_batch(
                     domain_index,
                     [(entry, params) for _, entry, params in group],
-                    chunk_size=chunk_size,
                 )
             )
         return handles
@@ -335,26 +336,25 @@ class ShardedService:
             servers.update(shard.route_via_network(network, attempts=attempts))
         self.client_address = self.primary.client_address
         # Remember the wiring so shards added by a live reshard can join the
-        # same network with the same retry budget.
-        self._network = network
+        # same transport with the same retry budget.
+        self.transport = network
         self._route_attempts = attempts
         return servers
 
     def unroute(self) -> None:
-        """Restore direct (in-process) invocation on every shard.
+        """Route every shard back over the plane's own network.
 
-        Also forgets the network wiring, so shards grown by a later reshard
-        stay in-process like the rest of the plane instead of being routed
-        onto a network the original shards no longer use. Shards parked by
-        an aborted reshard are unrouted too — reattaching one later must
-        give it the same (in-process) footing as the live fleet.
+        Shards grown by a later reshard join that network too, like the rest
+        of the plane. Shards parked by an aborted reshard are unrouted as
+        well — reattaching one later must give it the same footing as the
+        live fleet.
         """
         for shard in self.shards:
             shard.unroute()
         for deployment in self._spare_shards.values():
             deployment.unroute()
-        self._network = None
-        self._route_attempts = 3
+        self.transport = self.network
+        self._route_attempts = 1
         self._latency_map = None
 
     def region_of(self, shard_index: int) -> str | None:
@@ -419,20 +419,21 @@ class ShardedService:
                         symmetric=False)
 
     def rpc_retry_total(self) -> int:
-        """Total RPC retransmissions across all shards while routed."""
+        """Total RPC retransmissions across all shards on the current
+        transport."""
         return sum(shard.rpc_retry_total() for shard in self.shards)
 
     def duplicates_answered_total(self) -> int:
-        """Duplicates deduplicated by every shard's at-most-once servers
-        (shards grown by a mid-run reshard included)."""
+        """Duplicates deduplicated by every shard's at-most-once servers on
+        the current transport (shards grown by a mid-run reshard included)."""
         return sum(shard.duplicates_answered_total() for shard in self.shards)
 
     def max_queue_depth_per_shard(self) -> dict[int, int]:
-        """High-water service-queue depth per shard (max over its domains).
+        """High-water service-queue depth per shard (max over its domains)
+        on the current transport.
 
-        Zero for a shard that was never attached to a network or never had a
-        service model installed — depth is only observable where a serial
-        queue actually exists.
+        Zero for a shard that never had a service model installed — depth is
+        only observable where a serial queue actually exists.
         """
         depths: dict[int, int] = {}
         for shard_index, shard in enumerate(self.shards):
@@ -502,19 +503,18 @@ class ShardedService:
         """Join a freshly synthesized shard to the plane's wiring.
 
         Used by the reshard coordinator: the shard is appended, routed over
-        the plane's network (when routed), and given the plane's service
-        time. Keyed routing does *not* see it until the coordinator commits
-        the new ring.
+        the plane's current transport, and given the plane's service time.
+        Keyed routing does *not* see it until the coordinator commits the new
+        ring.
         """
         self.shards.append(deployment)
         if self._service_time is not None:
             deployment.set_service_time(self._service_time)
-        if self._network is not None:
-            deployment.route_via_network(self._network,
-                                         attempts=self._route_attempts)
-            # A grown shard joins the fleet's geography: its links to every
-            # other-region shard get the same cross-region models.
-            self._wire_shard_regions(self._network, len(self.shards) - 1)
+        deployment.route_via_network(self.transport,
+                                     attempts=self._route_attempts)
+        # A grown shard joins the fleet's geography: its links to every
+        # other-region shard get the same cross-region models.
+        self._wire_shard_regions(self.transport, len(self.shards) - 1)
 
     def detach_shard(self, shard_index: int) -> Deployment:
         """Remove an evacuated tail shard from the plane (shrink retire step).

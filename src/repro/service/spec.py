@@ -26,6 +26,7 @@ from repro.core.package import CodePackage, DeveloperIdentity
 from repro.enclave.vendor import HardwareVendor
 from repro.errors import ServiceSpecError
 from repro.net.clock import SimClock
+from repro.net.transport import Network
 from repro.service.ring import HashRing
 from repro.service.sharded import ShardedService
 from repro.wire.codec import encode
@@ -143,10 +144,10 @@ class ServiceSpec:
         return b"repro/service/" + self.name.encode("utf-8")
 
     def synthesize_shard(self, shard_index: int, developer: DeveloperIdentity,
-                         clock: SimClock,
+                         network: Network,
                          vendors: list[HardwareVendor]) -> Deployment:
-        """Build one shard's attested deployment (packages installed).
-        Used both by :meth:`synthesize` and by
+        """Build one shard's attested deployment (packages installed) on the
+        plane's own ``network``. Used both by :meth:`synthesize` and by
         the live-resharding coordinator when it grows an existing plane."""
         config = DeploymentConfig(
             num_domains=self.domains_per_shard,
@@ -155,7 +156,7 @@ class ServiceSpec:
             use_vsock=self.use_vsock,
         )
         deployment = Deployment(self.shard_name(shard_index), developer,
-                                config, vendors=vendors, clock=clock)
+                                config, vendors=vendors, network=network)
         self._install_packages(deployment, developer)
         return deployment
 
@@ -166,14 +167,16 @@ class ServiceSpec:
 
         Every shard is a full :class:`~repro.core.deployment.Deployment` —
         measured enclaves, release registry, CT-style release log — and all
-        shards share one clock (so cross-shard timing composes in simulation)
-        and one vendor list (so one auditing client can verify every shard's
-        attestations against the same roots).
+        shards share one clock (so cross-shard timing composes in simulation),
+        one fault-free network their domains are served on until the plane is
+        routed elsewhere, and one vendor list (so one auditing client can
+        verify every shard's attestations against the same roots).
         """
         clock = clock or SimClock()
+        network = Network(clock)
         vendors = vendors or [HardwareVendor("aws-nitro-sim"),
                               HardwareVendor("intel-sgx-sim")]
-        shards = [self.synthesize_shard(shard_index, developer, clock, vendors)
+        shards = [self.synthesize_shard(shard_index, developer, network, vendors)
                   for shard_index in range(self.shard_count)]
         ring = HashRing(self.shard_count, vnodes=self.ring_vnodes,
                         salt=self.ring_salt())

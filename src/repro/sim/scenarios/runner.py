@@ -563,11 +563,12 @@ class ScenarioRunner:
         report.in_flight_at_reshard = next(
             (mark.in_flight for mark in reversed(run.fired)
              if mark.committed_epoch), 0)
+        # Collected from the live fleet on the run's network, not a pre-run
+        # snapshot, so servers of shards grown by a mid-run reshard are
+        # counted too.
+        report.duplicates_answered = plane.duplicates_answered_total()
         plane.unroute()
 
-        # Collected from the live fleet, not a pre-run snapshot, so servers
-        # of shards grown by a mid-run reshard are counted too.
-        report.duplicates_answered = plane.duplicates_answered_total()
         report.latency = summarize([latency for _, latency, _ in run.results])
         report.reshards = list(ctx.reshard_reports)
 

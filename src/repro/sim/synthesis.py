@@ -51,7 +51,6 @@ from repro.sim.scenarios.spec import Scenario
 __all__ = [
     "SynthesisTarget",
     "target_for_cell",
-    "cell_reachable",
     "synthesize_scenario",
     "synthesize_batch",
     "failing_invariants",
@@ -96,21 +95,6 @@ def target_for_cell(cell: tuple) -> SynthesisTarget:
     """The target pinning exactly the two dimensions one coverage cell names."""
     dim_a, value_a, dim_b, value_b = cell
     return SynthesisTarget(**{dim_a: value_a, dim_b: value_b})
-
-
-def cell_reachable(cell: tuple) -> bool:
-    """Whether the engine can cover this cell at all.
-
-    The four (per-message fault, mid-audit) cells used to be structurally
-    dark: mid-run audits were in-process probes, so no messages crossed the
-    network while one ran. The epoch auditor changed that — an
-    :class:`~repro.sim.faults.AuditEpoch` probe fetches transparency
-    bundles over the simulated network *inside* the mid-audit window, so a
-    drop/delay/reorder/duplicate rule can bite the audit itself. Every cell
-    in the model is reachable now; the function stays as the single place
-    that would record a future structural hole.
-    """
-    return True
 
 
 def _parse_topology(topology: str) -> tuple[str, int]:
@@ -290,15 +274,12 @@ def synthesize_batch(count: int, seed: int,
                      base: CoverageReport | None = None) -> list:
     """Generate ``count`` scenarios targeted at ``base``'s uncovered cells.
 
-    Targets are the reachable dark cells in deterministic order (the whole
-    cell space when no base report is given), visited round-robin; scenario
+    Targets are the dark cells in deterministic order (the whole cell space
+    when no base report is given), visited round-robin; scenario
     ``i`` uses seed ``seed + i``. Fixed ``(count, seed, base)`` therefore
     fixes the batch exactly — which is what lets CI pin its sweep.
     """
-    if base is not None:
-        dark = [cell for cell in base.uncovered() if cell_reachable(cell)]
-    else:
-        dark = [cell for cell in sorted(all_cells()) if cell_reachable(cell)]
+    dark = base.uncovered() if base is not None else sorted(all_cells())
     scenarios = []
     for index in range(count):
         target = (target_for_cell(dark[index % len(dark)]) if dark

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.deployment import Deployment, DeploymentConfig
+from repro.core.deployment import CHUNK_SIZE, Deployment, DeploymentConfig
 from repro.core.package import CodePackage, DeveloperIdentity
 from repro.errors import RpcError, SandboxError
 from repro.net.latency import lan_profile
@@ -70,14 +70,21 @@ class TestSandboxInvokeMany:
 class TestDeploymentInvokeBatch:
     @pytest.mark.parametrize("routed", [False, True])
     def test_batch_matches_sequential_invoke(self, routed):
-        deployment, _ = make_deployment(routed)
-        calls = [("add", {"n": i}) for i in range(25)]
-        results = deployment.invoke_batch(1, calls, chunk_size=8)
+        deployment, network = make_deployment(routed)
+        network = network or deployment.network
+        count = 2 * CHUNK_SIZE + 25
+        calls = [("add", {"n": i}) for i in range(count)]
+        sent = network.stats.messages_sent
+        results = deployment.invoke_batch(1, calls)
         assert [r["value"]["total"] for r in results] == [
-            sum(range(i + 1)) for i in range(25)
+            sum(range(i + 1)) for i in range(count)
         ]
+        # Three chunks, one framed payload each way.
+        assert network.stats.messages_sent - sent == 2
+        server = deployment.servers[deployment.domains[1].domain_id]
+        assert server.batches_served == 1
         check = deployment.invoke(1, "get", {})
-        assert check["value"]["total"] == sum(range(25))
+        assert check["value"]["total"] == sum(range(count))
 
     @pytest.mark.parametrize("routed", [False, True])
     def test_per_call_errors_are_instances_not_raises(self, routed):
@@ -199,7 +206,7 @@ class TestColumnarChunk:
     ])
     def test_malformed_columnar_chunk_fails_whole(self, params):
         deployment, network = make_deployment(True)
-        client = deployment._rpc_clients[0]
+        client = deployment._route.clients[0]
         results = client.call_many([("invoke_many", params)], attempts=1,
                                    return_errors=True)
         # One error envelope for the whole chunk, and no call ran.

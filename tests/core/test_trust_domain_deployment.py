@@ -140,8 +140,13 @@ class TestDeployment:
         deployment = Deployment("dep", DeveloperIdentity("acme"),
                                 DeploymentConfig(num_domains=3))
         deployment.publish_and_install(wvm_package())
-        results = deployment.invoke_all("scalar_mul", [3, 4, BLS_SCALAR_ORDER])
+        sent = deployment.network.stats.messages_sent
+        results = [deployment.invoke(index, "scalar_mul", [3, 4, BLS_SCALAR_ORDER])
+                   for index in range(3)]
         assert [r["value"] for r in results] == [12, 12, 12]
+        # One request and one response per domain on the deployment's own
+        # network.
+        assert deployment.network.stats.messages_sent - sent == 6
 
     def test_enclave_domains_listing(self):
         deployment = Deployment("dep", DeveloperIdentity("acme"),

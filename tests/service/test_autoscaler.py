@@ -197,9 +197,15 @@ class TestGates:
         assert decision.reconciliation is decision.gated_by
         assert not decision.reconciliation.allowed
 
-    def test_heartbeat_gate_trivially_healthy_in_process(self):
-        result = HeartbeatGate().check(loaded_plane())
-        assert result.allowed and "in-process" in result.reason
+    def test_heartbeat_gate_checks_the_planes_own_network(self):
+        plane = loaded_plane()
+        assert plane.transport is plane.network
+        result = HeartbeatGate().check(plane)
+        assert result.allowed and "reachable" in result.reason
+        crashed = plane.shards[1].domains[0].domain_id
+        plane.network.crash(crashed)
+        result = HeartbeatGate().check(plane)
+        assert not result.allowed and crashed in result.reason
 
     def test_cooldown_gate_unit(self):
         plane = loaded_plane()
@@ -245,6 +251,29 @@ class TestDecisionRecords:
         payload = fired[0].to_dict()
         assert payload["fired"] and payload["action"] == "grow"
         assert payload["reconciled"] is True
+
+    def test_refusals_keep_their_gate_in_the_record(self):
+        """A refused decision's dict names the refusing gate, and a failed
+        reconciliation reads ``reconciled: False``, not ``None``."""
+        plane = loaded_plane()
+        scaler = Autoscaler(plane, POLICY)
+        scaler.observe(p99_s=2.0)
+        assert scaler.observe(p99_s=2.0).fired
+        for _ in range(POLICY.clear_streak):
+            refused = scaler.observe(p99_s=0.01)
+        assert refused.action == "shrink" and not refused.fired
+        payload = refused.to_dict()
+        assert payload["gated_by"] == "cooldown"
+        assert payload["reconciled"] is None
+
+        plane = loaded_plane()
+        plane.migrator = UnreadableMigrator(lambda plane: plane.epoch > 0)
+        scaler = Autoscaler(plane, POLICY)
+        scaler.observe(p99_s=2.0)
+        payload = scaler.observe(p99_s=2.0).to_dict()
+        assert payload["fired"]
+        assert payload["gated_by"] == "reconciliation"
+        assert payload["reconciled"] is False
 
     def test_silent_window_counts_as_calm(self):
         """No completed requests is idleness, not an outage signal."""

@@ -544,13 +544,14 @@ class TestLiveReshard:
         # Grown shards are routed on the same network with the same model;
         # an invoke against one crosses the wire.
         grown = plane.shards[3]
-        assert grown._rpc_clients is not None
+        assert grown.client_address == f"{grown.name}-client"
         before = network.stats.messages_sent
         plane.invoke_on_shard(3, 0, "get", {"key": "?"})
         assert network.stats.messages_sent > before
-        assert all(server.service_model is not None
+        assert all(server.endpoint.network is network
+                   and server.service_model is not None
                    and server.service_model.per_request == 0.001
-                   for server in grown._servers)
+                   for server in grown.servers.values())
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +718,9 @@ class TestLiveShrink:
         assert not plane._spare_shards
         # The re-grown shards are the parked objects, live on the network.
         assert {shard.name for shard in plane.shards[2:]} == grown_names
-        assert all(shard._rpc_clients is not None for shard in plane.shards)
+        assert all(server.endpoint.network is network
+                   for shard in plane.shards
+                   for server in shard.servers.values())
         for key in keys:
             assert plane.invoke(key, 0, "get",
                                 {"key": key})["value"]["value"] == f"v-{key}"

@@ -284,6 +284,40 @@ class TestServiceClient:
             session.checkpoint()
 
 
+class TestEveryDeploymentIsRouted:
+    """A freshly built app deployment that was never routed still serves
+    every call as an RPC, on the plane's own network."""
+
+    def test_client_call_crosses_the_planes_own_network(self):
+        from repro.apps.keybackup import KeyBackupClient, KeyBackupDeployment
+
+        service = KeyBackupDeployment(num_domains=3, threshold=2, shards=2)
+        plane = service.plane
+        assert plane.transport is plane.network
+        assert all(shard.network is plane.network for shard in plane.shards)
+        sent = plane.network.stats.messages_sent
+        client = KeyBackupClient(service, audit_before_use=False)
+        client.backup_key("user-1", 4242)
+        assert client.recover_key("user-1") == 4242
+        assert plane.network.stats.messages_sent > sent
+        assert plane.network.stats.conserved(plane.network.pending())
+
+    def test_compromised_domain_fails_as_an_rpc_error_routed_or_not(self):
+        from repro.apps.keybackup import KeyBackupDeployment
+        from repro.errors import RpcError
+
+        service = KeyBackupDeployment(num_domains=3, threshold=2)
+        plane = service.plane
+        plane.shards[0].domains[1].compromise()
+        with pytest.raises(RpcError, match="EnclaveCompromisedError"):
+            plane.invoke_on_shard(0, 1, "list_users", {})
+        plane.route_via_network(Network(clock=plane.clock,
+                                        default_latency=lan_profile()),
+                                attempts=1)
+        with pytest.raises(RpcError, match="EnclaveCompromisedError"):
+            plane.invoke_on_shard(0, 1, "list_users", {})
+
+
 class TestShardedAppsEndToEnd:
     """The four apps on a multi-shard plane, through their public clients."""
 

@@ -111,6 +111,17 @@ def test_parallel_mode_runs_every_app(app):
     assert report.consistency_issues == []
 
 
+def test_parallel_requests_are_not_answered_from_the_build_traffic():
+    """A worker serves with its plane's own servers, which answered prio's
+    ``configure`` calls during the build from the same client addresses.
+    On one shard the executor's first request ids meet those cached
+    responses, so the worker must key its dedup apart from them."""
+    report = MultiClientWorkload("prio", num_clients=4, parallel=True, workers=1,
+                                 shards=1, batch_size=4).run()
+    assert report.succeeded == report.ops == 4
+    assert report.consistency_issues == []
+
+
 def test_resolve_many_isolates_a_mid_migration_name():
     names = [f"host{index}.example" for index in range(3)]
     service = ObliviousDnsDeployment(

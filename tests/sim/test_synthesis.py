@@ -21,7 +21,6 @@ from repro.sim.faults import (
 from repro.sim.synthesis import (
     INSTANT_KINDS,
     SynthesisTarget,
-    cell_reachable,
     failing_invariants,
     render_pinned,
     shrink,
@@ -89,13 +88,12 @@ class TestDeterminism:
         assert names == ["synth-99-00", "synth-99-01", "synth-99-02"]
 
     def test_batch_targets_the_base_reports_dark_cells(self):
-        # A base report covering almost everything leaves one reachable dark
-        # cell; every batch scenario must aim at it.
+        # A base report covering almost everything leaves one dark cell;
+        # every batch scenario must aim at it.
         cells = sorted(all_cells())
         dark = ("fault", "compromise", "app", "prio")
-        base = CoverageReport({"dense": frozenset(
-            c for c in cells if c != dark and cell_reachable(c))})
-        assert [c for c in base.uncovered() if cell_reachable(c)] == [dark]
+        base = CoverageReport({"dense": frozenset(c for c in cells if c != dark)})
+        assert base.uncovered() == [dark]
         for scenario in synthesize_batch(2, 31, base=base):
             assert scenario.app == "prio"
             assert any(isinstance(e, CompromiseDomain) for e in scenario.events)
@@ -134,16 +132,12 @@ class TestTargeting:
         # networked bundle fetches made them reachable, so the generator now
         # grows an epoch and audits it over the wire with the rule installed.
         cell = ("fault", kind, "phase", "mid-audit")
-        assert cell_reachable(cell)
         scenario = synthesize_scenario(1, target_for_cell(cell))
         assert scenario.rules  # the per-message rule is installed
         grow = [e for e in scenario.events if isinstance(e, ReshardService)]
         audit = [e for e in scenario.events if isinstance(e, AuditEpoch)]
         assert grow and audit
         assert grow[0].at_op < audit[0].at_op  # a bundle exists to fetch
-
-    def test_every_cell_is_reachable(self):
-        assert not [c for c in all_cells() if not cell_reachable(c)]
 
 
 def _planted_scenario():
