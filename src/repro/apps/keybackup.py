@@ -93,14 +93,14 @@ class _KeyBackupShardMigrator(ShardMigrator):
     def shard_keys(self, plane, shard_index: int) -> list:
         # Every domain of the shard holds one share per user, so any
         # reachable domain can enumerate the shard's users; the union
-        # tolerates torn backups that reached only some domains.
+        # tolerates torn backups that reached only some domains. All domains
+        # are asked in one wave.
         users: set[str] = set()
         reachable = 0
-        for domain_index in range(self.service.num_domains):
-            try:
-                result = plane.invoke_on_shard(shard_index, domain_index,
-                                               "list_users", {})
-            except ReproError:
+        for result in plane.scatter_to_shards([
+                (shard_index, domain_index, "list_users", {})
+                for domain_index in range(self.service.num_domains)]):
+            if isinstance(result, Exception):
                 continue
             reachable += 1
             users.update(result["value"]["users"])
@@ -111,14 +111,14 @@ class _KeyBackupShardMigrator(ShardMigrator):
             )
         return sorted(users)
 
-    def export(self, plane, shard_index: int, keys: list) -> tuple[dict, dict]:
-        # Every user's shares from the shard, in one scatter; a user is
+    def export(self, plane, shard_index: int, keys: list):
+        # Every user's shares from the shard, in one wave; a user is
         # exported only if every domain answered.
         num_domains = self.service.num_domains
-        fetches = plane.scatter_to_shards([
+        fetches = yield from plane.begin_scatter_to_shards([
             (shard_index, domain_index, "fetch_share", {"user": user})
             for user in keys for domain_index in range(num_domains)
-        ])
+        ]).wait_event()
         shares: dict[str, list[tuple[int, dict]]] = {}
         failed: dict[str, str] = {}
         for position, user in enumerate(keys):
@@ -132,7 +132,7 @@ class _KeyBackupShardMigrator(ShardMigrator):
                             if result["value"]["found"]]
         return shares, failed
 
-    def load(self, plane, shard_index: int, records: dict) -> dict:
+    def load(self, plane, shard_index: int, records: dict):
         # Overwrite, so a re-migration is idempotent.
         store_calls = []
         store_index: list[tuple[str, int]] = []
@@ -143,15 +143,16 @@ class _KeyBackupShardMigrator(ShardMigrator):
                     "value": share["value"], "overwrite": True,
                 }))
                 store_index.append((user, domain_index))
+        results = yield from plane.begin_scatter_to_shards(
+            store_calls).wait_event()
         failed: dict[str, str] = {}
-        for (user, domain_index), result in zip(
-                store_index, plane.scatter_to_shards(store_calls)):
+        for (user, domain_index), result in zip(store_index, results):
             if isinstance(result, Exception):
                 failed.setdefault(
                     user, f"store on target domain {domain_index} failed: {result}")
         return failed
 
-    def remove(self, plane, shard_index: int, keys: list) -> list:
+    def remove(self, plane, shard_index: int, keys: list):
         # Three rounds: a stale source copy would double-count the user on a
         # presence scan. A user whose deletes are defeated anyway is
         # reported back (the coordinator queues a moved one as stale).
@@ -160,10 +161,10 @@ class _KeyBackupShardMigrator(ShardMigrator):
         for _ in range(3):
             if not pending:
                 break
-            results = plane.scatter_to_shards([
+            results = yield from plane.begin_scatter_to_shards([
                 (shard_index, domain_index, "delete_share", {"user": user})
                 for user, domain_index in pending
-            ])
+            ]).wait_event()
             pending = [pair for pair, result in zip(pending, results)
                        if isinstance(result, Exception)]
         return sorted({user for user, _ in pending})

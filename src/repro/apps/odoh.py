@@ -135,43 +135,43 @@ class _OdohShardMigrator(ShardMigrator):
             f"enumeration ({last_error}); aborting instead of guessing"
         ) from last_error
 
-    def export(self, plane, shard_index: int, keys: list) -> tuple[dict, dict]:
+    def export(self, plane, shard_index: int, keys: list):
         # A name's one record is its address; a name the resolver does not
         # hold is left out.
-        try:
-            exported = plane.invoke_on_shard(
-                shard_index, RESOLVER_DOMAIN, "export_records",
-                {"names": list(keys)})["value"]["records"]
-        except ReproError as exc:
-            return {}, {name: f"export from source failed: {exc}"
+        [result] = yield from plane.begin_scatter_to_shards([
+            (shard_index, RESOLVER_DOMAIN, "export_records",
+             {"names": list(keys)})]).wait_event()
+        if isinstance(result, Exception):
+            return {}, {name: f"export from source failed: {result}"
                         for name in keys}
-        return {name: [address] for name, address in exported.items()}, {}
+        return {name: [address]
+                for name, address in result["value"]["records"].items()}, {}
 
-    def load(self, plane, shard_index: int, records: dict) -> dict:
+    def load(self, plane, shard_index: int, records: dict):
         # The load is one call: if its reply is lost, every name may be half
         # loaded, so every name is reported failed (and rolled back).
-        try:
-            plane.invoke_on_shard(
-                shard_index, RESOLVER_DOMAIN, "load_records",
-                {"records": {name: addresses[0]
-                             for name, addresses in records.items()}})
-        except ReproError as exc:
-            return {name: f"load into target failed: {exc}" for name in records}
+        [result] = yield from plane.begin_scatter_to_shards([
+            (shard_index, RESOLVER_DOMAIN, "load_records",
+             {"records": {name: addresses[0]
+                          for name, addresses in records.items()}})
+        ]).wait_event()
+        if isinstance(result, Exception):
+            return {name: f"load into target failed: {result}"
+                    for name in records}
         return {}
 
-    def remove(self, plane, shard_index: int, keys: list) -> list:
+    def remove(self, plane, shard_index: int, keys: list):
         # Three rounds, each atomic: a stale copy would answer for a name
         # the resolver no longer owns.
         names = list(keys)
         for _ in range(3):
             if not names:
                 break
-            try:
-                plane.invoke_on_shard(shard_index, RESOLVER_DOMAIN,
-                                      "remove_records", {"names": names})
+            [result] = yield from plane.begin_scatter_to_shards([
+                (shard_index, RESOLVER_DOMAIN, "remove_records",
+                 {"names": names})]).wait_event()
+            if not isinstance(result, Exception):
                 names = []
-            except ReproError:
-                continue
         return sorted(names)
 
 

@@ -33,7 +33,9 @@ pumping the network until idle and claiming the batch's responses, and each
 ``Sleep`` by advancing the clock, so one application flow serves a batched
 span (one task, driven to completion), a single client call (the flow over a
 list of one, unwrapped by :func:`one_op`) and a concurrent op (one of many
-tasks on the loop).
+tasks on the loop). :func:`drive_all` drives several generators in lockstep,
+waves on the wire together, so independent flows (a reshard's migration
+groups) overlap in simulated time without an event loop.
 
 Synchronous code composes with the loop: a task may call code that pumps
 ``run_until_idle`` internally (e.g. a live reshard's quiesce barrier). The
@@ -58,7 +60,8 @@ from repro.net.transport import Network
 # because perfbench's tracer test still reads repro.net.eventloop.decode.
 from repro.wire.codec import decode  # noqa: F401
 
-__all__ = ["Sleep", "WaitBatch", "SimTask", "EventLoop", "drive", "one_op"]
+__all__ = ["Sleep", "WaitBatch", "SimTask", "EventLoop", "drive", "drive_all",
+           "one_op"]
 
 
 @dataclass(frozen=True)
@@ -114,6 +117,51 @@ def drive(gen: Generator, clock=None):
             value = "elapsed"
         else:
             raise SimulationError(f"drive() got unsupported command {command!r}")
+
+
+def drive_all(gens) -> list:
+    """Run several task generators side by side, synchronously; return their
+    results in input order.
+
+    Each round steps every live generator to its next :class:`WaitBatch`,
+    so all their batches are on the wire before anything is delivered, then
+    pumps each distinct network to idle once and answers every wait, as
+    :func:`drive` does: ``"complete"``, or ``"idle"`` when some responses
+    stayed unanswered (the cue to retransmit). A generator that raises gets
+    its exception as its result and the others run on; one that yields
+    anything but a :class:`WaitBatch` is closed with a
+    :class:`~repro.errors.SimulationError` as its result.
+    """
+    gens = list(gens)
+    results: list = [None] * len(gens)
+    values: list = [None] * len(gens)
+    live = list(range(len(gens)))
+    while live:
+        waiting = []
+        for index in live:
+            try:
+                command = gens[index].send(values[index])
+            except StopIteration as stop:
+                results[index] = stop.value
+                continue
+            except Exception as exc:
+                results[index] = exc
+                continue
+            if not isinstance(command, WaitBatch):
+                gens[index].close()
+                results[index] = SimulationError(
+                    f"drive_all() got unsupported command {command!r}")
+                continue
+            waiting.append((index, command.batch))
+        networks = {id(batch.client.network): batch.client.network
+                    for _, batch in waiting}
+        for network in networks.values():
+            network.run_until_idle()
+        for index, batch in waiting:
+            batch.client.demux.take(batch.pending, batch.found)
+            values[index] = "idle" if batch.pending else "complete"
+        live = [index for index, _ in waiting]
+    return results
 
 
 def one_op(flow: Generator):

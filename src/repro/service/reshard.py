@@ -20,7 +20,11 @@ transition:
    an owner — while :meth:`ShardMigrator.migrate` copies records source →
    target over the simulated network (so packet loss, partitions, and
    crashes hit migration traffic exactly as they hit request traffic),
-   verifies the copy, and only then deletes the source records.
+   verifies the copy, and only then deletes the source records. Every
+   ``(source, target)`` group migrates at once: ``migrate`` is a task
+   generator, and :func:`~repro.net.eventloop.drive_all` puts each step's
+   wave of every group on the wire before pumping the network, so the
+   shards' service queues work side by side instead of group after group.
 4. **Verify** (shrink only). Each retiring shard is re-enumerated after the
    evacuation: any key the migrator left behind — or never reported — is
    pinned rather than released, so a record can be stranded on a shard about
@@ -48,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import InvalidReshardError, ReshardError
+from repro.net.eventloop import drive_all
 from repro.service.ring import RingDiff
 
 __all__ = ["MigrationOutcome", "ShardMigrator", "ReshardReport",
@@ -85,6 +90,12 @@ class ShardMigrator:
     :meth:`remove` hooks that :meth:`migrate` runs; apps that must prepare
     fresh shards (install key shares, push configuration) override
     :meth:`provision`.
+
+    ``migrate``, ``cleanup`` and the three hooks are task generators over
+    :class:`~repro.net.eventloop.WaitBatch` (each wave is
+    ``yield from plane.begin_scatter_to_shards(calls).wait_event()``), so the
+    coordinator runs every group of a transition side by side with
+    :func:`~repro.net.eventloop.drive_all`.
     """
 
     def provision(self, plane, new_shard_indices: list[int]) -> None:
@@ -95,41 +106,48 @@ class ShardMigrator:
         """The routing keys whose state currently lives on ``shard_index``."""
         return []
 
-    def export(self, plane, shard_index: int, keys: list) -> tuple[dict, dict]:
-        """Read ``keys``' records off ``shard_index``: returns
-        ``({key: [records]}, {key: error})``."""
+    def export(self, plane, shard_index: int, keys: list):
+        """Read ``keys``' records off ``shard_index``: a task generator
+        returning ``({key: [records]}, {key: error})``."""
+        yield from ()
         return {key: [] for key in keys}, {}
 
-    def load(self, plane, shard_index: int, records: dict) -> dict:
-        """Write exported records onto ``shard_index``; returns
-        ``{key: error}`` for keys whose copy may be incomplete."""
+    def load(self, plane, shard_index: int, records: dict):
+        """Write exported records onto ``shard_index``: a task generator
+        returning ``{key: error}`` for keys whose copy may be incomplete."""
+        yield from ()
         return {}
 
-    def remove(self, plane, shard_index: int, keys: list) -> list:
-        """Delete ``keys``' records from ``shard_index``; returns the keys
-        whose records may remain after the app's own retries."""
+    def remove(self, plane, shard_index: int, keys: list):
+        """Delete ``keys``' records from ``shard_index``: a task generator
+        returning the keys whose records may remain after the app's own
+        retries."""
+        yield from ()
         return []
 
-    def migrate(self, plane, source: int, target: int, keys: list) -> MigrationOutcome:
+    def migrate(self, plane, source: int, target: int, keys: list):
         """Move ``keys``' records from shard ``source`` to shard ``target``,
-        copy-then-delete: a key is ``moved`` once loaded on the target (a
-        failed load's target copy is removed again — the source stays
-        authoritative), and ``stale`` if its source copy then survives
+        copy-then-delete; a task generator returning a
+        :class:`MigrationOutcome`. A key is ``moved`` once loaded on the
+        target (a failed load's target copy is removed again — the source
+        stays authoritative), and ``stale`` if its source copy then survives
         removal (see :class:`MigrationOutcome`)."""
-        exported, failed = self.export(plane, source, keys)
-        load_failed = self.load(plane, target, exported) if exported else {}
-        self.remove(plane, target, sorted(load_failed))
+        exported, failed = yield from self.export(plane, source, keys)
+        load_failed = ((yield from self.load(plane, target, exported))
+                       if exported else {})
+        yield from self.remove(plane, target, sorted(load_failed))
         failed.update(load_failed)
         moved = [key for key in sorted(exported) if key not in load_failed]
+        stale = yield from self.remove(plane, source, moved)
         return MigrationOutcome(
-            moved=moved, failed=failed,
-            stale=self.remove(plane, source, moved),
+            moved=moved, failed=failed, stale=stale,
             records_moved=sum(len(exported[key]) for key in moved))
 
-    def cleanup(self, plane, shard_index: int, keys: list) -> list:
-        """Remove a migration's ``stale`` leftovers from ``shard_index``;
-        returns the keys actually cleaned (the rest stay queued)."""
-        leftover = set(self.remove(plane, shard_index, list(keys)))
+    def cleanup(self, plane, shard_index: int, keys: list):
+        """Remove a migration's ``stale`` leftovers from ``shard_index``: a
+        task generator returning the keys actually cleaned (the rest stay
+        queued)."""
+        leftover = set((yield from self.remove(plane, shard_index, list(keys))))
         return [key for key in keys if key not in leftover]
 
     def residue(self, plane, shard_index: int) -> int:
@@ -427,11 +445,11 @@ class ReshardCoordinator:
         cleanups: dict[int, list] = {}
         for key, source in plane.pending_cleanups():
             cleanups.setdefault(source, []).append(key)
-        for source, keys in sorted(cleanups.items()):
-            try:
-                cleaned = self.migrator.cleanup(plane, source, keys)
-            except Exception as exc:
-                cleanup_error = exc
+        for cleaned in drive_all(
+                self._hook(self.migrator.cleanup, plane, source, keys)
+                for source, keys in sorted(cleanups.items())):
+            if isinstance(cleaned, Exception):
+                cleanup_error = cleaned
                 continue
             for key in cleaned:
                 plane.clear_stale(key)
@@ -457,10 +475,12 @@ class ReshardCoordinator:
         return report
 
     def _migrate(self, moves: dict, report: ReshardReport):
-        """Migrate every ``(source, target)`` group; returns ``(moved keys,
-        {unmoved key: source}, first error)``.
+        """Migrate every ``(source, target)`` group at once; returns
+        ``(moved keys, {unmoved key: source}, first error)``.
 
-        A group whose ``migrate`` raises fails alone. A key reported neither
+        The groups' waves go on the wire together, so the shards serve their
+        slices of the transition concurrently in simulated time. A group
+        whose ``migrate`` raises fails alone. A key reported neither
         moved nor failed is unmoved too: releasing it would strand its
         records on the source with nothing pinning them there.
         """
@@ -468,13 +488,15 @@ class ReshardCoordinator:
         moved_keys: set = set()
         unmoved: dict = {}
         first_error: Exception | None = None
-        for (source, target), keys in sorted(moves.items()):
-            try:
-                outcome = self.migrator.migrate(plane, source, target, keys)
-            except Exception as exc:
-                first_error = first_error or exc
+        groups = sorted(moves.items())
+        outcomes = drive_all(
+            self._hook(self.migrator.migrate, plane, source, target, keys)
+            for (source, target), keys in groups)
+        for ((source, _), keys), outcome in zip(groups, outcomes):
+            if isinstance(outcome, Exception):
+                first_error = first_error or outcome
                 outcome = MigrationOutcome(failed={
-                    key: f"migration interrupted: {exc}" for key in keys})
+                    key: f"migration interrupted: {outcome}" for key in keys})
             moved_keys.update(outcome.moved)
             report.migrated_keys += len(outcome.moved)
             report.records_moved += outcome.records_moved
@@ -489,6 +511,12 @@ class ReshardCoordinator:
                 report.failed_keys[key] = error
                 unmoved[key] = source
         return moved_keys, unmoved, first_error
+
+    @staticmethod
+    def _hook(hook, *args):
+        """``hook(*args)`` as a task generator, so a hook that raises as it
+        is called fails its own group, as one that raises mid-wave does."""
+        return (yield from hook(*args))
 
     def _evacuate(self, shards: list, width: int, report: ReshardReport):
         """Fold each shard's unkeyed residue (state no key addresses, which

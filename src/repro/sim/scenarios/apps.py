@@ -177,13 +177,13 @@ class KeyBackupDriver(ScenarioDriver):
     def _conservation_invariant(self) -> InvariantResult:
         """Across the epoch boundary: every backed-up key recoverable, no
         user's share set authoritative on two shards."""
-        lost = []
-        for user, secret in self.backed_up:
-            try:
-                if self.client.recover_key(user) != secret:
-                    lost.append(user)
-            except ReproError:
-                lost.append(user)
+        users = [user for user, _ in self.backed_up]
+        try:
+            recovered = self.client.recover_keys(users)
+        except ReproError as exc:
+            recovered = [exc] * len(users)
+        lost = [user for (user, secret), outcome in zip(self.backed_up, recovered)
+                if isinstance(outcome, Exception) or outcome != secret]
         duplicated = []
         for user, _ in self.backed_up:
             holders = [

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.errors import SimulationError, TimeoutError
-from repro.net.eventloop import EventLoop, Sleep, WaitBatch, drive
+from repro.net.eventloop import EventLoop, Sleep, WaitBatch, drive, drive_all
 from repro.net.latency import ConstantLatency
 from repro.net.rpc import RpcClient, RpcServer, ServiceQueue, ServiceTimeModel
 from repro.net.transport import FaultDecision, Network
@@ -294,3 +294,108 @@ class TestDrive:
 
         with pytest.raises(SimulationError):
             drive(task(), Network().clock)
+
+
+class TestDriveAll:
+    """The lockstep driver runs several task generators side by side."""
+
+    @staticmethod
+    def echo_task(client, value):
+        batch = client.begin_many([("echo", value)])
+        yield from batch.wait_event()
+        [result] = batch.collect(return_errors=True)
+        return result
+
+    def test_results_in_input_order_and_a_raise_fails_only_its_generator(self):
+        network, server, client = make_rpc_pair()
+        server.register("echo", lambda params: params)
+
+        def crashes_after_a_wave():
+            yield from self.echo_task(client, "answered")
+            raise RuntimeError("boom")
+
+        def crashes_at_once():
+            raise ValueError("early")
+            yield  # pragma: no cover - makes this a generator
+
+        def no_waves():
+            yield from ()
+            return "none"
+
+        def bad_command():
+            yield "not a command"
+
+        results = drive_all([
+            self.echo_task(client, 1), crashes_after_a_wave(),
+            self.echo_task(client, 2), crashes_at_once(), no_waves(),
+            bad_command(), self.echo_task(client, 3)])
+        assert results[0] == 1 and results[2] == 2 and results[6] == 3
+        assert isinstance(results[1], RuntimeError)
+        assert isinstance(results[3], ValueError)
+        assert results[4] == "none"
+        assert isinstance(results[5], SimulationError)
+        assert drive_all([]) == []
+
+    def test_every_batch_is_on_the_wire_before_the_first_pump(self):
+        networks = [Network(default_latency=ConstantLatency(0.003))
+                    for _ in range(2)]
+        clients = []
+        for network in networks:
+            for name in ("a", "b"):
+                server = RpcServer(network.endpoint(f"server-{name}"))
+                server.service_model = ServiceTimeModel(per_request=0.001)
+                server.register("echo", lambda params: params)
+                clients.append(RpcClient(
+                    network, network.endpoint(f"client-{name}"),
+                    f"server-{name}"))
+        pumps = []
+        for network in networks:
+            pump = network.run_until_idle
+
+            def counted(pump=pump, network=network):
+                pumps.append((network, network.pending()))
+                return pump()
+
+            network.run_until_idle = counted
+        results = drive_all(self.echo_task(client, index)
+                            for index, client in enumerate(clients))
+        assert results == [0, 1, 2, 3]
+        # One round: each distinct network pumped once, with both of its
+        # batches already queued.
+        assert pumps == [(networks[0], 2), (networks[1], 2)]
+        # The two servers of a network served side by side: one round trip
+        # plus one service slot, not two of each.
+        assert all(network.clock.now() == pytest.approx(0.007)
+                   for network in networks)
+
+    def test_a_batch_that_loses_traffic_is_retransmitted_after_idle(self):
+        network, server, client = make_rpc_pair()
+        server.register("echo", lambda params: params)
+        drops = {"remaining": 1}
+
+        def drop_first(message):
+            if message.destination == "server" and drops["remaining"] > 0:
+                drops["remaining"] -= 1
+                return FaultDecision(drop=True)
+            return None
+
+        network.add_fault_hook(drop_first)
+        wakes = []
+
+        def watched():
+            batch = client.begin_many([("echo", "x")])
+            for attempt in range(3):
+                if attempt:
+                    client.endpoint.send("server", batch.requests[0][2])
+                wakes.append((yield WaitBatch(batch)))
+                if wakes[-1] == "complete":
+                    break
+            return batch.found
+
+        [found] = drive_all([watched()])
+        assert wakes == ["idle", "complete"]
+        assert [response["result"] for response in found.values()] == ["x"]
+        # The batch's own retransmission rides the same cue.
+        drops["remaining"] = 1
+        assert drive_all([self.echo_task(client, "y")]) == ["y"]
+        assert client.retries == 1

@@ -50,22 +50,46 @@ def make_plane(shards=2, domains=1, name="resvc", **spec_kwargs):
     return spec.synthesize(DeveloperIdentity(f"{name}-dev"))
 
 
+def counter_wave(plane, shard_index, entry, params_list):
+    """One wave of ``entry`` calls to domain 0 of ``shard_index``; a task
+    generator returning one outcome per call."""
+    return (yield from plane.begin_scatter_to_shards(
+        [(shard_index, 0, entry, params) for params in params_list]
+    ).wait_event())
+
+
 class CounterMigrator(ShardMigrator):
-    """Moves the counter app's items between shards (domain 0 holds them)."""
+    """Moves the counter app's items between shards (domain 0 holds them),
+    one wave per hook."""
 
     def shard_keys(self, plane, shard_index):
         return plane.invoke_on_shard(shard_index, 0, "keys", {})["value"]["keys"]
 
-    def migrate(self, plane, source, target, keys):
-        outcome = MigrationOutcome()
-        for key in keys:
-            value = plane.invoke_on_shard(source, 0, "get",
-                                          {"key": key})["value"]["value"]
-            plane.invoke_on_shard(target, 0, "put", {"key": key, "value": value})
-            plane.invoke_on_shard(source, 0, "pop", {"key": key})
-            outcome.moved.append(key)
-            outcome.records_moved += 1
-        return outcome
+    def export(self, plane, shard_index, keys):
+        results = yield from counter_wave(plane, shard_index, "get",
+                                          [{"key": key} for key in keys])
+        exported, failed = {}, {}
+        for key, result in zip(keys, results):
+            if isinstance(result, Exception):
+                failed[key] = f"get failed: {result}"
+            else:
+                exported[key] = [result["value"]["value"]]
+        return exported, failed
+
+    def load(self, plane, shard_index, records):
+        keys = sorted(records)
+        results = yield from counter_wave(
+            plane, shard_index, "put",
+            [{"key": key, "value": records[key][0]} for key in keys])
+        return {key: f"put failed: {result}"
+                for key, result in zip(keys, results)
+                if isinstance(result, Exception)}
+
+    def remove(self, plane, shard_index, keys):
+        results = yield from counter_wave(plane, shard_index, "pop",
+                                          [{"key": key} for key in keys])
+        return [key for key, result in zip(keys, results)
+                if isinstance(result, Exception)]
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +326,8 @@ class TestLiveReshard:
 
         class FlakyMigrator(CounterMigrator):
             def migrate(self, plane, source, target, keys):
-                outcome = super().migrate(plane, source, target,
-                                          [k for k in keys if k != victim])
+                outcome = yield from super().migrate(
+                    plane, source, target, [k for k in keys if k != victim])
                 if victim in keys:
                     outcome.failed[victim] = "injected migration failure"
                 return outcome
@@ -370,7 +394,7 @@ class TestLiveReshard:
                 type(self).calls += 1
                 if type(self).calls > 1:
                     raise RuntimeError("boom")
-                return super().migrate(plane, source, target, keys)
+                return (yield from super().migrate(plane, source, target, keys))
 
         plane.migrator = ExplodesOnSecondRoute()
         with pytest.raises(ReshardError) as excinfo:
@@ -395,6 +419,7 @@ class TestLiveReshard:
 
         class RefusingMigrator(CounterMigrator):
             def migrate(self, plane, source, target, keys):
+                yield from ()
                 return MigrationOutcome(
                     failed={key: "target unreachable" for key in keys})
 
@@ -422,7 +447,7 @@ class TestLiveReshard:
             def migrate(self, plane, source, target, keys):
                 if (source, target) == crashed:
                     raise RuntimeError("boom")
-                return super().migrate(plane, source, target, keys)
+                return (yield from super().migrate(plane, source, target, keys))
 
         plane.migrator = CrashesOnOneGroup()
         with pytest.raises(ReshardError, match="migration failed") as excinfo:
@@ -450,7 +475,7 @@ class TestLiveReshard:
             def migrate(self, plane, source, target, keys):
                 if (source, target) == crashed:
                     raise RuntimeError("boom")
-                return super().migrate(plane, source, target, keys)
+                return (yield from super().migrate(plane, source, target, keys))
 
         plane.migrator = CrashesOnOneGroup()
         with pytest.raises(ReshardError, match="drain failed") as excinfo:
@@ -475,8 +500,9 @@ class TestLiveReshard:
 
         class ForgetfulMigrator(CounterMigrator):
             def migrate(self, plane, source, target, keys):
-                return super().migrate(plane, source, target,
-                                       [key for key in keys if key != forgotten])
+                return (yield from super().migrate(
+                    plane, source, target,
+                    [key for key in keys if key != forgotten]))
 
         plane.migrator = ForgetfulMigrator()
         drain = plane.finish_reshard()
@@ -498,20 +524,13 @@ class TestLiveReshard:
             def migrate(self, plane, source, target, keys):
                 # Copy without deleting: every key moves but leaves a stale
                 # source copy behind.
-                outcome = MigrationOutcome()
-                for key in keys:
-                    value = plane.invoke_on_shard(
-                        source, 0, "get", {"key": key})["value"]["value"]
-                    plane.invoke_on_shard(target, 0, "put",
-                                          {"key": key, "value": value})
-                    outcome.moved.append(key)
-                    outcome.records_moved += 1
-                outcome.stale = list(keys)
-                return outcome
+                exported, _ = yield from self.export(plane, source, keys)
+                yield from self.load(plane, target, exported)
+                return MigrationOutcome(moved=list(keys), stale=list(keys),
+                                        records_moved=len(keys))
 
             def cleanup(self, plane, shard_index, keys):
-                for key in keys:
-                    plane.invoke_on_shard(shard_index, 0, "pop", {"key": key})
+                yield from self.remove(plane, shard_index, keys)
                 cleaned.extend(keys)
                 return list(keys)
 
@@ -533,6 +552,36 @@ class TestLiveReshard:
                                          {"key": key})["value"]["value"] is not None
             ]
             assert holders == [plane.ring.shard_for(key)]
+
+    def test_every_groups_export_is_on_the_wire_before_the_first_delivery(
+            self, monkeypatch):
+        """A grow migrates its (source, target) groups side by side: every
+        group's export wave is sent before any migration message is
+        delivered, so the shards' service queues overlap in simulated time
+        instead of serializing group after group."""
+        keys = [f"key-{i}" for i in range(40)]
+        plane = self._loaded_plane(keys)
+        network = Network(clock=plane.clock, default_latency=lan_profile())
+        plane.route_via_network(network, attempts=2)
+        plane.set_service_time(0.001)
+        groups = plane.ring.diff(plane.ring.grow(4), keys).by_route()
+        assert len(groups) > 1
+        exports = []
+        begin = plane.begin_scatter_to_shards
+
+        def spy(calls):
+            calls = list(calls)
+            if calls and calls[0][2] == "get":
+                exports.append((calls[0][0], network.stats.messages_delivered))
+            return begin(calls)
+
+        monkeypatch.setattr(plane, "begin_scatter_to_shards", spy)
+        report = plane.reshard(4)
+        assert report.ok and report.migrated_keys == len(keys) - sum(
+            1 for key in keys if plane.shard_for(key) < 2)
+        assert sorted(source for source, _ in exports) == sorted(
+            source for source, _ in groups)
+        assert len({delivered for _, delivered in exports}) == 1
 
     def test_resharded_plane_joins_network_and_service_times(self):
         plane = self._loaded_plane([f"key-{i}" for i in range(16)])
@@ -602,8 +651,8 @@ class TestLiveShrink:
 
         class FlakyMigrator(CounterMigrator):
             def migrate(self, plane, source, target, keys):
-                outcome = super().migrate(plane, source, target,
-                                          [k for k in keys if k != victim])
+                outcome = yield from super().migrate(
+                    plane, source, target, [k for k in keys if k != victim])
                 if victim in keys:
                     outcome.failed[victim] = "injected evacuation failure"
                 return outcome

@@ -67,7 +67,7 @@ class _FlakyMigrator:
         if not self._crashed:
             self._crashed = True
             raise RuntimeError("injected migrator crash")
-        return self._inner.migrate(plane, source, target, keys)
+        return (yield from self._inner.migrate(plane, source, target, keys))
 
 
 class TestHonestEpochs:
