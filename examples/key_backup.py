@@ -12,6 +12,7 @@ Run with:  python examples/key_backup.py
 import secrets
 
 from repro.apps.keybackup import KeyBackupClient, KeyBackupDeployment
+from repro.sim.adversary import DeveloperCompromise
 
 
 def main() -> None:
@@ -29,14 +30,15 @@ def main() -> None:
     print(f"Recovered by the user:    {recovered:#066x}  (match: {recovered == wallet_key})")
 
     print("\n--- simulating a compromised application developer (Figure 1) ---")
-    outcome = service.simulate_developer_compromise()
-    print(f"Domains the attacker could read: {outcome['breached_domains']}")
-    print(f"Domains that resisted:           {outcome['resisted_domains']}")
-    print(f"Shares recoverable by attacker:  {outcome['shares_recoverable']} "
+    outcome = DeveloperCompromise(service.plane).attempt_memory_extraction(keys=["shares"])
+    key_recoverable = outcome.breached_count >= receipt.threshold
+    print(f"Domains the attacker could read: {outcome.domains_breached}")
+    print(f"Domains that resisted:           {outcome.domains_resisted}")
+    print(f"Shares recoverable by attacker:  {outcome.breached_count} "
           f"of {receipt.threshold} needed")
-    print(f"Attacker recovers the key:       {outcome['key_recoverable']}")
+    print(f"Attacker recovers the key:       {key_recoverable}")
 
-    assert not outcome["key_recoverable"], "the framework should have prevented this"
+    assert not key_recoverable, "the framework should have prevented this"
     print("\nA compromised developer cannot access the user's secret key. ✔")
 
 

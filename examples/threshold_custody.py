@@ -4,16 +4,19 @@
 Three signer domains hold shares of a BLS signing key; any two produce a
 signature on a withdrawal. We also exploit one secure-hardware vendor and show
 that the heterogeneous deployment still has enough honest domains to operate,
-while a homogeneous deployment would not.
+while a homogeneous deployment would not. Exits 1 if the exploit leaves fewer
+honest signers than the threshold or the recovery signature does not verify.
 
 Run with:  python examples/threshold_custody.py
 """
 
+import sys
+
 from repro.apps.threshold_sign import CustodyClient, CustodyDeployment
-from repro.sim.adversary import VendorExploit
+from repro.sim.adversary import VendorExploit, attacker_reach
 
 
-def main() -> None:
+def main() -> int:
     service = CustodyDeployment(threshold=2, num_signers=3, keygen_seed=b"example-custody")
     client = CustodyClient(service)
 
@@ -38,18 +41,26 @@ def main() -> None:
     print(f"Client audit after the exploit passes: {post_incident_audit.ok} "
           f"(failed domains: {[r.domain_id for r in post_incident_audit.failures()]})")
 
-    survivors = [i for i in (1, 2, 3)
-                 if not service.deployment.domains[i].compromised]
+    # The signers are the enclave domains; each one the attacker cannot read
+    # is honest.
+    (reach,) = attacker_reach(service.deployment)
+    survivors = [i for i, domain in enumerate(service.deployment.domains)
+                 if domain.domain_id in reach.domains_resisted]
     print(f"Honest signer domains remaining: {survivors} "
           f"(threshold {service.threshold})")
-    if len(survivors) >= service.threshold:
-        incident_client = CustodyClient(service, audit_before_use=False)
-        recovery = incident_client.sign_transaction(
-            b"rotate keys after incident", signer_indices=survivors[: service.threshold]
-        )
-        print(f"Custody still operational on heterogeneous hardware: "
-              f"{incident_client.verify(recovery)} ✔")
+    if len(survivors) < service.threshold:
+        print("A single-vendor exploit left too few honest signers to operate.")
+        return 1
+    incident_client = CustodyClient(service, audit_before_use=False)
+    recovery = incident_client.sign_transaction(
+        b"rotate keys after incident", signer_indices=survivors[: service.threshold]
+    )
+    if not incident_client.verify(recovery):
+        print("The honest signers' recovery signature does not verify.")
+        return 1
+    print("Custody still operational on heterogeneous hardware ✔")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

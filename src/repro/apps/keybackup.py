@@ -38,7 +38,6 @@ from repro.service import (
     ServiceSpec,
     ShardMigrator,
 )
-from repro.sim.adversary import DeveloperCompromise
 
 __all__ = ["KEY_BACKUP_APP_SOURCE", "KeyBackupDeployment", "KeyBackupClient"]
 
@@ -215,22 +214,6 @@ class KeyBackupDeployment:
         see :mod:`repro.service.reshard` for the fault semantics.
         """
         return self.plane.reshard(new_shard_count)
-
-    def simulate_developer_compromise(self) -> dict:
-        """Run the Figure 1 attack: how many shares can a compromised developer read?
-
-        Returns a summary with the number of breached domains and whether the
-        attacker could reconstruct any user's key. (The attack targets shard
-        0; every shard is an identical deployment, so the result generalizes.)
-        """
-        adversary = DeveloperCompromise(self.deployment)
-        outcome = adversary.attempt_memory_extraction(keys=["shares"])
-        return {
-            "breached_domains": outcome.domains_breached,
-            "resisted_domains": outcome.domains_resisted,
-            "shares_recoverable": outcome.breached_count,
-            "key_recoverable": outcome.breached_count >= self.threshold,
-        }
 
 
 @dataclass(frozen=True)

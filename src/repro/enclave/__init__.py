@@ -11,10 +11,9 @@ deployment:
   chain) or a *quote* (SGX style, with MRENCLAVE/MRSIGNER) signed by a
   simulated hardware vendor's key,
 * *sealed storage* bound to the enclave's measurement and device secret,
-* an isolated-memory model the host cannot read, and
-* a fault-injection API (:mod:`repro.enclave.exploits`) that models
-  vendor-wide TEE exploits so experiments can show why heterogeneous secure
-  hardware matters.
+* an isolated-memory model the host cannot read until an exploit breaches
+  it (:meth:`EnclaveBase.mark_compromised`; the attacks themselves, such as
+  a vendor-wide exploit, live in :mod:`repro.sim.adversary`).
 
 See docs/architecture.md ("Simulated substitutions") for the rationale.
 """
@@ -27,7 +26,6 @@ from repro.enclave.sgx import SgxStyleEnclave, SgxQuote
 from repro.enclave.attestation import AttestationVerifier, AttestationResult
 from repro.enclave.sealing import SealedBlob, seal, unseal
 from repro.enclave.memory import EnclaveMemory
-from repro.enclave.exploits import ExploitCampaign
 
 __all__ = [
     "Measurement",
@@ -48,5 +46,4 @@ __all__ = [
     "seal",
     "unseal",
     "EnclaveMemory",
-    "ExploitCampaign",
 ]

@@ -10,15 +10,13 @@ Two attacks recur throughout the paper's argument:
 * **Vendor-wide TEE exploit** (§1, §3.2): one secure-hardware technology
   falls; heterogeneous deployments confine the damage.
 
-Both scenarios operate on a real :class:`~repro.core.deployment.Deployment`
-and report what the attacker could actually extract, so the examples and the
-Figure 1 experiment run them rather than merely asserting the conclusion.
-
-:class:`ScheduledCompromise` generalizes both into *schedule-driven*
-compromise for the scenario engine: individual TEEs fall at chosen points in a
-workload (up to, but in safe scenarios never reaching, the application's
-threshold), and the attacker's cumulative power is evaluated with the same
-memory-extraction machinery the static scenarios use.
+TEEs fall by :meth:`VendorExploit.exploit` (every enclave of one vendor) or
+one at a time (:meth:`~repro.core.trust_domain.TrustDomain.compromise`, which
+the scenario engine's ``CompromiseDomain`` event calls). What the attacker can
+then read is answered once, by :func:`attacker_reach`: per shard, the
+developer-run domain plus every breached enclave, with the values read there.
+:class:`DeveloperCompromise`, the scenario drivers' secrecy invariants and
+the examples all ask it, so a check judges every shard, not just the first.
 """
 
 from __future__ import annotations
@@ -26,10 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.deployment import Deployment
-from repro.enclave.exploits import ExploitCampaign
-from repro.errors import SandboxEscapeError
 
-__all__ = ["DeveloperCompromise", "VendorExploit", "ScheduledCompromise"]
+__all__ = ["attacker_reach", "DeveloperCompromise", "VendorExploit"]
 
 
 @dataclass
@@ -46,49 +42,55 @@ class CompromiseOutcome:
         return len(self.domains_breached)
 
 
+def attacker_reach(target, keys=()) -> list[CompromiseOutcome]:
+    """What a developer-credential attacker plus every fallen TEE can read.
+
+    ``target`` is a service plane (one outcome per shard, in shard order) or
+    a single deployment (one outcome). The attacker reads the developer-run
+    domain's application state and ``keys`` from every breached enclave's
+    memory; every intact enclave resists.
+    """
+    outcomes = []
+    for shard in getattr(target, "shards", [target]):
+        outcome = CompromiseOutcome()
+        for domain in shard.domains:
+            if domain.enclave is None:
+                # Developer-administered machine: full memory access.
+                outcome.domains_breached.append(domain.domain_id)
+                state = domain.framework.application_state()
+                if state is not None:
+                    outcome.extracted_values[domain.domain_id] = state
+            elif domain.enclave.memory.isolated:
+                outcome.domains_resisted.append(domain.domain_id)
+            else:
+                # A TEE exploit defeated the isolation; the developer's host
+                # access now reads enclave memory.
+                outcome.domains_breached.append(domain.domain_id)
+                outcome.extracted_values[domain.domain_id] = {
+                    key: domain.enclave.memory.host_read(key) for key in keys
+                }
+        outcomes.append(outcome)
+    return outcomes
+
+
 class DeveloperCompromise:
     """An attacker holding the application developer's credentials.
 
     The attacker can log into machines the developer administers (trust domain
     0 and, in the strawman deployment, every VM) and read process memory
     there. It cannot read memory inside intact enclaves it does not have an
-    exploit for.
+    exploit for. ``target`` is a deployment or a service plane; on a plane the
+    attacker's best shard decides.
     """
 
-    def __init__(self, deployment: Deployment):
-        self.deployment = deployment
+    def __init__(self, target):
+        self.target = target
 
     def attempt_memory_extraction(self, keys: list[str]) -> CompromiseOutcome:
-        """Try to read application memory (``keys``) in every trust domain."""
-        outcome = CompromiseOutcome()
-        for domain in self.deployment.domains:
-            if domain.enclave is None:
-                # Developer-administered machine: full memory access.
-                outcome.domains_breached.append(domain.domain_id)
-                state = self._developer_domain_state(domain)
-                if state is not None:
-                    outcome.extracted_values[domain.domain_id] = state
-                continue
-            if not domain.enclave.memory.isolated:
-                # The enclave's isolation has already been defeated (e.g. by a
-                # TEE exploit); the developer's host access now reads memory.
-                outcome.domains_breached.append(domain.domain_id)
-                outcome.extracted_values[domain.domain_id] = {
-                    key: domain.enclave.memory.host_read(key) for key in keys
-                }
-                continue
-            try:
-                # Probe the isolation boundary the way a real attacker would.
-                domain.enclave.memory.host_read("__probe__")
-            except SandboxEscapeError:
-                outcome.domains_resisted.append(domain.domain_id)
-            else:  # pragma: no cover - unreachable while isolation holds
-                outcome.domains_breached.append(domain.domain_id)
-        return outcome
-
-    @staticmethod
-    def _developer_domain_state(domain):
-        return domain.framework.application_state()
+        """Try to read application memory (``keys``) in every trust domain;
+        returns the outcome on the shard where the attacker reads the most."""
+        return max(attacker_reach(self.target, keys),
+                   key=lambda outcome: outcome.breached_count)
 
     def can_recover_secret(self, threshold: int) -> bool:
         """Whether the attacker breached enough domains to defeat a t-of-n secret."""
@@ -103,56 +105,31 @@ class VendorExploit:
         self.deployment = deployment
 
     def exploit(self, vendor_name: str) -> CompromiseOutcome:
-        """Compromise every enclave built on ``vendor_name`` hardware."""
-        enclaves = [d.enclave for d in self.deployment.domains if d.enclave is not None]
-        campaign = ExploitCampaign(enclaves)
-        report = campaign.exploit_vendor(vendor_name)
+        """Compromise every enclave built on ``vendor_name`` hardware.
+
+        This is the correlated-failure case: one vendor-level exploit takes
+        down every trust domain using that vendor. The outcome lists the
+        enclaves that fell and those on other vendors that did not.
+        """
         outcome = CompromiseOutcome()
-        outcome.domains_breached = list(report.compromised_enclaves)
-        outcome.domains_resisted = list(report.unaffected_enclaves)
+        for domain in self.deployment.domains:
+            enclave = domain.enclave
+            if enclave is None:
+                continue
+            if enclave.vendor.name == vendor_name:
+                enclave.mark_compromised()
+                enclave.vendor.mark_compromised()
+                outcome.domains_breached.append(enclave.enclave_id)
+            else:
+                outcome.domains_resisted.append(enclave.enclave_id)
         return outcome
 
     def defeats_application(self, vendor_name: str, honest_required: int) -> bool:
-        """Whether exploiting one vendor leaves fewer than ``honest_required`` honest domains."""
-        outcome = self.exploit(vendor_name)
-        total = len(self.deployment.domains)
-        return (total - outcome.breached_count) < honest_required
-
-
-class ScheduledCompromise:
-    """Schedule-driven compromise of individual TEEs during a workload.
-
-    The scenario runner calls :meth:`compromise` as its fault plan dictates;
-    afterwards, :meth:`outcome` reports the attacker's cumulative reach using
-    the same memory-extraction probe as :class:`DeveloperCompromise` (the
-    compromised developer plus every fallen TEE).
-    """
-
-    def __init__(self, deployment: Deployment):
-        self.deployment = deployment
-        self.history: list[tuple[int, str]] = []
-
-    def compromise(self, domain_index: int, at_op: int = -1) -> str:
-        """Exploit the TEE of domain ``domain_index``; returns the domain id."""
-        domain = self.deployment.domains[domain_index]
-        domain.compromise()
-        self.history.append((at_op, domain.domain_id))
-        return domain.domain_id
-
-    @property
-    def compromised_domain_ids(self) -> list[str]:
-        """Domain ids compromised so far, in schedule order."""
-        return [domain_id for _, domain_id in self.history]
-
-    def outcome(self, keys: list[str] | None = None) -> CompromiseOutcome:
-        """What a developer-credential attacker plus the fallen TEEs can read now."""
-        probe = DeveloperCompromise(self.deployment)
-        return probe.attempt_memory_extraction(keys or [])
-
-    def breached_count(self) -> int:
-        """Number of trust domains whose application memory is readable."""
-        return self.outcome().breached_count
-
-    def below_threshold(self, threshold: int) -> bool:
-        """Whether the attacker still holds fewer than ``threshold`` domains."""
-        return self.breached_count() < threshold
+        """Whether exploiting one vendor leaves fewer than ``honest_required``
+        honest domains: the developer-run ones, which a TEE exploit does not
+        reach, plus every enclave still intact (one that fell earlier, on any
+        vendor, is not honest either)."""
+        self.exploit(vendor_name)
+        (reach,) = attacker_reach(self.deployment)
+        developer_run = sum(domain.enclave is None for domain in self.deployment.domains)
+        return developer_run + len(reach.domains_resisted) < honest_required

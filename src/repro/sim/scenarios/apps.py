@@ -31,6 +31,7 @@ from repro.crypto.bls import BlsThresholdScheme
 from repro.crypto.shamir import Share
 from repro.errors import ApplicationError, ReproError, ThresholdError
 from repro.net.eventloop import one_op
+from repro.sim.adversary import attacker_reach
 from repro.sim.scenarios.spec import InvariantResult
 
 __all__ = [
@@ -162,11 +163,10 @@ class KeyBackupDriver(ScenarioDriver):
             on_stored=lambda: self.backed_up.append((user, secret)))
 
     def finish(self, ctx) -> list[InvariantResult]:
-        summary = self.service.simulate_developer_compromise()
-        breached = summary["shares_recoverable"]
-        ok = breached < self.service.threshold and not summary["key_recoverable"]
+        # Each user's shares live on one shard: the worst shard decides.
+        breached = max(reach.breached_count for reach in attacker_reach(self.plane))
         invariants = [InvariantResult(
-            "key-stays-secret-below-threshold", ok,
+            "key-stays-secret-below-threshold", breached < self.service.threshold,
             f"attacker reads {breached} of {self.service.num_domains} shares, "
             f"threshold is {self.service.threshold}",
         )]
@@ -235,12 +235,13 @@ class ThresholdSignDriver(ScenarioDriver):
         # Shares are replicated across shards, so stealing signer i's share on
         # two shards yields one unique share, not two.
         stolen_by_index: dict[int, Share] = {}
-        for shard in self.plane.shards:
+        reaches = attacker_reach(self.plane, ["bls_key_share"])
+        for shard, reach in zip(self.plane.shards, reaches):
             for signer_index, domain in enumerate(shard.domains[1:], start=1):
-                if domain.enclave is not None and domain.enclave.memory.breached:
+                if domain.domain_id in reach.domains_breached:
                     stolen_by_index[signer_index] = Share(
                         signer_index,
-                        domain.enclave.memory.host_read("bls_key_share"))
+                        reach.extracted_values[domain.domain_id]["bls_key_share"])
         stolen = [stolen_by_index[index] for index in sorted(stolen_by_index)]
         scheme = BlsThresholdScheme(self.service.threshold, self.service.num_signers)
         if len(stolen) >= self.service.threshold:
@@ -349,10 +350,8 @@ class PrioDriver(ScenarioDriver):
     def finish(self, ctx) -> list[InvariantResult]:
         invariants = [self._aggregate_invariant()]
         total = self.service.num_servers
-        breached = sum(
-            1 for domain in self.deployment.domains
-            if domain.enclave is not None and domain.enclave.memory.breached
-        )
+        # Every server runs in a TEE, so each readable domain is a fallen one.
+        breached = max(reach.breached_count for reach in attacker_reach(self.plane))
         invariants.append(InvariantResult(
             "no-single-server-learns-values", breached < total,
             f"{breached} of {total} aggregation servers readable by the attacker; "
@@ -503,11 +502,11 @@ class OdohDriver(ScenarioDriver):
         lost = sorted(name for name, found in holders.items() if not found)
         duplicated = sorted(name for name, found in holders.items()
                             if len(found) > 1)
+        # Every odoh domain runs in a TEE: a readable domain is a fallen one.
         breached_shards = {
             shard_index
-            for shard_index, shard in enumerate(self.plane.shards)
-            if any(domain.enclave is not None and domain.enclave.memory.breached
-                   for domain in shard.domains)
+            for shard_index, reach in enumerate(attacker_reach(self.plane))
+            if reach.domains_breached
         }
         unresolvable = []
         refused = 0

@@ -35,7 +35,6 @@ from repro.core.package import CodePackage
 from repro.errors import EpochBundleError, ReproError, ReshardError
 from repro.net.latency import geo_profile, lan_profile
 from repro.net.transport import Network
-from repro.sim.adversary import ScheduledCompromise
 from repro.sim.coverage import CoverageRecorder
 from repro.sim.faults import (
     AutoscaleEnabled,
@@ -77,7 +76,6 @@ class ScenarioContext:
         self.epoch_audits: list = []  # dict per bundle per AuditEpoch
         self.forged_epochs: list[int] = []  # artifact indices a forge rewrote
         self.autoscaler = None
-        self._compromise_schedules: dict[int, ScheduledCompromise] = {}
         self._epoch_rpc = None
 
     def resolve(self, party: str) -> str:
@@ -113,11 +111,7 @@ class ScenarioContext:
 
     def compromise(self, domain_index: int, shard_index: int = 0) -> None:
         """Exploit one domain's TEE at the current operation boundary."""
-        schedule = self._compromise_schedules.get(shard_index)
-        if schedule is None:
-            schedule = ScheduledCompromise(self.plane.shards[shard_index])
-            self._compromise_schedules[shard_index] = schedule
-        schedule.compromise(domain_index, at_op=self.current_op)
+        self.plane.shards[shard_index].domains[domain_index].compromise()
 
     def reshard(self, new_shard_count: int):
         """Resize the service plane to ``new_shard_count`` shards, live.

@@ -4,6 +4,7 @@ import pytest
 
 from repro.apps.keybackup import KeyBackupClient, KeyBackupDeployment
 from repro.errors import ApplicationError, MisbehaviorDetected, RpcError
+from repro.sim.adversary import DeveloperCompromise
 
 
 @pytest.fixture(scope="module")
@@ -78,10 +79,11 @@ class TestFigure1Scenario:
         """The paper's Figure 1: a compromised developer reaches only domain 0."""
         client = KeyBackupClient(service)
         client.backup_key("grace", 0xDEAD)
-        outcome = service.simulate_developer_compromise()
-        assert outcome["shares_recoverable"] == 1
-        assert not outcome["key_recoverable"]
-        assert len(outcome["resisted_domains"]) == 2
+        attacker = DeveloperCompromise(service.plane)
+        outcome = attacker.attempt_memory_extraction(["shares"])
+        assert outcome.breached_count == 1
+        assert not attacker.can_recover_secret(service.threshold)
+        assert len(outcome.domains_resisted) == 2
 
     def test_audit_runs_before_use(self, service):
         client = KeyBackupClient(service, audit_before_use=True)

@@ -2,13 +2,15 @@
 
 import pytest
 
+from repro.core.deployment import Deployment, DeploymentConfig
+from repro.core.package import DeveloperIdentity
 from repro.enclave.attestation import AttestationVerifier
-from repro.enclave.exploits import ExploitCampaign
 from repro.enclave.measurement import measure_code
 from repro.enclave.nitro import NitroAttestationDocument, NitroStyleEnclave
 from repro.enclave.sgx import SgxQuote, SgxStyleEnclave
 from repro.enclave.vendor import HardwareVendor, VendorRegistry
 from repro.errors import AttestationError
+from repro.sim.adversary import VendorExploit, attacker_reach
 
 FRAMEWORK_CODE = b"framework code v1"
 
@@ -121,41 +123,60 @@ class TestSgxVerification:
 
 
 class TestExploitCampaign:
-    def _enclaves(self):
-        nitro_vendor = HardwareVendor("aws-nitro-sim")
-        sgx_vendor = HardwareVendor("intel-sgx-sim")
-        return [
-            NitroStyleEnclave("nitro-0", nitro_vendor, FRAMEWORK_CODE),
-            NitroStyleEnclave("nitro-1", nitro_vendor, FRAMEWORK_CODE),
-            SgxStyleEnclave("sgx-0", sgx_vendor, FRAMEWORK_CODE),
-        ]
+    """TEE exploits against a deployment: one vendor's enclaves at once
+    (``VendorExploit``) or one TEE alone (``TrustDomain.compromise``), and
+    what the attacker then reads (``attacker_reach``)."""
+
+    @staticmethod
+    def _deployment(num_domains=5, heterogeneous=True):
+        # Domain 0 is the developer's; the enclaves cycle Nitro, SGX, ...
+        return Deployment("exploit", DeveloperIdentity("exploit-dev"),
+                          DeploymentConfig(num_domains=num_domains,
+                                           heterogeneous=heterogeneous))
+
+    @staticmethod
+    def _ids(deployment, indices):
+        return [deployment.domains[i].domain_id for i in indices]
 
     def test_vendor_exploit_is_correlated(self):
-        enclaves = self._enclaves()
-        campaign = ExploitCampaign(enclaves)
-        report = campaign.exploit_vendor("aws-nitro-sim")
-        assert report.compromised_count == 2
-        assert report.unaffected_count == 1
-        assert campaign.surviving_fraction() == pytest.approx(1 / 3)
+        deployment = self._deployment()
+        outcome = VendorExploit(deployment).exploit("aws-nitro-sim")
+        assert outcome.domains_breached == self._ids(deployment, (1, 3))
+        assert outcome.domains_resisted == self._ids(deployment, (2, 4))
+        assert all(deployment.domains[i].enclave.compromised for i in (1, 3))
+        assert deployment.domains[1].enclave.vendor.compromised
+        (reach,) = attacker_reach(deployment)
+        assert reach.domains_breached == self._ids(deployment, (0, 1, 3))
 
     def test_heterogeneous_deployment_survives_single_vendor_exploit(self):
-        enclaves = self._enclaves()
-        campaign = ExploitCampaign(enclaves)
-        campaign.exploit_vendor("intel-sgx-sim")
+        deployment = self._deployment(num_domains=3)
+        VendorExploit(deployment).exploit("intel-sgx-sim")
         # One honest (uncompromised) domain remains on the other vendor.
-        assert campaign.surviving_fraction() > 0
+        (reach,) = attacker_reach(deployment)
+        assert reach.domains_resisted == self._ids(deployment, (1,))
 
     def test_single_exploit_affects_one_enclave(self):
-        enclaves = self._enclaves()
-        campaign = ExploitCampaign(enclaves)
-        report = campaign.exploit_single("sgx-0")
-        assert report.compromised_enclaves == ["sgx-0"]
-        assert report.unaffected_count == 2
+        deployment = self._deployment(num_domains=4)
+        deployment.domains[2].compromise()
+        (reach,) = attacker_reach(deployment)
+        assert reach.domains_breached == self._ids(deployment, (0, 2))
+        assert reach.domains_resisted == self._ids(deployment, (1, 3))
 
     def test_breaks_threshold(self):
-        # Application with 3 domains needing at least 1 honest domain.
-        assert not ExploitCampaign.breaks_threshold(3, 2, 1)
-        assert ExploitCampaign.breaks_threshold(3, 3, 1)
+        # A homogeneous deployment: both enclaves fall to one Nitro exploit,
+        # leaving only the developer's domain honest.
+        homogeneous = self._deployment(num_domains=3, heterogeneous=False)
+        assert not VendorExploit(homogeneous).defeats_application(
+            "aws-nitro-sim", honest_required=1)
+        assert VendorExploit(homogeneous).defeats_application(
+            "aws-nitro-sim", honest_required=2)
+        (reach,) = attacker_reach(homogeneous)
+        assert reach.breached_count == 3 and not reach.domains_resisted
 
-    def test_surviving_fraction_empty(self):
-        assert ExploitCampaign([]).surviving_fraction() == 1.0
+    def test_enclaves_fallen_earlier_count_against_the_threshold(self):
+        # The SGX enclave fell on its own; a Nitro exploit then leaves only
+        # the developer's domain honest.
+        deployment = self._deployment(num_domains=3)
+        deployment.domains[2].compromise()
+        assert VendorExploit(deployment).defeats_application(
+            "aws-nitro-sim", honest_required=2)

@@ -1,5 +1,7 @@
 """Unit tests for the simulated Nitro-style and SGX-style enclaves."""
 
+import dataclasses
+
 import pytest
 
 from repro.enclave.memory import EnclaveMemory
@@ -112,10 +114,14 @@ class TestSealing:
         with pytest.raises(SealingError):
             patched.unseal(blob)
 
-    def test_tampered_blob_rejected(self):
+    @pytest.mark.parametrize("part", ["ciphertext", "tag", "nonce"])
+    def test_tampered_blob_rejected(self, part):
         enclave = make_nitro()
         blob = enclave.seal(b"payload")
-        tampered = SealedBlob(blob.nonce, blob.ciphertext[:-1] + b"\x00", blob.tag)
+        # Flip one bit of the last byte, so the blob always changes.
+        value = getattr(blob, part)
+        tampered = dataclasses.replace(
+            blob, **{part: value[:-1] + bytes([value[-1] ^ 0x01])})
         with pytest.raises(SealingError):
             enclave.unseal(tampered)
 

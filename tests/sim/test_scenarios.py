@@ -15,7 +15,7 @@ from repro.core.deployment import Deployment, DeploymentConfig
 from repro.core.package import CodePackage, DeveloperIdentity
 from repro.net.rpc import RpcClient, RpcServer
 from repro.net.transport import FaultDecision, Message, Network
-from repro.sim.adversary import ScheduledCompromise
+from repro.sim.adversary import attacker_reach
 from repro.sim.faults import (
     CompromiseDomain,
     CrashParty,
@@ -221,8 +221,9 @@ class TestReshardScenarios:
         driver = make_driver("keybackup", 2022, 2, shards=2)
         ctx = ScenarioContext(None, driver)
         ctx.compromise(1, shard_index=1)
-        assert driver.plane.shards[1].domains[1].enclave.memory.breached
-        assert not driver.plane.shards[0].domains[1].enclave.memory.breached
+        first, second = attacker_reach(driver.plane)
+        assert driver.plane.shards[1].domains[1].domain_id in second.domains_breached
+        assert driver.plane.shards[0].domains[1].domain_id in first.domains_resisted
         ok, kinds = driver.audit_outcome()
         assert not ok and "attestation-failure" in kinds
 
@@ -548,6 +549,10 @@ class TestRpcHardening:
 
 
 class TestScheduledCompromise:
+    """Schedule-driven compromise: a ``CompromiseDomain`` event breaches one
+    TEE through ``ctx.compromise`` at its op boundary, and the secrecy
+    invariants read the attacker's reach on every shard."""
+
     def _deployment(self):
         developer = DeveloperIdentity("sched-dev")
         deployment = Deployment("sched", developer, DeploymentConfig(num_domains=4))
@@ -557,15 +562,53 @@ class TestScheduledCompromise:
         deployment.publish_and_install(package)
         return deployment
 
+    @staticmethod
+    def _context(app, shards=1, ops=2):
+        from repro.sim.scenarios.apps import make_driver
+        from repro.sim.scenarios.runner import ScenarioContext
+
+        driver = make_driver(app, 2022, ops, shards=shards)
+        return driver, ScenarioContext(None, driver)
+
+    @staticmethod
+    def _verdict(driver, ctx, name):
+        return next(result for result in driver.finish(ctx) if result.name == name)
+
     def test_schedule_tracks_history_and_outcome(self):
-        deployment = self._deployment()
-        schedule = ScheduledCompromise(deployment)
-        assert schedule.breached_count() == 1  # the developer's own domain 0
-        schedule.compromise(1, at_op=3)
-        assert schedule.compromised_domain_ids == [deployment.domains[1].domain_id]
-        assert schedule.breached_count() == 2
-        assert schedule.below_threshold(3)
-        assert not schedule.below_threshold(2)
+        from repro.sim.scenarios.runner import run_ops
+
+        driver, ctx = self._context("keybackup", ops=5)
+        (before,) = attacker_reach(driver.plane)
+        assert before.breached_count == 1  # the developer's own domain 0
+        scenario = Scenario(name="sched", app="keybackup", ops=5,
+                            events=(CompromiseDomain(at_op=3, domain_index=1),))
+        run = run_ops(ctx, FaultPlan(events=scenario.events), scenario)
+        (fired,) = run.fired
+        assert fired.completed == 3  # fell at op 3's boundary
+        (after,) = attacker_reach(driver.plane)
+        assert after.domains_breached == [driver.deployment.domains[i].domain_id
+                                          for i in (0, 1)]
+        assert after.breached_count == 2 < driver.service.threshold
+        verdict = self._verdict(driver, ctx, "key-stays-secret-below-threshold")
+        assert verdict.ok and "attacker reads 2 of 4 shares" in verdict.detail
+
+    def test_keybackup_secrecy_judges_every_shard(self):
+        # Developer plus two fallen TEEs of shard 1 reach threshold 3 there,
+        # while shard 0 still looks like the developer's domain alone.
+        driver, ctx = self._context("keybackup", shards=2)
+        ctx.compromise(1, shard_index=1)
+        ctx.compromise(2, shard_index=1)
+        verdict = self._verdict(driver, ctx, "key-stays-secret-below-threshold")
+        assert not verdict.ok
+        assert "attacker reads 3 of 4 shares" in verdict.detail
+
+    def test_prio_secrecy_judges_every_shard(self):
+        driver, ctx = self._context("prio", shards=2)
+        for server in range(driver.service.num_servers):
+            ctx.compromise(server, shard_index=1)
+        verdict = self._verdict(driver, ctx, "no-single-server-learns-values")
+        assert not verdict.ok
+        assert verdict.detail.startswith("3 of 3 aggregation servers readable")
 
     def test_routed_invoke_travels_over_the_network(self):
         deployment = self._deployment()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.deployment import Deployment, DeploymentConfig
 from repro.core.package import CodePackage, DeveloperIdentity
-from repro.sim.adversary import DeveloperCompromise, VendorExploit
+from repro.sim.adversary import DeveloperCompromise, VendorExploit, attacker_reach
 from repro.sim.metrics import percentile, summarize
 from repro.sim.workload import WorkloadGenerator
 
@@ -158,3 +158,24 @@ class TestVendorExploit:
                                                                     honest_required=3)
         assert VendorExploit(heterogeneous).defeats_application("aws-nitro-sim",
                                                                 honest_required=4)
+
+
+class TestAttackerReach:
+    def test_one_outcome_per_shard(self):
+        from repro.apps.keybackup import KeyBackupDeployment
+
+        service = KeyBackupDeployment(num_domains=3, threshold=2, shards=2)
+        service.plane.shards[1].domains[2].compromise()
+        reaches = attacker_reach(service.plane)
+        assert [reach.breached_count for reach in reaches] == [1, 2]
+        # On a plane the attacker's best shard decides.
+        assert DeveloperCompromise(service.plane).can_recover_secret(threshold=2)
+
+    def test_reads_requested_keys_from_breached_enclaves(self):
+        deployment = make_deployment()
+        deployment.domains[1].enclave.memory.write("sealed-key", b"k")
+        deployment.domains[1].compromise()
+        (reach,) = attacker_reach(deployment, ["sealed-key"])
+        assert reach.extracted_values[deployment.domains[1].domain_id] == {
+            "sealed-key": b"k"}
+        assert deployment.domains[2].domain_id not in reach.extracted_values

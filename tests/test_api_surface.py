@@ -5,7 +5,9 @@ subpackage ``__all__`` lists must be importable from the documented location,
 so downstream users can rely on the paths README.md and the examples use.
 """
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -153,3 +155,23 @@ class TestServicePlaneSurface:
 
         assert KeyBackupDeployment(num_domains=2, shards=2).plane.num_shards == 2
         assert PrivateAggregationDeployment(num_servers=2, shards=3).num_shards == 3
+
+
+class TestLayering:
+    def test_apps_do_not_import_the_simulator(self):
+        """The applications sit below the simulator: ``repro.sim`` drives and
+        attacks them, so no module under ``repro.apps`` may import it."""
+        apps = Path(repro.__file__).parent / "apps"
+        offenders = []
+        for path in sorted(apps.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                offenders += [f"{path.name}:{node.lineno} imports {name}"
+                              for name in names
+                              if name == "repro.sim" or name.startswith("repro.sim.")]
+        assert not offenders, offenders
