@@ -420,7 +420,7 @@ class ObliviousDnsClient:
         *name* locally, so the key never rides the wire, and routing is
         re-resolved per wave: a reshard that commits between the hops still
         finds the records on the post-epoch shard, and a name caught
-        mid-migration retries on its own. Returns one outcome per name, in
+        mid-migration waits for the commit on its own. Returns one outcome per name, in
         order: a :class:`DnsResponse`, or an exception instance for a query
         that failed at either hop (failures are isolated per query).
         """

@@ -337,6 +337,10 @@ class Network:
             return None
         return self._queue[0][0]
 
+    def latest_delivery_at(self) -> Optional[float]:
+        """Timestamp of the last queued message, or ``None`` when idle."""
+        return max((entry[0] for entry in self._queue), default=None)
+
     def deliver_next(self) -> Optional[Message]:
         """Deliver the earliest queued message; returns it, or ``None``.
 

@@ -15,16 +15,17 @@ from __future__ import annotations
 
 from repro.core.client import AuditingClient
 from repro.errors import KeyMigratingError, ServiceSpecError
-from repro.net.eventloop import Sleep
+from repro.net.eventloop import Park, Sleep
 
 __all__ = ["ServiceClient"]
 
 AUDIT_POLICIES = ("always", "once", "never")
 
-# How many times one wave retries calls that hit a mid-migration key, and how
-# long (simulated seconds) it sleeps between tries. Bounded: a key pinned by
-# a *failed* migration routes fine via its epoch override, so only an actual
-# in-progress epoch transition ever costs a retry.
+# How many times one wave retries calls that hit a mid-migration key when
+# nothing can wake it at the transition's commit (a synchronous caller, or an
+# event loop with nothing else left to run), and how long (simulated
+# seconds) it sleeps between tries. Inside an event loop a wave parks until
+# the commit instead, however long the transition takes.
 MIGRATION_RETRIES = 4
 MIGRATION_RETRY_DELAY = 0.002
 
@@ -117,28 +118,37 @@ class ServiceClient:
         ``calls`` are ``(key, domain_index, entry, params)`` tuples, routed as
         :meth:`ShardedService.begin_scatter` routes them, so epoch overrides
         after a reshard are honoured on every wave. Calls that resolve to
-        :class:`~repro.errors.KeyMigratingError` are retried together, after
-        a short simulated back-off, up to :data:`MIGRATION_RETRIES` times, so
-        a live reshard costs an availability blip rather than a failed call.
-        Every other failure comes back as its exception instance. Run it with
+        :class:`~repro.errors.KeyMigratingError` park until the plane's
+        transition commits or aborts (:attr:`ShardedService.transition_done`)
+        and are then routed again, so a live reshard costs an op on a moving
+        key the wait for the commit, never a failed call. No per-RPC
+        ``timeout`` bounds that wait. Where nothing can wake the park (under
+        :func:`~repro.net.eventloop.drive`, no transition commits while the
+        caller waits) the calls back off instead, up to
+        :data:`MIGRATION_RETRIES` times. Every other failure comes back as
+        its exception instance. Run it with
         :func:`~repro.net.eventloop.drive` or as (part of) an
         :class:`~repro.net.eventloop.EventLoop` task.
         """
         calls = list(calls)
         outcomes: list = [None] * len(calls)
         slots = list(range(len(calls)))
-        for round_index in range(MIGRATION_RETRIES + 1):
+        backoffs = 0
+        while True:
             results = yield from self.plane.begin_scatter(
                 [calls[slot] for slot in slots]).wait_event(timeout=timeout)
-            retry_slots: list[int] = []
+            moving: list[int] = []
             for slot, result in zip(slots, results):
-                if (isinstance(result, KeyMigratingError)
-                        and round_index < MIGRATION_RETRIES):
-                    retry_slots.append(slot)
-                else:
-                    outcomes[slot] = result
-            if not retry_slots:
-                break
-            slots = retry_slots
-            yield Sleep(MIGRATION_RETRY_DELAY)
-        return outcomes
+                outcomes[slot] = result
+                if isinstance(result, KeyMigratingError):
+                    moving.append(slot)
+            if not moving:
+                return outcomes
+            done = self.plane.transition_done
+            woke = (yield Park(done)) if done is not None else "idle"
+            if woke != "signalled":
+                if backoffs == MIGRATION_RETRIES:
+                    return outcomes
+                backoffs += 1
+                yield Sleep(MIGRATION_RETRY_DELAY)
+            slots = moving

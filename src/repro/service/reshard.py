@@ -5,6 +5,13 @@ stability under resharding; this module is the machinery that cashes the
 claim in on a live service — in both directions. A reshard is one epoch
 transition:
 
+0. **Quiesce.** The plane opens the transition toward the resized ring:
+   from here until commit (or rollback) keyed routing fails safely with
+   :class:`~repro.errors.KeyMigratingError` for every key whose owner
+   changes, keys no enumeration has seen included, instead of guessing an
+   owner. The plan then waits for the requests already in flight
+   (:func:`~repro.net.eventloop.settle`), so enumeration sees every write
+   accepted before the transition began.
 1. **Synthesize** (grow only). The new shards are built from the same
    :class:`~repro.service.ServiceSpec` as the originals — measured enclaves,
    published packages, the shared clock and vendor roots — and joined to the
@@ -15,9 +22,7 @@ transition:
    yields the minimal moved-key set (~``1 - N/M`` of the keyspace for a
    ``N → M`` grow, exactly the retiring shards' keys — ~``k/N`` — for a
    ``N → N-k`` shrink; everything else never moves).
-3. **Migrate.** Moved keys are marked *in motion* — keyed routing fails
-   safely with :class:`~repro.errors.KeyMigratingError` instead of guessing
-   an owner — while :meth:`ShardMigrator.migrate` copies records source →
+3. **Migrate.** :meth:`ShardMigrator.migrate` copies records source →
    target over the simulated network (so packet loss, partitions, and
    crashes hit migration traffic exactly as they hit request traffic),
    verifies the copy, and only then deletes the source records. Every
@@ -42,6 +47,18 @@ transition:
 ``finish_reshard`` runs the same migrate, evacuate, retire and publish
 steps (see :class:`ReshardCoordinator`).
 
+A transition is one synchronous call, :meth:`ShardedService.reshard`,
+whoever makes it. Fired inside a running
+:class:`~repro.net.eventloop.EventLoop` (an op's event, the autoscaler's
+sample) it does not stop the world: every wait above — the quiesce barrier,
+the enumeration, the migration groups, the cleanup — pumps that loop
+(:func:`~repro.net.eventloop.live`), so arrivals start on time and ops on
+keys that stay run to completion meanwhile. An op on a moving key parks
+until :meth:`~ShardedService.commit_epoch` (or a rollback) fires
+:attr:`ShardedService.transition_done`, then routes again; no timeout bounds
+that wait. Without a loop every wait pumps the network to idle, as a serial
+run always has.
+
 The invariant the scenario matrix pins: across the epoch boundary, in either
 direction, no record is lost and no record ends up authoritative on two
 shards.
@@ -52,7 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import InvalidReshardError, ReshardError
-from repro.net.eventloop import drive_all
+from repro.net.eventloop import drive_all, settle
 from repro.service.ring import RingDiff
 
 __all__ = ["MigrationOutcome", "ShardMigrator", "ReshardReport",
@@ -285,14 +302,19 @@ class ReshardCoordinator:
                 "previous shrink; call finish_reshard() before resharding "
                 "again"
             )
-        # Quiesce barrier: when requests are genuinely in flight (the
-        # discrete-event workload), writes still on the wire would be
+        # Quiesce barrier. From here to commit (or rollback) every key whose
+        # owner changes under the resized ring fails safely as
+        # KeyMigratingError, so no new write can reach a moving key's old
+        # owner, fresh keys included. Writes already on the wire would be
         # invisible to the key enumeration below and their records could be
-        # stranded on a pre-reshard shard. Drain the network first so the
-        # plan sees every record that was accepted before the reshard began;
-        # requests issued after this point fail safely as KeyMigratingError
-        # until the epoch commits.
-        plane.transport.run_until_idle()
+        # stranded on a pre-reshard shard, so the plan waits for them:
+        # inside a running event loop by pumping it until every message in
+        # flight now has arrived (ops on keys that stay run on meanwhile),
+        # otherwise by draining the network.
+        new_ring = plane.ring.resize(new_shard_count)
+        plane.begin_transition(new_ring)
+        if not settle(plane.transport):
+            plane.transport.run_until_idle()
         started = plane.clock.now()
         report = ReshardReport(
             service=plane.spec.name,
@@ -333,7 +355,6 @@ class ReshardCoordinator:
             for shard_index in range(old_count):
                 for key in migrator.shard_keys(plane, shard_index):
                     owned[key] = shard_index
-            new_ring = plane.ring.resize(new_shard_count)
             report.diff = plane.ring.diff(new_ring, owned.keys())
             moves: dict[tuple[int, int], list] = {}
             for key, source in owned.items():
@@ -418,6 +439,19 @@ class ReshardCoordinator:
         Draining shards a shrink left behind are detached once the drain
         empties them — the deferred retire step.
         """
+        plane = self.plane
+        # Pinned keys whose ring owner differs fail safely until the drain
+        # ends; inside a running event loop the drain first waits for the
+        # writes already on the wire to them (a synchronous caller has none
+        # a drain could miss).
+        plane.begin_transition(plane.ring)
+        settle(plane.transport)
+        try:
+            return self._finish()
+        finally:
+            plane.end_transition()
+
+    def _finish(self) -> ReshardReport:
         plane = self.plane
         started = plane.clock.now()
         report = ReshardReport(
@@ -572,4 +606,4 @@ class ReshardCoordinator:
         for offset, deployment in enumerate(plane.shards[old_count:]):
             plane._spare_shards[old_count + offset] = deployment
         del plane.shards[old_count:]
-        plane._moving = frozenset()
+        plane.end_transition()

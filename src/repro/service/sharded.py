@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from repro.core.deployment import Deployment
 from repro.errors import KeyMigratingError, ReshardError, ServiceSpecError
-from repro.net.eventloop import drive
+from repro.net.eventloop import Signal, drive, live
 from repro.net.transport import Network
 from repro.service.ring import HashRing
 
@@ -97,12 +97,15 @@ class ShardedService:
         self.clock = clock
         self.client_address: str | None = None
         # --- epoch state (live resharding; see repro.service.reshard) ------
-        # ``epoch`` counts committed reshards. While a migration is running,
-        # keys in ``_moving`` have no authoritative owner and keyed routing
-        # fails safely; after commit, ``_overrides`` pins any key whose
-        # records could not be moved (source crashed, link partitioned, ...)
-        # to the shard that still holds them — routed correctly, never
-        # silently misrouted. ``migrator`` is the app-provided state mover.
+        # ``epoch`` counts committed reshards. While a transition is in
+        # flight, every key whose owner differs under ``_next_ring`` (and
+        # every key in ``_moving``) has no authoritative owner and keyed
+        # routing fails safely; ``transition_done`` fires when it commits or
+        # aborts, waking every call parked on such a key. After commit,
+        # ``_overrides`` pins any key whose records could not be moved
+        # (source crashed, link partitioned, ...) to the shard that still
+        # holds them — routed correctly, never silently misrouted.
+        # ``migrator`` is the app-provided state mover.
         self.epoch = 0
         self.migrator = None
         # When set (repro.transparency.epochs.EpochPublisher), every epoch
@@ -111,6 +114,8 @@ class ShardedService:
         # publisher's epoch log for standalone auditors to verify.
         self.epoch_publisher = None
         self._moving: frozenset[bytes] = frozenset()
+        self._next_ring: HashRing | None = None
+        self.transition_done: Signal | None = None
         # canonical key bytes -> (shard index still holding the records,
         # the key in its original form, for retrying the move later)
         self._overrides: dict[bytes, tuple[int, object]] = {}
@@ -170,22 +175,31 @@ class ShardedService:
     def shard_for(self, key) -> int:
         """The shard index owning ``key`` under the current epoch.
 
-        During a migration, a key that is mid-move has no authoritative owner
-        and routing raises :class:`~repro.errors.KeyMigratingError` (fail
-        safely — never serve from the wrong shard). After a reshard commits,
-        keys whose records could not be moved keep routing to the shard that
-        still holds them until :meth:`finish_reshard` drains them.
+        During a transition, a key whose owner changes has no authoritative
+        owner and routing raises :class:`~repro.errors.KeyMigratingError`
+        (fail safely — never serve from the wrong shard). After a reshard
+        commits, keys whose records could not be moved keep routing to the
+        shard that still holds them until :meth:`finish_reshard` drains them.
         """
+        owner = self._route(key)
+        if isinstance(owner, KeyMigratingError):
+            raise owner
+        return owner
+
+    def _route(self, key):
+        """:meth:`shard_for` returning, not raising, the refusal of a moving
+        key (a raised one would tie the scatter's frames into a cycle)."""
         key_bytes = HashRing._key_bytes(key)
-        if key_bytes in self._moving:
-            raise KeyMigratingError(
-                f"key {key!r} is mid-migration in the epoch-{self.epoch + 1} "
-                "reshard; retry after the epoch commits"
-            )
-        override = self._overrides.get(key_bytes)
-        if override is not None:
-            return override[0]
-        return self.ring.shard_for(key)
+        if key_bytes not in self._moving:
+            override = self._overrides.get(key_bytes)
+            owner = (override[0] if override is not None
+                     else self.ring.shard_for(key))
+            if (self._next_ring is None
+                    or self._next_ring.shard_for(key) == owner):
+                return owner
+        return KeyMigratingError(
+            f"key {key!r} is mid-migration in the epoch-{self.epoch + 1} "
+            "reshard; retry after the epoch commits")
 
     def deployment_for(self, key) -> Deployment:
         """The shard deployment owning ``key``."""
@@ -266,11 +280,11 @@ class ShardedService:
             key_bytes = HashRing._key_bytes(key)
             shard_index = routes.get(key_bytes)
             if shard_index is None:
-                try:
-                    shard_index = routes[key_bytes] = self.shard_for(key)
-                except KeyMigratingError as exc:
-                    premapped[position] = exc
+                shard_index = self._route(key)
+                if isinstance(shard_index, KeyMigratingError):
+                    premapped[position] = shard_index
                     continue
+                routes[key_bytes] = shard_index
             groups.setdefault((shard_index, domain_index), []).append(
                 (position, entry, params)
             )
@@ -456,8 +470,8 @@ class ShardedService:
 
     @property
     def is_migrating(self) -> bool:
-        """Whether an epoch transition currently has keys mid-move."""
-        return bool(self._moving)
+        """Whether an epoch transition is in flight."""
+        return self.transition_done is not None
 
     def set_service_time(self, seconds: float) -> None:
         """Charge ``seconds`` of simulated service time per request on every
@@ -482,10 +496,16 @@ class ShardedService:
         :class:`~repro.errors.InvalidReshardError` — before anything moves —
         for a degenerate transition (``n < 1`` or ``n`` equal to the current
         count).
+
+        Called from inside a running event loop (an op's event, the
+        autoscaler), the transition does not stop the world: its waits pump
+        the loop (:func:`~repro.net.eventloop.live`), so ops on keys that
+        stay run on, and ops on moving keys park until the commit.
         """
         from repro.service.reshard import ReshardCoordinator
 
-        return ReshardCoordinator(self).reshard(new_shard_count)
+        with live(self.transport):
+            return ReshardCoordinator(self).reshard(new_shard_count)
 
     def finish_reshard(self):
         """Retry the migration of any keys still pinned to their old shard.
@@ -494,10 +514,12 @@ class ShardedService:
         target), some keys stay routed to their pre-reshard shard via epoch
         overrides — correct, but not yet rebalanced. Call this once the fault
         heals to drain them. Returns the :class:`ReshardReport` of the drain.
+        Like :meth:`reshard`, it runs live inside an event loop.
         """
         from repro.service.reshard import ReshardCoordinator
 
-        return ReshardCoordinator(self).finish()
+        with live(self.transport):
+            return ReshardCoordinator(self).finish()
 
     def attach_shard(self, deployment: Deployment) -> None:
         """Join a freshly synthesized shard to the plane's wiring.
@@ -556,11 +578,33 @@ class ShardedService:
         self._spare_shards[shard_index] = deployment
         return deployment
 
+    def begin_transition(self, ring: HashRing) -> None:
+        """Open a transition toward ``ring``: until it commits or aborts,
+        every key whose owner under ``ring`` differs from its owner now
+        (pinned keys by their override) fails safely, keys no enumeration
+        has seen yet included."""
+        if self.transition_done is not None:
+            raise ReshardError("a reshard is already in progress")
+        self._next_ring = ring
+        self.transition_done = Signal()
+
     def begin_epoch(self, moving_keys) -> None:
         """Mark ``moving_keys`` as mid-migration (keyed routing fails safely)."""
         if self._moving:
             raise ReshardError("a reshard is already in progress")
         self._moving = frozenset(HashRing._key_bytes(key) for key in moving_keys)
+        if self.transition_done is None:
+            self.transition_done = Signal()
+
+    def end_transition(self) -> None:
+        """Release every moving key and wake the calls parked on them;
+        :meth:`commit_epoch` ends with this, an abort or a drain calls it."""
+        done = self.transition_done
+        self._moving = frozenset()
+        self._next_ring = None
+        self.transition_done = None
+        if done is not None:
+            done.fire()
 
     def commit_epoch(self, ring: HashRing,
                      unmigrated: dict | None = None) -> None:
@@ -583,10 +627,10 @@ class ShardedService:
                 f"{len(self.shards)} exist"
             )
         self.ring = ring
-        self._moving = frozenset()
         for key, shard_index in (unmigrated or {}).items():
             self._overrides[HashRing._key_bytes(key)] = (shard_index, key)
         self.epoch += 1
+        self.end_transition()
 
     def clear_override(self, key) -> None:
         """Drop a key's epoch override (its state reached the ring owner)."""

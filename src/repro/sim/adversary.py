@@ -47,8 +47,10 @@ def attacker_reach(target, keys=()) -> list[CompromiseOutcome]:
 
     ``target`` is a service plane (one outcome per shard, in shard order) or
     a single deployment (one outcome). The attacker reads the developer-run
-    domain's application state and ``keys`` from every breached enclave's
-    memory; every intact enclave resists.
+    domain's application state and ``keys`` from every breached enclave: a
+    key is read from the enclave's memory, or, when not there, from the
+    state of the sandboxed application running inside it. Every intact
+    enclave resists.
     """
     outcomes = []
     for shard in getattr(target, "shards", [target]):
@@ -64,11 +66,15 @@ def attacker_reach(target, keys=()) -> list[CompromiseOutcome]:
                 outcome.domains_resisted.append(domain.domain_id)
             else:
                 # A TEE exploit defeated the isolation; the developer's host
-                # access now reads enclave memory.
+                # access now reads enclave memory, the sandboxed app's state
+                # inside it included.
                 outcome.domains_breached.append(domain.domain_id)
-                outcome.extracted_values[domain.domain_id] = {
-                    key: domain.enclave.memory.host_read(key) for key in keys
-                }
+                state = domain.framework.application_state() or {}
+                values = {}
+                for key in keys:
+                    value = domain.enclave.memory.host_read(key)
+                    values[key] = value if value is not None else state.get(key)
+                outcome.extracted_values[domain.domain_id] = values
         outcomes.append(outcome)
     return outcomes
 

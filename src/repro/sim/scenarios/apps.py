@@ -163,16 +163,43 @@ class KeyBackupDriver(ScenarioDriver):
             on_stored=lambda: self.backed_up.append((user, secret)))
 
     def finish(self, ctx) -> list[InvariantResult]:
-        # Each user's shares live on one shard: the worst shard decides.
-        breached = max(reach.breached_count for reach in attacker_reach(self.plane))
-        invariants = [InvariantResult(
-            "key-stays-secret-below-threshold", breached < self.service.threshold,
-            f"attacker reads {breached} of {self.service.num_domains} shares, "
-            f"threshold is {self.service.threshold}",
-        )]
+        invariants = [self._secrecy_invariant()]
         if ctx.resharded:
             invariants.append(self._conservation_invariant())
         return invariants
+
+    def _secrecy_invariant(self) -> InvariantResult:
+        """Steal every share the attacker reads on its best shard (each
+        user's shares live on one shard) and try to rebuild each user's key
+        from them alone: below the threshold that must be impossible."""
+        threshold = self.service.threshold
+        worst = max(attacker_reach(self.plane, ["shares"]),
+                    key=lambda reach: reach.breached_count)
+        stolen: dict[str, list[Share]] = {}
+        for values in worst.extracted_values.values():
+            for user, share in (values.get("shares") or {}).items():
+                stolen.setdefault(user, []).append(
+                    Share(share["index"], share["value"]))
+        secrets = dict(self.backed_up)
+        recovered = []
+        for user, shares in sorted(stolen.items()):
+            try:
+                value = self.client.sharing.reconstruct(shares)
+            except ReproError:
+                continue
+            if value == secrets.get(user):
+                recovered.append(user)
+        detail = (f"attacker reads {worst.breached_count} of "
+                  f"{self.service.num_domains} shares, threshold is {threshold}")
+        if recovered:
+            detail += (f"; it rebuilt {len(recovered)} user key(s) from the "
+                       f"stolen shares: {recovered[:3]}")
+        elif stolen:
+            detail += (f"; no key rebuilds from the shares it stole of "
+                       f"{len(stolen)} user(s)")
+        return InvariantResult(
+            "key-stays-secret-below-threshold",
+            worst.breached_count < threshold and not recovered, detail)
 
     def _conservation_invariant(self) -> InvariantResult:
         """Across the epoch boundary: every backed-up key recoverable, no

@@ -378,8 +378,16 @@ def run_ops(ctx: ScenarioContext, plan: FaultPlan, scenario: Scenario, *,
       samples the plane at the policy's cadence.
 
     Events fire through ``ctx`` with ``ctx.current_op`` set to the boundary
-    op. Sim latency is the op's own time (or its span's, for every op in it).
+    op. Sim latency is the op's own time (or its span's, for every op in it);
+    a concurrent op is timed from its due time, so a wait to start counts.
     The returned run also times the loop, in sim and in wall-clock seconds.
+
+    On the loop an event runs inside its op's step. A reshard it fires
+    pumps the loop while it migrates, so other ops run on meanwhile (see
+    :mod:`repro.service.reshard`). Events never interleave: an op whose
+    boundary carries events, and the autoscaler's sample, park until the
+    event or sample being applied is done, which keeps the events in op
+    order.
     """
     driver = ctx.driver
     clock = driver.plane.clock
@@ -393,27 +401,42 @@ def run_ops(ctx: ScenarioContext, plan: FaultPlan, scenario: Scenario, *,
         for event in [event for op in range(op_index, stop)
                       for event in plan.events_at(op)]:
             started = clock.now()
+            completed = len(run.results)
             outcome = event.apply(ctx)
             ctx.note_event(event)
-            run.fired.append(FiredEvent(event, len(run.results), started,
+            run.fired.append(FiredEvent(event, completed, started,
                                         clock.now(), outcome, in_flight))
 
     if scenario.concurrent:
-        from repro.net.eventloop import EventLoop, Sleep
+        from repro.net.eventloop import EventLoop, Park, Signal, Sleep
         from repro.service.autoscaler import percentile
 
         loop = EventLoop(ctx.network)
         arrivals = random.Random(scenario.seed + 2)
         in_flight = 0
+        applying: list = []  # the Signal of the event or sample under way
 
-        def op_task(op_index: int):
+        def take_turn():
+            # Park until no event or autoscaler sample is being applied.
+            while applying:
+                yield Park(applying[0])
+            applying.append(Signal())
+
+        def end_turn() -> None:
+            applying.pop().fire()
+
+        def op_task(op_index: int, due: float):
             nonlocal in_flight
-            fire(op_index, op_index + 1, in_flight)
+            if plan.events_at(op_index):
+                yield from take_turn()
+                try:
+                    fire(op_index, op_index + 1, in_flight)
+                finally:
+                    end_turn()
             in_flight += 1
             run.max_in_flight = max(run.max_in_flight, in_flight)
             if ctx.recorder is not None and in_flight >= 2:
                 ctx.recorder.batch_active(True)
-            started = clock.now()
             error = None
             try:
                 yield from driver.op_task(ctx, op_index, op_timeout)
@@ -423,7 +446,7 @@ def run_ops(ctx: ScenarioContext, plan: FaultPlan, scenario: Scenario, *,
                 in_flight -= 1
                 if ctx.recorder is not None and in_flight < 2:
                     ctx.recorder.batch_active(False)
-            run.results.append((op_index, clock.now() - started, error))
+            run.results.append((op_index, clock.now() - due, error))
 
         def autoscale_monitor():
             # Idles cheaply until an autoscaler is enabled (an
@@ -437,22 +460,26 @@ def run_ops(ctx: ScenarioContext, plan: FaultPlan, scenario: Scenario, *,
                 if scaler is None:
                     window_start = len(run.results)
                     continue
-                window = [latency for _, latency, _ in run.results[window_start:]]
-                window_start = len(run.results)
-                decisions_before = len(scaler.decisions)
-                shards_before = ctx.plane.ring.shard_count
-                # Per-sample observes enter the window without charging the
-                # active faults to it — otherwise the monitor's mere cadence
-                # would claim mid-autoscale coverage every run. Transitions
-                # the observe fires (and the migration traffic they push)
-                # are recorded under the phase.
-                with ctx.phase("mid-autoscale", record_active=False):
-                    scaler.observe(p99_s=percentile(window, 0.99))
-                if ctx.recorder is not None:
-                    if any(d.fired for d in scaler.decisions[decisions_before:]):
-                        ctx.recorder.record_active_under("mid-autoscale")
-                    if ctx.plane.ring.shard_count != shards_before:
-                        ctx.recorder.set_shards(ctx.plane.ring.shard_count)
+                yield from take_turn()
+                try:
+                    window = [latency for _, latency, _ in run.results[window_start:]]
+                    window_start = len(run.results)
+                    decisions_before = len(scaler.decisions)
+                    shards_before = ctx.plane.ring.shard_count
+                    # Per-sample observes enter the window without charging
+                    # the active faults to it — otherwise the monitor's mere
+                    # cadence would claim mid-autoscale coverage every run.
+                    # Transitions the observe fires (and the migration
+                    # traffic they push) are recorded under the phase.
+                    with ctx.phase("mid-autoscale", record_active=False):
+                        scaler.observe(p99_s=percentile(window, 0.99))
+                    if ctx.recorder is not None:
+                        if any(d.fired for d in scaler.decisions[decisions_before:]):
+                            ctx.recorder.record_active_under("mid-autoscale")
+                        if ctx.plane.ring.shard_count != shards_before:
+                            ctx.recorder.set_shards(ctx.plane.ring.shard_count)
+                finally:
+                    end_turn()
 
         if ctx.autoscaler is not None or any(
                 isinstance(event, AutoscaleEnabled) for event in plan.events):
@@ -465,8 +492,9 @@ def run_ops(ctx: ScenarioContext, plan: FaultPlan, scenario: Scenario, *,
                 if op_index >= start_op:
                     rate = phase_rate
             arrival_offset += arrivals.expovariate(rate)
-            loop.spawn(op_task(op_index), name=f"op-{op_index}",
-                       start_at=started + arrival_offset)
+            due = started + arrival_offset
+            loop.spawn(op_task(op_index, due), name=f"op-{op_index}",
+                       start_at=due)
         loop.run()
         if ctx.autoscaler is not None:
             # The autoscaler's transitions are epoch transitions like any

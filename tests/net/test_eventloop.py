@@ -11,7 +11,16 @@ import random
 import pytest
 
 from repro.errors import SimulationError, TimeoutError
-from repro.net.eventloop import EventLoop, Sleep, WaitBatch, drive, drive_all
+from repro.net.eventloop import (
+    EventLoop,
+    Park,
+    Signal,
+    Sleep,
+    WaitBatch,
+    drive,
+    drive_all,
+    live,
+)
 from repro.net.latency import ConstantLatency
 from repro.net.rpc import RpcClient, RpcServer, ServiceQueue, ServiceTimeModel
 from repro.net.transport import FaultDecision, Network
@@ -399,3 +408,73 @@ class TestDriveAll:
         drops["remaining"] = 1
         assert drive_all([self.echo_task(client, "y")]) == ["y"]
         assert client.retries == 1
+
+
+class TestLive:
+    """Synchronous waits inside ``live`` pump the running loop."""
+
+    def test_run_cannot_be_reentered(self):
+        network = Network()
+        loop = EventLoop(network)
+
+        def nested():
+            loop.run()
+            yield Sleep(0.0)
+
+        loop.spawn(nested())
+        with pytest.raises(SimulationError, match="re-enter"):
+            loop.run()
+
+    @pytest.mark.parametrize("inside_live", [False, True])
+    def test_a_synchronous_call_freezes_the_loop_unless_live(self, inside_live):
+        network, server, client = make_rpc_pair(
+            Network(default_latency=ConstantLatency(0.01)))
+        server.register("echo", lambda params: params)
+        loop = EventLoop(network)
+        stamps = {}
+
+        def caller():
+            if inside_live:
+                with live(network):
+                    stamps["answer"] = client.call("echo", "hi")
+            else:
+                stamps["answer"] = client.call("echo", "hi")
+            stamps["answered"] = network.clock.now()
+            yield Sleep(0.0)
+
+        def ticker():
+            stamps["ticked"] = network.clock.now()
+            yield Sleep(0.0)
+
+        loop.spawn(caller())
+        loop.spawn(ticker(), start_at=0.005)
+        loop.run()
+        assert stamps["answer"] == "hi"
+        assert stamps["answered"] == pytest.approx(0.02)
+        # Frozen, the ticker due at 5 ms starts only after the 20 ms call;
+        # live, it runs on time while the call waits.
+        assert stamps["ticked"] == pytest.approx(0.005 if inside_live else 0.02)
+
+    def test_park_resumes_on_its_signal_or_when_nothing_can_fire_it(self):
+        loop = EventLoop(Network())
+        signal, orphan = Signal(), Signal()
+        wakes = []
+
+        def parked(name, target):
+            wakes.append((name, (yield Park(target))))
+
+        def firer():
+            yield Sleep(0.1)
+            signal.fire()
+
+        loop.spawn(parked("signalled", signal))
+        loop.spawn(parked("orphan", orphan))
+        loop.spawn(firer())
+        loop.run()
+        assert wakes == [("signalled", "signalled"), ("orphan", "idle")]
+        # A fired signal stays fired: parking on it resumes at once, and the
+        # synchronous driver answers the same way.
+        assert drive(parked("late", signal)) is None
+        assert wakes[-1] == ("late", "signalled")
+        assert drive(parked("never", Signal())) is None
+        assert wakes[-1] == ("never", "idle")

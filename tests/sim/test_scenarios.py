@@ -602,6 +602,21 @@ class TestScheduledCompromise:
         assert not verdict.ok
         assert "attacker reads 3 of 4 shares" in verdict.detail
 
+    def test_keybackup_secrecy_rebuilds_keys_from_stolen_shares(self):
+        # The attacker reads the shares in each fallen enclave's sandboxed
+        # app state and tries to rebuild every user's key from them alone.
+        driver, ctx = self._context("keybackup", ops=3)
+        assert driver.run_span(0, 3) == [True] * 3
+        ctx.compromise(1)
+        below = self._verdict(driver, ctx, "key-stays-secret-below-threshold")
+        assert below.ok
+        assert below.detail.endswith(
+            "; no key rebuilds from the shares it stole of 3 user(s)")
+        ctx.compromise(2)
+        at = self._verdict(driver, ctx, "key-stays-secret-below-threshold")
+        assert not at.ok
+        assert "it rebuilt 3 user key(s) from the stolen shares" in at.detail
+
     def test_prio_secrecy_judges_every_shard(self):
         driver, ctx = self._context("prio", shards=2)
         for server in range(driver.service.num_servers):

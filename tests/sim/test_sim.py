@@ -179,3 +179,15 @@ class TestAttackerReach:
         assert reach.extracted_values[deployment.domains[1].domain_id] == {
             "sealed-key": b"k"}
         assert deployment.domains[2].domain_id not in reach.extracted_values
+
+    def test_reads_the_sandboxed_app_state_inside_a_fallen_enclave(self):
+        from repro.apps.keybackup import KeyBackupClient, KeyBackupDeployment
+
+        service = KeyBackupDeployment(num_domains=3, threshold=2)
+        KeyBackupClient(service, audit_before_use=False).backup_key("alice", 42)
+        fallen = service.deployment.domains[1]
+        fallen.compromise()
+        (reach,) = attacker_reach(service.plane, ["shares"])
+        shares = reach.extracted_values[fallen.domain_id]["shares"]
+        assert shares == fallen.framework.application_state()["shares"]
+        assert "alice" in shares
