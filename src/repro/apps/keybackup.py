@@ -84,7 +84,13 @@ class _KeyBackupShardMigrator(ShardMigrator):
     fails stays authoritative on the source (partial target writes are
     rolled back), so a crashed domain or a partition mid-handoff pins the
     user to their old shard instead of losing records.
+
+    The hooks send one call per user per domain, and each call holds the
+    domain's service queue, so a wave carries at most 16 users: live ops
+    queue behind one bounded wave, never behind a whole group's export.
     """
+
+    keys_per_wave = 16
 
     def __init__(self, service: "KeyBackupDeployment"):
         self.service = service

@@ -22,10 +22,10 @@ __all__ = ["ServiceClient"]
 AUDIT_POLICIES = ("always", "once", "never")
 
 # How many times one wave retries calls that hit a mid-migration key when
-# nothing can wake it at the transition's commit (a synchronous caller, or an
+# nothing can wake it when the key is released (a synchronous caller, or an
 # event loop with nothing else left to run), and how long (simulated
 # seconds) it sleeps between tries. Inside an event loop a wave parks until
-# the commit instead, however long the transition takes.
+# the key is released instead, however long the transition takes.
 MIGRATION_RETRIES = 4
 MIGRATION_RETRY_DELAY = 0.002
 
@@ -119,12 +119,14 @@ class ServiceClient:
         :meth:`ShardedService.begin_scatter` routes them, so epoch overrides
         after a reshard are honoured on every wave. Calls that resolve to
         :class:`~repro.errors.KeyMigratingError` park until the plane's
-        transition commits or aborts (:attr:`ShardedService.transition_done`)
-        and are then routed again, so a live reshard costs an op on a moving
-        key the wait for the commit, never a failed call. No per-RPC
-        ``timeout`` bounds that wait. Where nothing can wake the park (under
-        :func:`~repro.net.eventloop.drive`, no transition commits while the
-        caller waits) the calls back off instead, up to
+        routing next changes (:attr:`ShardedService.routes_changed`: the
+        plan, a wave's hand-off, the commit or abort) and are then routed
+        again, parking anew while still refused. A live reshard therefore
+        costs an op on a key in motion the wait until its records land,
+        never a failed call. No per-RPC ``timeout`` bounds that wait. Where
+        nothing can wake the park (under :func:`~repro.net.eventloop.drive`,
+        no transition moves on while the caller waits) the calls back off
+        instead, up to
         :data:`MIGRATION_RETRIES` times. Every other failure comes back as
         its exception instance. Run it with
         :func:`~repro.net.eventloop.drive` or as (part of) an
@@ -144,8 +146,8 @@ class ServiceClient:
                     moving.append(slot)
             if not moving:
                 return outcomes
-            done = self.plane.transition_done
-            woke = (yield Park(done)) if done is not None else "idle"
+            released = self.plane.routes_changed
+            woke = (yield Park(released)) if released is not None else "idle"
             if woke != "signalled":
                 if backoffs == MIGRATION_RETRIES:
                     return outcomes

@@ -5,13 +5,13 @@ stability under resharding; this module is the machinery that cashes the
 claim in on a live service — in both directions. A reshard is one epoch
 transition:
 
-0. **Quiesce.** The plane opens the transition toward the resized ring:
-   from here until commit (or rollback) keyed routing fails safely with
-   :class:`~repro.errors.KeyMigratingError` for every key whose owner
-   changes, keys no enumeration has seen included, instead of guessing an
-   owner. The plan then waits for the requests already in flight
-   (:func:`~repro.net.eventloop.settle`), so enumeration sees every write
-   accepted before the transition began.
+0. **Quiesce.** The plane opens the transition toward the resized ring
+   (the barrier): from here until the plan (or rollback) keyed routing
+   fails safely with :class:`~repro.errors.KeyMigratingError` for every key
+   whose owner changes, keys no enumeration has seen included, instead of
+   guessing an owner. The plan then waits for the requests already in
+   flight (:func:`~repro.net.eventloop.settle`), so enumeration sees every
+   write accepted before the transition began.
 1. **Synthesize** (grow only). The new shards are built from the same
    :class:`~repro.service.ServiceSpec` as the originals — measured enclaves,
    published packages, the shared clock and vendor roots — and joined to the
@@ -21,23 +21,34 @@ transition:
    old shard actually holds; diffing the old ring against the resized ring
    yields the minimal moved-key set (~``1 - N/M`` of the keyspace for a
    ``N → M`` grow, exactly the retiring shards' keys — ~``k/N`` — for a
-   ``N → N-k`` shrink; everything else never moves).
+   ``N → N-k`` shrink; everything else never moves). From the plan on the
+   transition always commits, so the plane narrows the refusal to the
+   enumerated moving keys (:meth:`ShardedService.begin_epoch`): every other
+   key without an override routes to its owner under the resized ring at
+   once. That is safe because no write reached an old owner after the
+   barrier, and enumeration saw every write before it.
 3. **Migrate.** :meth:`ShardMigrator.migrate` copies records source →
    target over the simulated network (so packet loss, partitions, and
    crashes hit migration traffic exactly as they hit request traffic),
-   verifies the copy, and only then deletes the source records. Every
-   ``(source, target)`` group migrates at once: ``migrate`` is a task
-   generator, and :func:`~repro.net.eventloop.drive_all` puts each step's
-   wave of every group on the wire before pumping the network, so the
-   shards' service queues work side by side instead of group after group.
+   verifies the copy, hands the copied keys off to the target
+   (:meth:`ShardedService.hand_off`: routed there from now on), and only
+   then deletes the source records — wave by wave, each wave carrying at
+   most the migrator's ``keys_per_wave`` keys, so a moving key is refused
+   only until its own wave lands, and a key whose copy failed is never
+   handed off. Every ``(source, target)`` group migrates at once:
+   ``migrate`` is a task generator, and
+   :func:`~repro.net.eventloop.drive_all` puts each step's wave of every
+   group on the wire before pumping the network, so the shards' service
+   queues work side by side instead of group after group.
 4. **Verify** (shrink only). Each retiring shard is re-enumerated after the
    evacuation: any key the migrator left behind — or never reported — is
    pinned rather than released, so a record can be stranded on a shard about
    to retire only with an override still routing to it.
-5. **Commit, then retire.** The plane flips to the resized ring and bumps its
-   epoch. Keys whose records could not be moved (crashed source, partitioned
-   target) are pinned to the shard that still holds them via *epoch
-   overrides* — routed correctly, never silently misrouted — until
+5. **Commit, then retire.** The plane flips to the resized ring, bumps its
+   epoch and drops the hand-offs (the ring now routes those keys). Keys
+   whose records could not be moved (crashed source, partitioned target)
+   are released only here, pinned to the shard that still holds them via
+   *epoch overrides* — routed correctly, never silently misrouted — until
    :meth:`ShardedService.finish_reshard` drains them after the fault heals.
    A retiring shard that evacuated cleanly is detached on the spot (its
    queues and service model leave the plane with it); one still holding
@@ -53,11 +64,13 @@ whoever makes it. Fired inside a running
 sample) it does not stop the world: every wait above — the quiesce barrier,
 the enumeration, the migration groups, the cleanup — pumps that loop
 (:func:`~repro.net.eventloop.live`), so arrivals start on time and ops on
-keys that stay run to completion meanwhile. An op on a moving key parks
-until :meth:`~ShardedService.commit_epoch` (or a rollback) fires
-:attr:`ShardedService.transition_done`, then routes again; no timeout bounds
-that wait. Without a loop every wait pumps the network to idle, as a serial
-run always has.
+keys that stay run to completion meanwhile. An op on a refused key parks
+until :attr:`ShardedService.routes_changed` fires — at the plan, at each
+wave's hand-off, and at the commit or rollback — then routes again, and
+parks anew while its key is still in motion; no timeout bounds that wait.
+So a key no shard holds waits at most until the plan, an enumerated key
+until its wave lands. Without a loop every wait pumps the network to idle,
+as a serial run always has.
 
 The invariant the scenario matrix pins: across the epoch boundary, in either
 direction, no record is lost and no record ends up authoritative on two
@@ -113,7 +126,14 @@ class ShardMigrator:
     ``yield from plane.begin_scatter_to_shards(calls).wait_event()``), so the
     coordinator runs every group of a transition side by side with
     :func:`~repro.net.eventloop.drive_all`.
+
+    ``keys_per_wave`` bounds how many keys one migration wave carries
+    (``None``: a group's keys go in one wave). An app whose hooks send one
+    call per key bounds it, so no wave holds a shard's service queue long
+    enough to stall the live ops behind it.
     """
+
+    keys_per_wave: int | None = None
 
     def provision(self, plane, new_shard_indices: list[int]) -> None:
         """App-level setup of freshly synthesized shards (packages are
@@ -144,21 +164,32 @@ class ShardMigrator:
 
     def migrate(self, plane, source: int, target: int, keys: list):
         """Move ``keys``' records from shard ``source`` to shard ``target``,
-        copy-then-delete; a task generator returning a
-        :class:`MigrationOutcome`. A key is ``moved`` once loaded on the
-        target (a failed load's target copy is removed again — the source
-        stays authoritative), and ``stale`` if its source copy then survives
-        removal (see :class:`MigrationOutcome`)."""
-        exported, failed = yield from self.export(plane, source, keys)
-        load_failed = ((yield from self.load(plane, target, exported))
-                       if exported else {})
-        yield from self.remove(plane, target, sorted(load_failed))
-        failed.update(load_failed)
-        moved = [key for key in sorted(exported) if key not in load_failed]
-        stale = yield from self.remove(plane, source, moved)
-        return MigrationOutcome(
-            moved=moved, failed=failed, stale=stale,
-            records_moved=sum(len(exported[key]) for key in moved))
+        copy-then-delete, in waves of at most :attr:`keys_per_wave` keys; a
+        task generator returning a :class:`MigrationOutcome`.
+
+        A wave's key is ``moved`` once loaded on the target (a failed
+        load's target copy is removed again — the source stays
+        authoritative). The moved keys are then handed off
+        (:meth:`ShardedService.hand_off`: routed to the target from here
+        on) and only after that removed from the source; a key whose source
+        copy survives removal is ``stale`` (see :class:`MigrationOutcome`).
+        """
+        outcome = MigrationOutcome()
+        step = self.keys_per_wave or len(keys) or 1
+        for start in range(0, len(keys), step):
+            wave = keys[start:start + step]
+            exported, failed = yield from self.export(plane, source, wave)
+            load_failed = ((yield from self.load(plane, target, exported))
+                           if exported else {})
+            yield from self.remove(plane, target, sorted(load_failed))
+            failed.update(load_failed)
+            moved = [key for key in sorted(exported) if key not in load_failed]
+            plane.hand_off(moved, target)
+            outcome.stale += yield from self.remove(plane, source, moved)
+            outcome.moved += moved
+            outcome.failed.update(failed)
+            outcome.records_moved += sum(len(exported[key]) for key in moved)
+        return outcome
 
     def cleanup(self, plane, shard_index: int, keys: list):
         """Remove a migration's ``stale`` leftovers from ``shard_index``: a
@@ -207,6 +238,10 @@ class ReshardReport:
     failed_keys: dict = field(default_factory=dict)  # key -> error string
     stale_keys: list = field(default_factory=list)  # moved, source cleanup pending
     sim_seconds: float = 0.0
+    # Sim time from the quiesce barrier to the plan (when keys not in
+    # motion are released) and to the last hand-off (0.0: none).
+    plan_sim_seconds: float = 0.0
+    handoff_sim_seconds: float = 0.0
     bundle = None  # EpochArtifact when the plane carries an epoch_publisher
 
     @property
@@ -231,6 +266,8 @@ class ReshardReport:
             f"({moved_fraction * 100:.1f}%)",
             f"  migrated: {self.migrated_keys} keys / {self.records_moved} records "
             f"in {self.sim_seconds * 1000:.1f} ms sim",
+            f"  released: plan at {self.plan_sim_seconds * 1000:.1f} ms, last "
+            f"hand-off at {self.handoff_sim_seconds * 1000:.1f} ms sim",
         ]
         if self.retired:
             lines.append(f"  retired shards detached: {sorted(self.retired)}")
@@ -258,6 +295,8 @@ class ReshardReport:
             "retired": list(self.retired),
             "draining": list(self.draining),
             "sim_seconds": self.sim_seconds,
+            "plan_sim_seconds": self.plan_sim_seconds,
+            "handoff_sim_seconds": self.handoff_sim_seconds,
         }
 
 
@@ -368,12 +407,15 @@ class ReshardCoordinator:
             self._rollback(old_count)
             raise ReshardError(f"reshard planning failed: {exc}") from exc
 
-        # 3. Migrate. Moving keys fail safely until the epoch commits. Once
-        # any record may have moved there is no going back: even if the
-        # migrator crashes, the transition must commit so every key keeps
-        # routing to whichever shard actually holds its records — processed
-        # keys to their new owner, everything else pinned to its source.
+        # 3. Migrate. Once any record may have moved there is no going
+        # back: even if the migrator crashes, the transition must commit so
+        # every key keeps routing to whichever shard actually holds its
+        # records — processed keys to their new owner, everything else
+        # pinned to its source. Because it always commits from here, the
+        # plan releases every key not in motion; a moving key fails safely
+        # until its wave is handed off (or the commit).
         plane.begin_epoch([key for keys in moves.values() for key in keys])
+        report.plan_sim_seconds = plane.clock.now() - started
         moved_keys, unmigrated, migration_error = self._migrate(moves, report)
 
         # 3b. Fold unkeyed residue off the retiring shards. A shard whose
@@ -414,6 +456,7 @@ class ReshardCoordinator:
         self._retire(retiring, undrained, report)
         report.epoch = plane.epoch
         report.sim_seconds = plane.clock.now() - started
+        report.handoff_sim_seconds = self._handoff_seconds(started)
         # Epoch transparency: the commit happened (even on a faulted
         # migration the epoch flips with the leftovers pinned), so the
         # bundle must be published either way — an epoch without an
@@ -495,6 +538,7 @@ class ReshardCoordinator:
         self._retire(plane.draining_shards(), undrained, report)
         report.new_shard_count = len(plane.shards)
         report.sim_seconds = plane.clock.now() - started
+        report.handoff_sim_seconds = self._handoff_seconds(started)
         # A drain pass is an epoch-relevant action too: pinned keys moved to
         # their ring owners and draining shards may have detached, so it
         # publishes its own bundle (kind="drain", ring width unchanged).
@@ -526,11 +570,17 @@ class ReshardCoordinator:
         outcomes = drive_all(
             self._hook(self.migrator.migrate, plane, source, target, keys)
             for (source, target), keys in groups)
-        for ((source, _), keys), outcome in zip(groups, outcomes):
+        for ((source, target), keys), outcome in zip(groups, outcomes):
             if isinstance(outcome, Exception):
                 first_error = first_error or outcome
-                outcome = MigrationOutcome(failed={
-                    key: f"migration interrupted: {outcome}" for key in keys})
+                # Keys a wave handed off before the crash route to the
+                # target, which may have taken writes since: they count as
+                # moved, with their source copies queued for cleanup.
+                landed = [key for key in keys
+                          if plane.handed_off(key) == target]
+                outcome = MigrationOutcome(moved=landed, stale=landed, failed={
+                    key: f"migration interrupted: {outcome}"
+                    for key in keys if key not in landed})
             moved_keys.update(outcome.moved)
             report.migrated_keys += len(outcome.moved)
             report.records_moved += outcome.records_moved
@@ -545,6 +595,11 @@ class ReshardCoordinator:
                 report.failed_keys[key] = error
                 unmoved[key] = source
         return moved_keys, unmoved, first_error
+
+    def _handoff_seconds(self, started: float) -> float:
+        """Sim time from ``started`` to this transition's last hand-off."""
+        handed_off_at = self.plane._last_handoff_at
+        return 0.0 if handed_off_at is None else handed_off_at - started
 
     @staticmethod
     def _hook(hook, *args):

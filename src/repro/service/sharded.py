@@ -97,15 +97,19 @@ class ShardedService:
         self.clock = clock
         self.client_address: str | None = None
         # --- epoch state (live resharding; see repro.service.reshard) ------
-        # ``epoch`` counts committed reshards. While a transition is in
-        # flight, every key whose owner differs under ``_next_ring`` (and
-        # every key in ``_moving``) has no authoritative owner and keyed
-        # routing fails safely; ``transition_done`` fires when it commits or
-        # aborts, waking every call parked on such a key. After commit,
-        # ``_overrides`` pins any key whose records could not be moved
-        # (source crashed, link partitioned, ...) to the shard that still
-        # holds them — routed correctly, never silently misrouted.
-        # ``migrator`` is the app-provided state mover.
+        # ``epoch`` counts committed reshards. From a transition's barrier
+        # (``begin_transition``) to its plan (``begin_epoch``), every key
+        # whose owner differs under ``_next_ring`` has no authoritative
+        # owner and keyed routing fails safely. From the plan to the commit
+        # only the enumerated ``_moving`` set does, and a moving key whose
+        # wave has landed routes to its target (``_handoffs``).
+        # ``routes_changed`` fires at the plan, at each hand-off and at the
+        # commit or abort, waking every call parked on a refused key, and
+        # is replaced by a fresh signal each time until the transition
+        # ends. After commit, ``_overrides`` pins any key whose records
+        # could not be moved (source crashed, link partitioned, ...) to the
+        # shard that still holds them — routed correctly, never silently
+        # misrouted. ``migrator`` is the app-provided state mover.
         self.epoch = 0
         self.migrator = None
         # When set (repro.transparency.epochs.EpochPublisher), every epoch
@@ -113,9 +117,11 @@ class ShardedService:
         # self-contained transparency bundle and appends it to the
         # publisher's epoch log for standalone auditors to verify.
         self.epoch_publisher = None
-        self._moving: frozenset[bytes] = frozenset()
+        self._moving: frozenset[bytes] | None = None  # None until the plan
         self._next_ring: HashRing | None = None
-        self.transition_done: Signal | None = None
+        self._handoffs: dict[bytes, int] = {}  # key bytes -> target shard
+        self._last_handoff_at: float | None = None
+        self.routes_changed: Signal | None = None
         # canonical key bytes -> (shard index still holding the records,
         # the key in its original form, for retrying the move later)
         self._overrides: dict[bytes, tuple[int, object]] = {}
@@ -175,9 +181,12 @@ class ShardedService:
     def shard_for(self, key) -> int:
         """The shard index owning ``key`` under the current epoch.
 
-        During a transition, a key whose owner changes has no authoritative
-        owner and routing raises :class:`~repro.errors.KeyMigratingError`
-        (fail safely — never serve from the wrong shard). After a reshard
+        During a transition, a key whose records are in motion has no
+        authoritative owner and routing raises
+        :class:`~repro.errors.KeyMigratingError` (fail safely — never serve
+        from the wrong shard): from the barrier to the plan every key whose
+        owner changes, from the plan on only the enumerated moving keys
+        whose wave has not been handed off yet. After a reshard
         commits, keys whose records could not be moved keep routing to the
         shard that still holds them until :meth:`finish_reshard` drains them.
         """
@@ -190,16 +199,25 @@ class ShardedService:
         """:meth:`shard_for` returning, not raising, the refusal of a moving
         key (a raised one would tie the scatter's frames into a cycle)."""
         key_bytes = HashRing._key_bytes(key)
-        if key_bytes not in self._moving:
-            override = self._overrides.get(key_bytes)
-            owner = (override[0] if override is not None
-                     else self.ring.shard_for(key))
-            if (self._next_ring is None
-                    or self._next_ring.shard_for(key) == owner):
+        override = self._overrides.get(key_bytes)
+        if self.routes_changed is None:
+            return override[0] if override is not None else self.ring.shard_for(key)
+        target = self._handoffs.get(key_bytes)
+        if target is not None:
+            return target
+        moving, next_ring = self._moving, self._next_ring
+        if moving is None or key_bytes not in moving:
+            if moving is not None and override is None:
+                # Planned: a key outside the moving set lives where the
+                # resized ring puts it (since the barrier no write reached
+                # an old owner, and enumeration saw every earlier one).
+                return (next_ring or self.ring).shard_for(key)
+            owner = override[0] if override is not None else self.ring.shard_for(key)
+            if next_ring is None or next_ring.shard_for(key) == owner:
                 return owner
         return KeyMigratingError(
             f"key {key!r} is mid-migration in the epoch-{self.epoch + 1} "
-            "reshard; retry after the epoch commits")
+            "reshard; retry after its records land on the new owner")
 
     def deployment_for(self, key) -> Deployment:
         """The shard deployment owning ``key``."""
@@ -471,7 +489,7 @@ class ShardedService:
     @property
     def is_migrating(self) -> bool:
         """Whether an epoch transition is in flight."""
-        return self.transition_done is not None
+        return self.routes_changed is not None
 
     def set_service_time(self, seconds: float) -> None:
         """Charge ``seconds`` of simulated service time per request on every
@@ -500,7 +518,10 @@ class ShardedService:
         Called from inside a running event loop (an op's event, the
         autoscaler), the transition does not stop the world: its waits pump
         the loop (:func:`~repro.net.eventloop.live`), so ops on keys that
-        stay run on, and ops on moving keys park until the commit.
+        stay run on, and an op on a key whose owner changes parks only
+        while that key's records are in motion: a key no shard holds until
+        the plan, an enumerated one until its migration wave is handed off
+        (:meth:`hand_off`), one whose copy failed until the commit.
         """
         from repro.service.reshard import ReshardCoordinator
 
@@ -579,32 +600,67 @@ class ShardedService:
         return deployment
 
     def begin_transition(self, ring: HashRing) -> None:
-        """Open a transition toward ``ring``: until it commits or aborts,
-        every key whose owner under ``ring`` differs from its owner now
-        (pinned keys by their override) fails safely, keys no enumeration
-        has seen yet included."""
-        if self.transition_done is not None:
+        """Open a transition toward ``ring`` (the quiesce barrier): until
+        :meth:`begin_epoch` plans it, every key whose owner under ``ring``
+        differs from its owner now (pinned keys by their override) fails
+        safely, keys no enumeration has seen yet included."""
+        if self.routes_changed is not None:
             raise ReshardError("a reshard is already in progress")
         self._next_ring = ring
-        self.transition_done = Signal()
+        self._last_handoff_at = None
+        self.routes_changed = Signal()
 
     def begin_epoch(self, moving_keys) -> None:
-        """Mark ``moving_keys`` as mid-migration (keyed routing fails safely)."""
-        if self._moving:
+        """Plan the transition: narrow the refusal to ``moving_keys``.
+
+        From here the transition always commits, so every other key without
+        an override routes to its owner under the resized ring at once, and
+        the calls parked since the barrier wake.
+        """
+        if self._moving is not None:
             raise ReshardError("a reshard is already in progress")
         self._moving = frozenset(HashRing._key_bytes(key) for key in moving_keys)
-        if self.transition_done is None:
-            self.transition_done = Signal()
+        if self.routes_changed is None:
+            self.routes_changed = Signal()
+        else:
+            self._release()
+
+    def hand_off(self, keys, target: int) -> None:
+        """Route ``keys`` to shard ``target`` for the rest of the transition.
+
+        :meth:`ShardMigrator.migrate` calls this once a wave's load onto
+        ``target`` is verified, before it removes the source copies, so the
+        calls parked on those keys wake and run against their new owner. A
+        hand-off takes precedence over an epoch override and lasts until the
+        commit or abort; outside a transition it does nothing.
+        """
+        if self.routes_changed is None or not keys:
+            return
+        for key in keys:
+            self._handoffs[HashRing._key_bytes(key)] = target
+        self._last_handoff_at = self.clock.now()
+        self._release()
+
+    def handed_off(self, key) -> int | None:
+        """The shard ``key`` was handed off to in this transition, if any."""
+        return self._handoffs.get(HashRing._key_bytes(key))
+
+    def _release(self) -> None:
+        """Fire :attr:`routes_changed` and arm a fresh one for later
+        releases of the same transition."""
+        fired, self.routes_changed = self.routes_changed, Signal()
+        fired.fire()
 
     def end_transition(self) -> None:
         """Release every moving key and wake the calls parked on them;
         :meth:`commit_epoch` ends with this, an abort or a drain calls it."""
-        done = self.transition_done
-        self._moving = frozenset()
+        fired = self.routes_changed
+        self._moving = None
         self._next_ring = None
-        self.transition_done = None
-        if done is not None:
-            done.fire()
+        self._handoffs = {}
+        self.routes_changed = None
+        if fired is not None:
+            fired.fire()
 
     def commit_epoch(self, ring: HashRing,
                      unmigrated: dict | None = None) -> None:

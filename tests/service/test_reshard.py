@@ -291,6 +291,105 @@ class TestLiveReshard:
         plane.commit_epoch(plane.ring)
         assert plane.shard_for("key-3") in range(plane.num_shards)
 
+    def test_a_transition_narrows_its_refusal_at_the_plan_and_each_hand_off(self):
+        """Barrier: every key whose owner changes is refused. Plan: only the
+        moving set is, the rest route by the resized ring. Hand-off: a
+        moving key routes to its target. Each step fires the signal parked
+        calls wait on and arms a fresh one; the commit ends it."""
+        keys = [f"key-{i}" for i in range(40)]
+        plane = self._loaded_plane(keys)
+        shrunk = plane.ring.resize(1)
+        changing = [key for key in keys if plane.shard_for(key) == 1]
+        moving, released = changing[0], changing[1]
+        plane.begin_transition(shrunk)
+        barrier = plane.routes_changed
+        for key in changing:
+            assert isinstance(plane._route(key), KeyMigratingError)
+        plane.begin_epoch([moving])
+        plan = plane.routes_changed
+        assert barrier.fired and not plan.fired
+        assert plane.shard_for(released) == 0
+        with pytest.raises(KeyMigratingError):
+            plane.shard_for(moving)
+        plane.hand_off([moving], 0)
+        assert plan.fired and not plane.routes_changed.fired
+        assert plane.shard_for(moving) == plane.handed_off(moving) == 0
+        last = plane.routes_changed
+        plane.commit_epoch(shrunk)
+        assert last.fired and plane.routes_changed is None
+        assert plane.handed_off(moving) is None
+
+    def test_routing_outside_a_transition_reads_the_ring_once_per_key(
+            self, monkeypatch):
+        plane = self._loaded_plane([])
+        lookups = []
+        ring_lookup = plane.ring.shard_for
+        monkeypatch.setattr(plane.ring, "shard_for",
+                            lambda key: lookups.append(key) or ring_lookup(key))
+        keys = [f"key-{i}" for i in range(8)]
+        plane.scatter([(key, 0, "get", {"key": key}) for key in keys])
+        assert lookups == keys
+
+    def test_a_migrator_migrates_in_waves_of_at_most_keys_per_wave(self):
+        keys = [f"key-{i}" for i in range(40)]
+        plane = self._loaded_plane(keys)
+        exports = []
+
+        class ThreePerWave(CounterMigrator):
+            keys_per_wave = 3
+
+            def export(self, plane, shard_index, keys):
+                exports.append(list(keys))
+                return (yield from super().export(plane, shard_index, keys))
+
+        plane.migrator = ThreePerWave()
+        groups = plane.ring.diff(plane.ring.grow(4), keys).by_route()
+        report = plane.reshard(4)
+        assert report.ok
+        assert report.migrated_keys == sum(len(moved) for moved in groups.values())
+        assert all(len(wave) <= 3 for wave in exports)
+        assert len(exports) == sum(-(-len(moved) // 3) for moved in groups.values())
+        for key in keys:
+            assert plane.invoke(key, 0, "get",
+                                {"key": key})["value"]["value"] == f"v-{key}"
+
+    def test_a_crash_after_a_hand_off_keeps_the_handed_off_keys_moved(self):
+        """A group that raises after its first wave was handed off (and
+        removed from the source) pins only the keys not handed off; the
+        handed-off ones route to the target, their source copies queued as
+        stale, and no record is lost."""
+        keys = [f"key-{i}" for i in range(40)]
+        plane = self._loaded_plane(keys)
+        groups = plane.ring.diff(plane.ring.grow(4), keys).by_route()
+        crashed = max(groups, key=lambda route: len(groups[route]))
+        assert len(groups[crashed]) > 2
+
+        class CrashesAfterOneWave(CounterMigrator):
+            keys_per_wave = 2
+
+            def remove(self, plane, shard_index, keys):
+                leftover = yield from super().remove(plane, shard_index, keys)
+                if keys and set(keys) <= set(groups[crashed]):
+                    raise RuntimeError("boom")
+                return leftover
+
+        plane.migrator = CrashesAfterOneWave()
+        with pytest.raises(ReshardError, match="migration failed") as excinfo:
+            plane.reshard(4)
+        report = excinfo.value.report
+        landed = sorted(groups[crashed])[:2]
+        assert sorted(report.failed_keys) == sorted(groups[crashed])[2:]
+        assert sorted(report.stale_keys) == landed
+        for key in landed:
+            assert plane.shard_for(key) == crashed[1]
+        for key in keys:
+            assert plane.invoke(key, 0, "get",
+                                {"key": key})["value"]["value"] == f"v-{key}"
+        plane.migrator = CounterMigrator()
+        drain = plane.finish_reshard()
+        assert not plane.pending_cleanups() and not plane.pending_migrations()
+        assert drain.migrated_keys == len(groups[crashed]) - 2
+
     def test_scatter_routes_each_key_once_per_wave(self, monkeypatch):
         """A wave resolves each distinct key once, however many calls carry
         it; a moving key is not cached, so each of its calls fails alone."""
