@@ -4,7 +4,10 @@ Each application follows the same pattern the paper envisions: the application
 developer writes ordinary application code (a sandboxed package), stands up a
 deployment with :class:`~repro.core.deployment.Deployment`, and end users
 audit the deployment with :class:`~repro.core.client.AuditingClient` before
-trusting it with their data.
+trusting it with their data. Each app's deployment and client extend the
+shared app shell (:class:`~repro.service.AppService`,
+:class:`~repro.service.AppClient`) and add only their spec, migrator, crypto
+and flows.
 
 * :mod:`repro.apps.keybackup` — secret-key backup via Shamir secret sharing
   (the paper's Figure 1 motivating application).

@@ -13,10 +13,12 @@ interesting guarantees come from the framework around it, not from the app.
 The deployment is declared as a :class:`~repro.service.ServiceSpec` and can
 be horizontally sharded (``shards=N``): users are placed on shards by
 consistent hashing of their user id, each shard being a full trust-domain
-deployment holding that user's ``num_domains`` shares. The client is a thin
-adapter over :class:`~repro.service.ServiceClient` — the session facade owns
-audit-before-use and keyed scatter; this module owns the Shamir crypto, the
-per-user bookkeeping, and the recovery flow's walk across domains.
+deployment holding that user's ``num_domains`` shares. Deployment and client
+extend the app shell (:class:`~repro.service.AppService`,
+:class:`~repro.service.AppClient`), which owns the plane, the session,
+audit-before-use and the synchronous runner; this module owns the Shamir
+crypto, the per-user bookkeeping, and the recovery flow's walk across
+domains.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ from repro.errors import (
     ReproError,
     ReshardError,
 )
-from repro.net.eventloop import drive, one_op
+from repro.net.eventloop import one_op
 from repro.service import (
+    AppClient,
+    AppService,
     PackageBinding,
-    ServiceClient,
     ServiceSpec,
     ShardMigrator,
 )
@@ -175,7 +178,7 @@ class _KeyBackupShardMigrator(ShardMigrator):
         return sorted({user for user, _ in pending})
 
 
-class KeyBackupDeployment:
+class KeyBackupDeployment(AppService):
     """The developer-side of the key-backup service."""
 
     def __init__(self, developer: DeveloperIdentity | None = None, num_domains: int = 3,
@@ -183,43 +186,24 @@ class KeyBackupDeployment:
                  regions: tuple[str, ...] = ()):
         if num_domains < 2:
             raise ApplicationError("key backup needs at least two trust domains")
-        self.developer = developer or DeveloperIdentity("key-backup-developer")
+        developer = developer or DeveloperIdentity("key-backup-developer")
         self.threshold = threshold if threshold is not None else num_domains
         if not 2 <= self.threshold <= num_domains:
             raise ApplicationError("reconstruction threshold must be between 2 and num_domains")
         package = CodePackage(APP_NAME, APP_VERSION, "python", KEY_BACKUP_APP_SOURCE)
-        self.spec = ServiceSpec(
+        super().__init__(developer, ServiceSpec(
             name=APP_NAME,
             packages=(PackageBinding(package),),
             domains_per_shard=num_domains,
             shard_count=shards,
             threshold=self.threshold,
             regions=tuple(regions),
-        )
-        self.plane = self.spec.synthesize(self.developer)
-        self.plane.migrator = _KeyBackupShardMigrator(self)
-        # Legacy surface: shard 0's deployment, exactly what pre-service-plane
-        # code (tests, scenario drivers, examples) held as `.deployment`.
-        self.deployment = self.plane.primary
+        ), _KeyBackupShardMigrator(self))
 
     @property
     def num_domains(self) -> int:
         """Number of trust domains holding shares (per shard)."""
         return self.plane.domains_per_shard
-
-    @property
-    def num_shards(self) -> int:
-        """Number of shards carrying the user keyspace."""
-        return self.plane.num_shards
-
-    def reshard(self, new_shard_count: int):
-        """Grow the user keyspace to ``new_shard_count`` shards, live.
-
-        Users whose ring position moves have their share records migrated
-        domain-by-domain (copy, verify, then delete) before the epoch flips;
-        see :mod:`repro.service.reshard` for the fault semantics.
-        """
-        return self.plane.reshard(new_shard_count)
 
 
 @dataclass(frozen=True)
@@ -231,30 +215,15 @@ class BackupReceipt:
     num_domains: int
 
 
-class KeyBackupClient:
+class KeyBackupClient(AppClient):
     """The end-user side: audit, split, store, recover."""
 
+    # Key backup re-audits before *every* operation that touches secrets.
+    audit_policy = "always"
+
     def __init__(self, service: KeyBackupDeployment, audit_before_use: bool = True):
-        self.service = service
-        # Key backup re-audits before *every* operation that touches secrets.
-        self.session = ServiceClient(
-            service.plane,
-            audit_policy="always" if audit_before_use else "never",
-        )
-        self.auditing_client = self.session.auditing_client
-        self.audit_before_use = audit_before_use
+        super().__init__(service, audit_before_use)
         self.sharing = ShamirSecretSharing(service.threshold, service.num_domains)
-
-    # ------------------------------------------------------------------
-    # Audit
-    # ------------------------------------------------------------------
-    def audit(self):
-        """Audit the deployment; raises :class:`MisbehaviorDetected` on failure.
-
-        Every shard is audited; a single-shard service returns its one report
-        (the legacy shape), a sharded one returns the list of reports.
-        """
-        return self.session.audit_compat()
 
     # ------------------------------------------------------------------
     # Backup / recovery
@@ -265,9 +234,7 @@ class KeyBackupClient:
         :meth:`backup_flow` over this one item; raises the failed call's
         exception or an :class:`ApplicationError` for a refused share.
         """
-        self.session.checkpoint(user_id)
-        return drive(one_op(self.backup_flow([(user_id, secret_key)])),
-                     self.service.plane.clock)
+        return self._run(one_op(self.backup_flow([(user_id, secret_key)])), user_id)
 
     def recover_key(self, user_id: str, domain_indices: list[int] | None = None) -> int:
         """Recover the key from the first ``threshold`` domains that answer.
@@ -281,9 +248,7 @@ class KeyBackupClient:
             ApplicationError: fewer than ``threshold`` candidates produced a
                 share.
         """
-        self.session.checkpoint(user_id)
-        return drive(one_op(self.recover_flow([user_id], domain_indices)),
-                     self.service.plane.clock)
+        return self._run(one_op(self.recover_flow([user_id], domain_indices)), user_id)
 
     # ------------------------------------------------------------------
     # Batch backup / recovery (the high-throughput pipeline)
@@ -294,8 +259,7 @@ class KeyBackupClient:
         Runs :meth:`backup_flow` to completion; returns one outcome per item,
         in order: a :class:`BackupReceipt` or an exception instance.
         """
-        self.session.checkpoint()
-        return drive(self.backup_flow(items), self.service.plane.clock)
+        return self._run(self.backup_flow(items))
 
     def recover_keys(self, user_ids: list[str]) -> list:
         """Recover many users' keys in one scattered sweep per domain wave.
@@ -303,8 +267,7 @@ class KeyBackupClient:
         Runs :meth:`recover_flow` to completion; returns one outcome per user,
         in order: the recovered integer key or an exception instance.
         """
-        self.session.checkpoint()
-        return drive(self.recover_flow(user_ids), self.service.plane.clock)
+        return self._run(self.recover_flow(user_ids))
 
     def backup_flow(self, items: list[tuple[str, int | bytes]], timeout: float = 0.25):
         """Store every item's shares in one keyed wave; a task generator.
@@ -399,13 +362,15 @@ class KeyBackupClient:
     def delete_backup(self, user_id: str) -> int:
         """Delete the user's shares everywhere; returns how many domains had one.
 
-        One keyed wave to every domain; raises the first failed call's
-        exception.
+        Audits the user's shard first, as every other operation does, so no
+        delete reaches an honest domain while another domain of the shard
+        is unverified. One keyed wave to every domain; raises the first
+        failed call's exception.
         """
-        results = drive(self.session.scatter_wave([
+        results = self._run(self.session.scatter_wave([
             (user_id, domain_index, "delete_share", {"user": user_id})
             for domain_index in range(self.service.num_domains)
-        ]), self.service.plane.clock)
+        ]), user_id)
         for result in results:
             if isinstance(result, Exception):
                 raise result

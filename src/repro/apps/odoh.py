@@ -24,11 +24,12 @@ from repro.crypto.hashes import hkdf, hmac_sha256
 from repro.crypto.keys import SigningKey, VerifyingKey
 from repro.crypto.secp256k1 import SECP256K1
 from repro.errors import ApplicationError, ReproError, ReshardError
-from repro.net.eventloop import drive, one_op
+from repro.net.eventloop import one_op
 from repro.net.transport import Network
 from repro.service import (
+    AppClient,
+    AppService,
     PackageBinding,
-    ServiceClient,
     ServiceSpec,
     ShardMigrator,
 )
@@ -175,7 +176,7 @@ class _OdohShardMigrator(ShardMigrator):
         return sorted(names)
 
 
-class ObliviousDnsDeployment:
+class ObliviousDnsDeployment(AppService):
     """Operator side: one proxy domain and one resolver domain.
 
     The resolver's decryption key pair is generated at deployment time; its
@@ -188,7 +189,7 @@ class ObliviousDnsDeployment:
     def __init__(self, records: dict[str, str] | None = None,
                  developer: DeveloperIdentity | None = None, shards: int = 1,
                  regions: tuple[str, ...] = ()):
-        self.developer = developer or DeveloperIdentity("odoh-developer")
+        developer = developer or DeveloperIdentity("odoh-developer")
         proxy_package = CodePackage("odoh-proxy", APP_VERSION, "python", PROXY_APP_SOURCE)
         resolver_package = CodePackage("odoh-resolver", APP_VERSION, "python",
                                        RESOLVER_APP_SOURCE)
@@ -196,7 +197,7 @@ class ObliviousDnsDeployment:
         # own domain of every shard. With shards > 1 the record space is
         # partitioned by query name; clients route by name *before*
         # encrypting, so the operator never needs plaintext to pick a shard.
-        self.spec = ServiceSpec(
+        super().__init__(developer, ServiceSpec(
             name="oblivious-dns",
             packages=(
                 PackageBinding(proxy_package, domains=(PROXY_DOMAIN,)),
@@ -206,10 +207,7 @@ class ObliviousDnsDeployment:
             shard_count=shards,
             include_developer_domain=False,
             regions=tuple(regions),
-        )
-        self.plane = self.spec.synthesize(self.developer)
-        self.plane.migrator = _OdohShardMigrator()
-        self.deployment = self.plane.primary
+        ), _OdohShardMigrator())
 
         # One resolver key pair serves every shard (the operator provisions
         # the same decryption key to each resolver enclave), so a client's
@@ -231,16 +229,6 @@ class ObliviousDnsDeployment:
     def resolver_public_key(self) -> VerifyingKey:
         """The key clients encrypt queries to."""
         return self._resolver_key.verifying_key()
-
-    def reshard(self, new_shard_count: int):
-        """Grow the name keyspace to ``new_shard_count`` shards, live.
-
-        Record partitions whose names move are re-homed resolver-to-resolver
-        (the proxies never see them); clients route by hashing the name
-        against the committed ring, so post-epoch queries land on the new
-        owners automatically.
-        """
-        return self.plane.reshard(new_shard_count)
 
     def load_records(self, records: dict[str, str]) -> int:
         """Load name→address records into the owning shards' resolvers."""
@@ -338,33 +326,20 @@ class ObliviousDnsDeployment:
         return {"resolved": resolved}
 
 
-class ObliviousDnsClient:
+class ObliviousDnsClient(AppClient):
     """The stub resolver on the user's machine."""
 
+    # The stub resolver audits once per session. Proxy and resolver are
+    # bound to different packages, so the audit checks each against its own
+    # published application.
+    audit_policy = "once"
+
     def __init__(self, service: ObliviousDnsDeployment, audit_before_use: bool = True):
-        self.service = service
-        # The stub resolver audits once per session. Proxy and resolver are
-        # bound to different packages, so the audit checks each against its
-        # own published application.
-        self.session = ServiceClient(
-            service.plane,
-            audit_policy="once" if audit_before_use else "never",
-        )
-        self.auditing_client = self.session.auditing_client
-        self.audit_before_use = audit_before_use
+        super().__init__(service, audit_before_use)
         # The resolver's public key is multiplied once per query; a fixed-base
         # window table makes that about 60 mixed additions and no doublings
         # per resolution.
         self._resolver_table = SECP256K1.precompute(service.resolver_public_key.point)
-
-    def audit(self):
-        """Audit every shard's proxy and resolver domains; raises
-        :class:`~repro.errors.MisbehaviorDetected` on any misbehavior.
-
-        A single-shard service returns its one report, a sharded one the
-        list of per-shard reports.
-        """
-        return self.session.audit_compat()
 
     def _encrypt_query(self, name: str) -> tuple[dict, bytes]:
         """Build one encrypted query envelope; returns it with the shared key."""
@@ -398,8 +373,7 @@ class ObliviousDnsClient:
         :meth:`resolve_flow` over this one name; raises the query's failure
         (a name caught mid-migration raises only after the bounded retries).
         """
-        self.session.checkpoint()
-        return drive(one_op(self.resolve_flow([name])), self.service.plane.clock)
+        return self._run(one_op(self.resolve_flow([name])))
 
     def resolve_many(self, names: list[str]) -> list:
         """Resolve many names in one batched sweep; runs :meth:`resolve_flow`.
@@ -407,8 +381,7 @@ class ObliviousDnsClient:
         Returns one outcome per name, in order: a :class:`DnsResponse` or an
         exception instance.
         """
-        self.session.checkpoint()
-        return drive(self.resolve_flow(names), self.service.plane.clock)
+        return self._run(self.resolve_flow(names))
 
     def resolve_flow(self, names: list[str], timeout: float = 0.25):
         """Resolve every name obliviously; a task generator.
@@ -420,8 +393,8 @@ class ObliviousDnsClient:
         *name* locally, so the key never rides the wire, and routing is
         re-resolved per wave: a reshard that commits between the hops still
         finds the records on the post-epoch shard, and a name caught
-        mid-migration waits for the commit on its own. Returns one outcome per name, in
-        order: a :class:`DnsResponse`, or an exception instance for a query
+        mid-migration waits on its own until its migration wave is handed
+        off. Returns one outcome per name, in order: a :class:`DnsResponse`, or an exception instance for a query
         that failed at either hop (failures are isolated per query).
         """
         service = self.service

@@ -21,8 +21,13 @@ from dataclasses import dataclass
 from repro.crypto import rng
 from repro.core.package import CodePackage, DeveloperIdentity
 from repro.errors import ApplicationError
-from repro.net.eventloop import drive
-from repro.service import PackageBinding, ServiceClient, ServiceSpec, ShardMigrator
+from repro.service import (
+    AppClient,
+    AppService,
+    PackageBinding,
+    ServiceSpec,
+    ShardMigrator,
+)
 
 __all__ = [
     "PRIO_APP_SOURCE",
@@ -180,7 +185,7 @@ class _PrioShardMigrator(ShardMigrator):
         return moved
 
 
-class PrivateAggregationDeployment:
+class PrivateAggregationDeployment(AppService):
     """The analytics operator's side: aggregation servers as trust domains.
 
     With ``shards > 1`` the service runs several independent aggregation
@@ -196,39 +201,22 @@ class PrivateAggregationDeployment:
             raise ApplicationError("private aggregation needs at least two servers")
         self.num_servers = num_servers
         self.max_value = max_value
-        self.developer = developer or DeveloperIdentity("analytics-developer")
+        developer = developer or DeveloperIdentity("analytics-developer")
         # Aggregation servers must all be enclave-backed: the operator should
         # not be able to read any server's accumulator share directly.
         package = CodePackage(APP_NAME, APP_VERSION, "python", PRIO_APP_SOURCE)
-        self.spec = ServiceSpec(
+        super().__init__(developer, ServiceSpec(
             name=APP_NAME,
             packages=(PackageBinding(package),),
             domains_per_shard=num_servers,
             shard_count=shards,
             include_developer_domain=False,
             regions=tuple(regions),
-        )
-        self.plane = self.spec.synthesize(self.developer)
-        self.plane.migrator = _PrioShardMigrator(self)
-        self.deployment = self.plane.primary
+        ), _PrioShardMigrator(self))
         for shard_index in range(self.plane.num_shards):
             for index in range(num_servers):
                 self.plane.invoke_on_shard(shard_index, index, "configure",
                                            {"max_value": max_value})
-
-    @property
-    def num_shards(self) -> int:
-        """Number of independent aggregation server groups."""
-        return self.plane.num_shards
-
-    def reshard(self, new_shard_count: int):
-        """Grow to ``new_shard_count`` server groups, live.
-
-        Existing accumulators stay put (sums add across shards); new groups
-        are configured before the epoch flips, so in-flight collection epochs
-        keep aggregating exactly.
-        """
-        return self.plane.reshard(new_shard_count)
 
     # ------------------------------------------------------------------
     # Aggregation (operator side)
@@ -265,19 +253,15 @@ class PrivateAggregationDeployment:
                 self.plane.invoke_on_shard(shard_index, index, "reset", {})
 
 
-class PrivateAggregationClient:
+class PrivateAggregationClient(AppClient):
     """One telemetry client: audits the servers, then submits shared values."""
+
+    # Telemetry clients audit once per session, then keep submitting.
+    audit_policy = "once"
 
     def __init__(self, service: PrivateAggregationDeployment, audit_before_use: bool = True,
                  session_tag: str | None = None):
-        self.service = service
-        # Telemetry clients audit once per session, then keep submitting.
-        self.session = ServiceClient(
-            service.plane,
-            audit_policy="once" if audit_before_use else "never",
-        )
-        self.auditing_client = self.session.auditing_client
-        self.audit_before_use = audit_before_use
+        super().__init__(service, audit_before_use)
         # Submissions carry no natural key; a session-unique tag plus a
         # counter spreads them across shards while keeping every share of
         # one value on one shard (the torn-submission invariant is per
@@ -287,10 +271,6 @@ class PrivateAggregationClient:
         # ``session_tag`` for reproducible routing (the load harness does).
         self._session_tag = session_tag or rng.token_hex(8)
         self._submission_counter = 0
-
-    def audit(self):
-        """Audit the aggregation servers; raises on any misbehavior."""
-        return self.session.audit_compat()
 
     def submission_key(self, index: int) -> str:
         """The routing key of this session's ``index``-th submission.
@@ -318,13 +298,12 @@ class PrivateAggregationClient:
         rejected value uses none), and the batch runs through
         :meth:`submit_flow`; returns one outcome per value, in order.
         """
-        self.session.checkpoint()
         items = []
         for value in values:
             items.append((self._submission_counter, value))
             if 0 <= value <= self.service.max_value:
                 self._submission_counter += 1
-        return drive(self.submit_flow(items), self.service.plane.clock)
+        return self._run(self.submit_flow(items))
 
     def submit_flow(self, items, timeout: float = 0.25):
         """Submit ``(submission index, value)`` pairs in one wave; a task generator.

@@ -21,9 +21,15 @@ from repro.crypto.bls import BlsSignature, BlsSignatureShare, BlsThresholdScheme
 from repro.crypto.dkg import DistributedKeyGeneration
 from repro.crypto.shamir import Share
 from repro.errors import ApplicationError
-from repro.net.eventloop import drive, one_op
+from repro.net.eventloop import one_op
 from repro.sandbox.programs import bls_share_source
-from repro.service import PackageBinding, ServiceClient, ServiceSpec, ShardMigrator
+from repro.service import (
+    AppClient,
+    AppService,
+    PackageBinding,
+    ServiceSpec,
+    ShardMigrator,
+)
 
 __all__ = ["CustodyDeployment", "CustodyClient", "SignedTransaction"]
 
@@ -60,7 +66,7 @@ class _CustodyShardMigrator(ShardMigrator):
             [plane.shards[index] for index in new_shard_indices])
 
 
-class CustodyDeployment:
+class CustodyDeployment(AppService):
     """The custody provider's side: domains, key shares, and the signing app.
 
     Args:
@@ -80,40 +86,23 @@ class CustodyDeployment:
             raise ApplicationError("invalid threshold parameters")
         self.threshold = threshold
         self.num_signers = num_signers
-        self.developer = developer or DeveloperIdentity("custody-developer")
+        developer = developer or DeveloperIdentity("custody-developer")
         package = CodePackage(APP_NAME, APP_VERSION, "wvm", bls_share_source())
         # With shards > 1 every shard holds the *same* key shares (replicated
         # signer groups under one group public key); transactions are routed
         # to shards by message, so signing capacity scales horizontally while
         # any shard's quorum produces the same verifiable signature.
-        self.spec = ServiceSpec(
+        super().__init__(developer, ServiceSpec(
             name=APP_NAME,
             packages=(PackageBinding(package),),
             domains_per_shard=num_signers + 1,
             shard_count=shards,
             threshold=threshold,
             regions=tuple(regions),
-        )
-        self.plane = self.spec.synthesize(self.developer)
-        self.plane.migrator = _CustodyShardMigrator(self)
-        self.deployment = self.plane.primary
+        ), _CustodyShardMigrator(self))
         self.scheme = BlsThresholdScheme(threshold, num_signers)
         self.group_public_key, self._shares = self._generate_key(use_dkg, keygen_seed)
         self._install_shares()
-
-    @property
-    def num_shards(self) -> int:
-        """Number of replicated signer groups."""
-        return self.plane.num_shards
-
-    def reshard(self, new_shard_count: int):
-        """Grow to ``new_shard_count`` replicated signer groups, live.
-
-        New shards receive the same key shares (one group public key for the
-        whole fleet); message-keyed routing then spreads signing load across
-        the larger fleet with no state movement at all.
-        """
-        return self.plane.reshard(new_shard_count)
 
     # ------------------------------------------------------------------
     # Key management
@@ -151,23 +140,12 @@ class CustodyDeployment:
         raise ApplicationError(f"no signer with index {signer_index}")
 
 
-class CustodyClient:
+class CustodyClient(AppClient):
     """The asset owner's side: audit, request shares, combine, verify."""
 
-    def __init__(self, service: CustodyDeployment, audit_before_use: bool = True):
-        self.service = service
-        # Custody re-audits before every signing operation: each signature
-        # moves funds, so the session never signs against an unverified fleet.
-        self.session = ServiceClient(
-            service.plane,
-            audit_policy="always" if audit_before_use else "never",
-        )
-        self.auditing_client = self.session.auditing_client
-        self.audit_before_use = audit_before_use
-
-    def audit(self):
-        """Audit the custody deployment; raises on any misbehavior."""
-        return self.session.audit_compat()
+    # Custody re-audits before every signing operation: each signature moves
+    # funds, so the session never signs against an unverified fleet.
+    audit_policy = "always"
 
     def sign_transaction(self, message: bytes,
                          signer_indices: list[int] | None = None) -> SignedTransaction:
@@ -182,9 +160,7 @@ class CustodyClient:
             ApplicationError: fewer than ``t`` candidates produced a share, or
                 the combined signature does not verify.
         """
-        self.session.checkpoint(message)
-        return drive(one_op(self.sign_flow([message], signer_indices)),
-                     self.service.plane.clock)
+        return self._run(one_op(self.sign_flow([message], signer_indices)), message)
 
     def sign_transactions(self, messages: list[bytes],
                           signer_indices: list[int] | None = None) -> list:
@@ -193,9 +169,7 @@ class CustodyClient:
         Returns one outcome per message, in order: a
         :class:`SignedTransaction` or an :class:`ApplicationError` instance.
         """
-        self.session.checkpoint()
-        return drive(self.sign_flow(messages, signer_indices),
-                     self.service.plane.clock)
+        return self._run(self.sign_flow(messages, signer_indices))
 
     def sign_flow(self, messages: list[bytes], signer_indices: list[int] | None = None,
                   timeout: float = 0.25):

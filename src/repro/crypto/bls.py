@@ -75,10 +75,6 @@ class BlsKeyPair:
     secret_key: int
     public_key: G2Element
 
-    def public_bytes(self) -> bytes:
-        """Serialize the public key."""
-        return self.public_key.to_bytes()
-
 
 def bls_keygen(seed: bytes | None = None) -> BlsKeyPair:
     """Generate a BLS key pair, optionally deterministically from a seed."""

@@ -15,7 +15,11 @@ layer that makes the claim concrete on the client side:
   *before* pumping the network, so shard service time overlaps in sim time);
 * :mod:`repro.service.client` — :class:`ServiceClient`, the session facade
   (audit-before-use policies, keyed scatter waves that ride out a live
-  reshard) the four app clients are thin adapters over;
+  reshard) every app client's session is;
+* :mod:`repro.service.app` — the app shell: :class:`AppService` (spec
+  synthesis, migrator, ``deployment``, ``num_shards``, ``reshard``) and
+  :class:`AppClient` (session, ``audit()``, the checkpointed runner), the
+  bases each of the four apps' deployment and client extend;
 * :mod:`repro.service.reshard` — epoch-based live resharding in both
   directions: grow or shrink a running service, migrate moved keys' state
   through the app's :class:`ShardMigrator` over the simulated network, and
@@ -29,6 +33,7 @@ layer that makes the claim concrete on the client side:
 See docs/architecture.md for the capacity model and how the pieces compose.
 """
 
+from repro.service.app import AppClient, AppService
 from repro.service.autoscaler import (
     AutoscaleDecision,
     Autoscaler,
@@ -61,6 +66,8 @@ __all__ = [
     "ShardedService",
     "PendingScatter",
     "ServiceClient",
+    "AppService",
+    "AppClient",
     "ShardMigrator",
     "MigrationOutcome",
     "ReshardCoordinator",

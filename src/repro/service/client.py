@@ -73,17 +73,6 @@ class ServiceClient:
         self._audited = True
         return reports
 
-    def audit_compat(self):
-        """Audit, returning the pre-plane shape legacy callers expect.
-
-        A single-shard service yields its one report (exactly what the
-        pre-redesign per-app ``audit()`` returned); a sharded one yields the
-        list of per-shard reports. App adapters delegate here so the unwrap
-        convention lives in one place.
-        """
-        reports = self.audit()
-        return reports[0] if len(reports) == 1 else reports
-
     def audit_shard(self, shard_index: int):
         """Audit one shard only; raises on misbehavior, returns its report."""
         report = self.auditing_client.audit_or_raise(self.plane.shards[shard_index])

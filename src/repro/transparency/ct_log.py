@@ -192,20 +192,6 @@ class CtLog:
         return proof.verify(entry, head.root_hash)
 
     @staticmethod
-    def verify_batch_inclusion(entries, proof: BatchInclusionProof,
-                               head: SignedTreeHead,
-                               log_public_key: VerifyingKey) -> bool:
-        """Verify a signed tree head and one shared multi-leaf proof against it.
-
-        ``entries`` are the raw leaves aligned with ``proof.leaf_indices``.
-        """
-        if not head.verify(log_public_key):
-            return False
-        if proof.tree_size != head.tree_size:
-            return False
-        return proof.verify(tuple(entries), head.root_hash)
-
-    @staticmethod
     def verify_consistency(old_head: SignedTreeHead, new_head: SignedTreeHead,
                            proof: ConsistencyProof, log_public_key: VerifyingKey) -> bool:
         """Verify that two signed tree heads describe the same append-only log."""

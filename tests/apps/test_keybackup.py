@@ -90,6 +90,20 @@ class TestFigure1Scenario:
         report = client.audit()
         assert report.ok
 
+    def test_delete_refuses_a_compromised_deployment(self):
+        """Deleting audits first: a fallen TEE must not be left holding the
+        only surviving share of a key its honest peers were told to drop."""
+        service = KeyBackupDeployment(num_domains=3, threshold=2)
+        client = KeyBackupClient(service, audit_before_use=True)
+        client.backup_key("erin", 777)
+        service.deployment.domains[1].compromise()
+        with pytest.raises(MisbehaviorDetected):
+            client.recover_key("erin")
+        with pytest.raises(MisbehaviorDetected):
+            client.delete_backup("erin")
+        assert all("erin" in domain.framework.application_state()["shares"]
+                   for domain in service.deployment.domains)
+
     def test_audit_failure_blocks_backup(self):
         """If a domain runs unpublished code, the client refuses to upload shares."""
         service = KeyBackupDeployment(num_domains=3, threshold=2)

@@ -15,11 +15,12 @@ from repro.apps.odoh import ObliviousDnsClient, ObliviousDnsDeployment
 from repro.apps.threshold_sign import CustodyClient, CustodyDeployment
 from repro.crypto import rng
 from repro.errors import KeyMigratingError
-from repro.net.eventloop import EventLoop
+from repro.net.eventloop import EventLoop, drive
 from repro.net.latency import lan_profile
 from repro.net.transport import Network
 from repro.service.client import MIGRATION_RETRIES, MIGRATION_RETRY_DELAY
 from repro.sim import MultiClientWorkload
+from repro.sim.asyncops import keybackup_op
 from repro.sim.scenarios import runner
 from repro.sim.scenarios.apps import make_driver
 
@@ -82,6 +83,49 @@ def routed(plane):
     network = Network(clock=plane.clock, default_latency=lan_profile())
     plane.route_via_network(network)
     return network
+
+
+def run_keybackup_span(through_op: bool):
+    """Six backups (one of a user already stored) then their recovery: as
+    keybackup_op over the span, or as backup_keys then recover_keys."""
+    with rng.deterministic(2047):
+        service = KeyBackupDeployment(num_domains=4, threshold=3, shards=2)
+        client = KeyBackupClient(service, audit_before_use=False)
+        network = routed(service.plane)
+        service.plane.set_service_time(500e-6)
+        client.backup_key("user-0", 7)
+        items = [(f"user-{index}", 1000 + index) for index in range(6)]
+        sent, size, started = (network.stats.messages_sent,
+                               network.stats.bytes_sent, network.clock.now())
+        if through_op:
+            stored = []
+            outcomes = drive(keybackup_op(client, items, on_stored=stored.extend),
+                             service.plane.clock)
+        else:
+            receipts = client.backup_keys(items)
+            stored = [item for item, receipt in zip(items, receipts)
+                      if not isinstance(receipt, Exception)]
+            recovered = dict(zip([user for user, _ in stored],
+                                 client.recover_keys([user for user, _ in stored])))
+            outcomes = [receipt if isinstance(receipt, Exception)
+                        else recovered[user] == secret
+                        for (user, secret), receipt in zip(items, receipts)]
+    return ([repr(outcome) for outcome in outcomes], stored,
+            network.stats.messages_sent - sent, network.stats.bytes_sent - size,
+            network.clock.now() - started)
+
+
+def test_keybackup_op_is_backup_keys_then_recover_keys():
+    """The one key-backup op, which run_span and op_task both run, sends the
+    same messages and bytes and takes the same simulated time as the batch
+    API's two calls over the same items."""
+    through_op = run_keybackup_span(through_op=True)
+    assert through_op == run_keybackup_span(through_op=False)
+    outcomes, stored, messages, _, elapsed = through_op
+    assert "share already stored" in outcomes[0]
+    assert outcomes[1:] == ["True"] * 5
+    assert [user for user, _ in stored] == [f"user-{index}" for index in range(1, 6)]
+    assert messages > 0 and elapsed > 0
 
 
 def test_single_recover_fails_over_a_crashed_domain():

@@ -140,15 +140,44 @@ class TestServicePlaneSurface:
             assert service.plane.primary is service.deployment
             assert service.plane.num_shards == 1
 
-    def test_legacy_clients_expose_session_and_auditing_client(self):
-        from repro.apps import KeyBackupClient, KeyBackupDeployment
+    @pytest.mark.parametrize("app", ["keybackup", "prio", "odoh", "custody"])
+    def test_legacy_clients_expose_session_and_auditing_client(self, app):
+        """Every app keeps the shell's surface: the session, its auditing
+        client, ``audit()`` in the legacy shape (one report on one shard, a
+        list on more), and the service's ``num_shards`` and ``reshard``."""
+        from repro import apps
         from repro.core.client import AuditingClient
-        from repro.service import ServiceClient
+        from repro.service import ReshardReport, ServiceClient
 
-        client = KeyBackupClient(KeyBackupDeployment(num_domains=2, threshold=2),
-                                 audit_before_use=False)
+        make_service, client_class = {
+            "keybackup": (lambda shards: apps.KeyBackupDeployment(
+                num_domains=2, threshold=2, shards=shards), apps.KeyBackupClient),
+            "prio": (lambda shards: apps.PrivateAggregationDeployment(
+                num_servers=2, shards=shards), apps.PrivateAggregationClient),
+            "odoh": (lambda shards: apps.ObliviousDnsDeployment(
+                records={"a.example.org": "192.0.2.1"}, shards=shards),
+                apps.ObliviousDnsClient),
+            "custody": (lambda shards: apps.CustodyDeployment(
+                threshold=2, num_signers=3, keygen_seed=b"apisurfc",
+                shards=shards), apps.CustodyClient),
+        }[app]
+        service = make_service(1)
+        client = client_class(service, audit_before_use=False)
         assert isinstance(client.session, ServiceClient)
         assert isinstance(client.auditing_client, AuditingClient)
+        assert client.auditing_client is client.session.auditing_client
+        assert client.audit().ok
+        assert service.num_shards == 1
+
+        sharded = make_service(2)
+        reports = client_class(sharded, audit_before_use=False).audit()
+        assert isinstance(reports, list) and len(reports) == 2
+        assert all(report.ok for report in reports)
+        assert sharded.num_shards == 2
+
+        assert isinstance(service.reshard(2), ReshardReport)
+        assert service.num_shards == service.plane.num_shards == 2
+        assert len(client.audit()) == 2
 
     def test_apps_accept_shards_keyword(self):
         from repro.apps import KeyBackupDeployment, PrivateAggregationDeployment
