@@ -21,8 +21,8 @@ is a copy of such a run on a named host, and runs only read it:
   segment's simulated throughput must reach ≥ 1.8x the full 2-shard
   baseline run. The series uses a heavier per-request service time than the
   sharded series so server capacity — the thing resharding changes —
-  dominates the measurement rather than the serialized per-payload
-  forwarding costs, and its own seeds, which keep the consistent-hash
+  dominates the measurement rather than the per-payload vsock hop and
+  network delays, and its own seeds, which keep the consistent-hash
   placement of both segments representative (a finite key sample can land
   lopsided; the seed is part of the recorded experiment configuration).
 * **concurrent** — the discrete-event core: keybackup and prio driven with
@@ -87,8 +87,8 @@ OPS = (
 # The sharded series: apps whose batch paths are dominated by per-request
 # server work, which is exactly what sharding parallelizes. 500µs per request
 # keeps the service queue (the thing shards multiply) dominant over the
-# per-payload vsock forwarding cost that stays serialized on the shared
-# simulated clock.
+# per-payload vsock hop delay, which each response pays once whatever the
+# shard count.
 SHARD_APPS = ("keybackup", "prio")
 SHARD_COUNT = 4
 SERVICE_TIME = 500e-6

@@ -83,7 +83,7 @@ class TrustDomain:
             # Seal the developer key the way a real provisioning step would.
             self.enclave.memory.write("developer_public_key", developer_public_key.to_bytes())
             if use_vsock:
-                self.vsock = VsockProxyChain.nitro_style(clock=self.clock)
+                self.vsock = VsockProxyChain.nitro_style()
 
     # ------------------------------------------------------------------
     # Request path
@@ -93,7 +93,9 @@ class TrustDomain:
 
         For enclave-backed domains the request and response traverse the
         vsock-style socket hops (host → enclave, framework → sandbox); for
-        trust domain 0 the framework is called directly.
+        trust domain 0 the framework is called directly. The hops' delay is
+        charged only when an RPC delivery carried the request (see
+        :meth:`register_rpc`); an in-process call charges it to nobody.
         """
         if self.enclave is None:
             return self.framework.dispatch(method, params)
@@ -201,7 +203,12 @@ class TrustDomain:
     # RPC integration
     # ------------------------------------------------------------------
     def register_rpc(self, server: RpcServer) -> None:
-        """Expose this domain's operations on an RPC server."""
+        """Expose this domain's operations on an RPC server.
+
+        The server charges the delay of this domain's vsock hops to the
+        response of the payload that crossed them.
+        """
+        server.hops = self.vsock
         server.register("audit", lambda params: self.audit_response(params["nonce"]))
         server.register("install_update", lambda params: self.handle("install_update", params))
         server.register("invoke", lambda params: self.handle("invoke", params))

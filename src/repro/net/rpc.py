@@ -35,6 +35,7 @@ from typing import Callable
 from repro.errors import DecodingError, RpcError, TimeoutError
 from repro.net.eventloop import WaitBatch, drive
 from repro.net.transport import Endpoint, Message, Network
+from repro.net.vsock import VsockProxyChain
 from repro.wire.codec import decode, encode
 from repro.wire.framing import frame_message, split_frames
 
@@ -215,6 +216,12 @@ class RpcServer:
         service_model: optional :class:`ServiceTimeModel` making this server a
             serial busy-until queue in simulated time (settable later via the
             ``service_model`` attribute; ``None`` means zero service time).
+
+    A backend whose handlers cross socket hops (a trust domain's
+    :class:`~repro.net.vsock.VsockProxyChain`) sets the ``hops`` attribute:
+    the hop delay a delivered payload accrues is added to its responses'
+    delivery, so each request pays its own hops and the shared clock never
+    moves inside a handler.
     """
 
     def __init__(self, endpoint: Endpoint, name: str | None = None,
@@ -230,6 +237,7 @@ class RpcServer:
         self.batches_served = 0
         self.service_model = service_model
         self.queue = ServiceQueue()
+        self.hops: VsockProxyChain | None = None
         self._at_most_once = at_most_once
         self._cache_size = cache_size
         self._response_cache: OrderedDict[tuple, bytes] = OrderedDict()
@@ -259,14 +267,16 @@ class RpcServer:
         return sorted(set(self._handlers) | set(self._raw_handlers))
 
     def _handle_message(self, message: Message) -> None:
+        self._hop_delay()  # accrued outside a delivery: charged to nobody
         outgoing, executed, frame_count = self._process_payload(
             message.payload, message.source)
+        hop_delay = self._hop_delay()
         if outgoing:
             if frame_count > 1:
                 self.batches_served += 1
             self.endpoint.send(
                 message.source, outgoing,
-                extra_delay=self._service_delay(executed))
+                extra_delay=self._service_delay(executed) + hop_delay)
 
     def dispatch_payload(self, payload: bytes, source: str) -> bytes:
         """Process one request payload and return the response payload bytes.
@@ -274,10 +284,11 @@ class RpcServer:
         The network-free half of :meth:`_handle_message`: same frame loop,
         at-most-once cache, raw-handler fast path, and counters — but the
         response bytes are *returned* instead of sent through the simulated
-        endpoint, and no simulated service time is charged (there is no
-        simulated clock where this runs). This is the serving entry point for
-        worker processes in :mod:`repro.service.parallel`, which shuttle the
-        same wire bytes over OS pipes instead of the discrete-event transport.
+        endpoint, and no simulated service or hop time is charged (there is
+        no simulated clock where this runs). This is the serving entry point
+        for worker processes in :mod:`repro.service.parallel`, which shuttle
+        the same wire bytes over OS pipes instead of the discrete-event
+        transport.
         """
         outgoing, _, frame_count = self._process_payload(payload, source)
         if outgoing and frame_count > 1:
@@ -381,6 +392,10 @@ class RpcServer:
         now = self.endpoint.network.clock.now()
         return self.queue.enqueue(
             now, executed, executed * self.service_model.per_request)
+
+    def _hop_delay(self) -> float:
+        """Claim the delay ``hops`` accrued since the last claim (0 without hops)."""
+        return self.hops.claim_delay() if self.hops is not None else 0.0
 
     def _dispatch(self, request) -> dict:
         if not isinstance(request, dict) or "method" not in request or "id" not in request:

@@ -8,18 +8,28 @@ TEE overhead ("54.9% vs 46.1%") to exactly these two extra sockets.
 
 :class:`SocketHop` models one such hop: forwarding a payload performs real
 work (framing, buffer copies, an integrity checksum — the kind of per-byte
-cost a real proxy pays) and charges a small simulated latency.
+cost a real proxy pays) and records a small simulated latency.
 :class:`VsockProxyChain` composes hops so a deployment can describe the full
 client → host proxy → enclave framework → sandboxed app path.
+
+A hop never touches a clock. The delay it records is charged to the request
+that crossed it: :class:`repro.net.rpc.RpcServer` claims what its domain's
+chain accrued while it processed a delivered payload
+(:meth:`VsockProxyChain.claim_delay`) and adds it to that payload's response
+delivery, next to the service-queue wait. So a request pays its own hops and
+no one else's, and the shards of a plane do not queue behind one global hop.
+Delay accrued outside a delivered message (an in-process
+:meth:`repro.core.trust_domain.TrustDomain.handle`, or the parallel
+executor's ``dispatch_payload``) stays in ``stats.simulated_latency`` but is
+charged to nobody.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.crypto.hashes import sha256
 from repro.errors import NetworkError
-from repro.net.clock import SimClock
 from repro.net.latency import LatencyModel, vsock_profile
 from repro.wire.framing import FrameReader, frame_message
 
@@ -46,12 +56,12 @@ class SocketHop:
     extra sockets, not propagation delay.
     """
 
-    def __init__(self, name: str, clock: SimClock | None = None,
-                 latency: LatencyModel | None = None):
+    def __init__(self, name: str, latency: LatencyModel | None = None):
         self.name = name
-        self.clock = clock or SimClock()
         self.latency = latency or vsock_profile()
         self.stats = HopStats()
+        # Delay recorded since the chain's last claim_delay().
+        self.unclaimed_delay = 0.0
         self._reader = FrameReader()
 
     def forward(self, payload: bytes) -> bytes:
@@ -69,7 +79,7 @@ class SocketHop:
         if sha256(delivered) != sha256(payload):
             raise NetworkError(f"hop {self.name} corrupted a payload")
         delay = self.latency.sample(len(framed))
-        self.clock.advance(delay)
+        self.unclaimed_delay += delay
         self.stats.forwarded_messages += 1
         self.stats.forwarded_bytes += len(framed)
         self.stats.simulated_latency += delay
@@ -83,12 +93,11 @@ class VsockProxyChain:
         self.hops = list(hops)
 
     @classmethod
-    def nitro_style(cls, clock: SimClock | None = None) -> "VsockProxyChain":
+    def nitro_style(cls) -> "VsockProxyChain":
         """The paper's deployment: client→framework vsock hop + framework→app socket hop."""
-        clock = clock or SimClock()
         return cls([
-            SocketHop("host-to-enclave-vsock", clock=clock),
-            SocketHop("framework-to-sandbox-socket", clock=clock),
+            SocketHop("host-to-enclave-vsock"),
+            SocketHop("framework-to-sandbox-socket"),
         ])
 
     def request(self, payload: bytes) -> bytes:
@@ -103,10 +112,6 @@ class VsockProxyChain:
             payload = hop.forward(payload)
         return payload
 
-    def round_trip(self, payload: bytes) -> bytes:
-        """Forward a payload in and back out again (used by loopback health checks)."""
-        return self.respond(self.request(payload))
-
     @property
     def total_forwarded_messages(self) -> int:
         """Total messages forwarded across all hops."""
@@ -114,5 +119,13 @@ class VsockProxyChain:
 
     @property
     def total_simulated_latency(self) -> float:
-        """Total simulated latency charged across all hops."""
+        """Total simulated latency recorded across all hops."""
         return sum(h.stats.simulated_latency for h in self.hops)
+
+    def claim_delay(self) -> float:
+        """Return the delay the hops recorded since the last claim, and reset it."""
+        delay = 0.0
+        for hop in self.hops:
+            delay += hop.unclaimed_delay
+            hop.unclaimed_delay = 0.0
+        return delay

@@ -3,8 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.package import DeveloperIdentity
+from repro.core.trust_domain import TrustDomain
+from repro.enclave.tee import HardwareType
+from repro.enclave.vendor import HardwareVendor
 from repro.errors import RpcError
-from repro.net.clock import SimClock
 from repro.net.rpc import BoundedIdSet, RpcClient, RpcServer
 from repro.net.transport import Network
 from repro.net.vsock import SocketHop, VsockProxyChain
@@ -94,20 +97,60 @@ class TestVsock:
 
     def test_round_trip_traverses_all_hops_twice(self):
         chain = VsockProxyChain.nitro_style()
-        assert chain.round_trip(b"x") == b"x"
+        assert chain.respond(chain.request(b"x")) == b"x"
         for hop in chain.hops:
             assert hop.stats.forwarded_messages == 2
 
-    def test_latency_charged_to_clock(self):
-        clock = SimClock()
-        chain = VsockProxyChain.nitro_style(clock=clock)
-        chain.round_trip(b"x" * 1000)
-        assert clock.now() > 0
-        assert chain.total_simulated_latency == pytest.approx(clock.now())
+    def test_latency_is_recorded_and_claimed_once(self):
+        chain = VsockProxyChain.nitro_style()
+        chain.respond(chain.request(b"x" * 1000))
+        assert chain.total_simulated_latency > 0
+        assert chain.claim_delay() == chain.total_simulated_latency
+        assert chain.claim_delay() == 0.0
 
     def test_empty_payload(self):
         hop = SocketHop("empty")
         assert hop.forward(b"") == b""
+
+
+def routed_domain():
+    """An enclave domain served on a zero-latency network whose clock it
+    shares, as a plane's domains do; and a client for it."""
+    network = Network()
+    domain = TrustDomain("d0", HardwareType.NITRO, DeveloperIdentity("acme").public_key,
+                         vendor=HardwareVendor("aws-nitro-sim"), clock=network.clock)
+    domain.register_rpc(RpcServer(network.endpoint(domain.domain_id)))
+    return network, domain, RpcClient(network, network.endpoint("client"), "d0")
+
+
+class TestHopDelay:
+    """A request pays the hops it crossed, on its own response; the shared
+    clock never moves inside a handler."""
+
+    def test_forwarding_leaves_every_clock_unmoved(self):
+        network, domain, _ = routed_domain()
+        domain.get_state()
+        domain.vsock.respond(domain.vsock.request(b"x" * 1000))
+        assert domain.vsock.total_simulated_latency > 0
+        assert network.clock.now() == 0.0
+
+    def test_latency_charged_to_the_response(self):
+        network, domain, client = routed_domain()
+        client.call("get_state", {})
+        # A zero-latency network: the round trip is the four hop crossings.
+        assert network.clock.now() > 0
+        assert network.clock.now() == domain.vsock.total_simulated_latency
+
+    def test_an_in_process_call_leaves_no_delay_for_the_next_rpc(self):
+        elapsed = []
+        for in_process_calls in (0, 2):
+            network, domain, client = routed_domain()
+            for _ in range(in_process_calls):
+                domain.get_state()
+            client.call("get_state", {})
+            elapsed.append(network.clock.now())
+        assert elapsed[0] > 0
+        assert elapsed[1] == elapsed[0]
 
 
 class TestBoundedIdSetProperties:

@@ -93,9 +93,9 @@ class Recorder:
             monkeypatch.setattr(owner, name, wrapper)
 
 
-def open_loop(ops, events, seed=SEED):
+def open_loop(ops, events, seed=SEED, arrival_rate=600.0):
     return Scenario(name="live-reshard", app="keybackup", ops=ops, shards=2,
-                    seed=seed, concurrent=True, arrival_rate=600.0,
+                    seed=seed, concurrent=True, arrival_rate=arrival_rate,
                     service_time=0.0005, events=events)
 
 
@@ -122,8 +122,13 @@ def grow_and_shrink():
 
 @pytest.fixture(scope="module")
 def grow_twice():
-    """The same grow-only scenario run twice, for replay and placement."""
-    scenario = open_loop(100, (ReshardService(at_op=50, shards=4),))
+    """The same grow-only scenario run twice, for replay and placement.
+
+    At 1000 ops/s ops reach keys in motion while the grow migrates, so the
+    trace holds parked and signalled ops (at 600 ops/s the grow finishes
+    before any op asks for a moving key)."""
+    scenario = open_loop(100, (ReshardService(at_op=50, shards=4),),
+                         arrival_rate=1000.0)
     return recorded_run(scenario), recorded_run(scenario)
 
 

@@ -204,3 +204,25 @@ class TestLayering:
                               for name in names
                               if name == "repro.sim" or name.startswith("repro.sim.")]
         assert not offenders, offenders
+
+    def test_only_the_transport_and_event_loop_advance_the_shared_clock(self):
+        """Nothing in a request handler advances the shared clock: a layer
+        that costs sim time charges it to the request that crossed it (as a
+        response delay or service-queue time). Only the transport's pump and
+        the event loop move simulated time."""
+        src = Path(repro.__file__).parent
+        allowed = {Path("net/transport.py"), Path("net/eventloop.py")}
+        callers = set()
+        offenders = []
+        for path in sorted(src.rglob("*.py")):
+            relative = path.relative_to(src)
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("advance", "advance_to")):
+                    callers.add(relative)
+                    if relative not in allowed:
+                        offenders.append(f"{relative}:{node.lineno} calls "
+                                         f".{node.func.attr}()")
+        assert not offenders, offenders
+        assert callers == allowed
