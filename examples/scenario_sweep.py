@@ -23,7 +23,9 @@ job timeout.
 
 ``--synthesize N`` appends N generated scenarios (seeds ``S, S+1, …`` from
 ``--synthesis-seed``) targeted at the pairwise coverage cells the hand
-matrix left dark; ``--coverage PATH`` writes the merged
+matrix left dark. A synthesized scenario that fails an invariant is
+printed shrunk, as paste-ready ``Scenario(...)`` source for the matrix.
+``--coverage PATH`` writes the merged
 :class:`~repro.sim.coverage.CoverageReport` as JSON (the
 ``coverage_report.json`` CI artifact), and ``--coverage-floor F`` fails the
 sweep when the merged score drops below ``F`` (the committed CI floor).
@@ -39,7 +41,7 @@ import sys
 
 from repro.sim.coverage import CoverageReport
 from repro.sim.scenarios import ScenarioRunner, default_matrix
-from repro.sim.synthesis import synthesize_batch
+from repro.sim.synthesis import render_pinned, shrink, synthesize_batch
 
 
 @contextlib.contextmanager
@@ -127,6 +129,11 @@ def main(argv: list[str] | None = None) -> int:
                 report = ScenarioRunner(scenario).run()
             reports.append(report)
             print(report.format())
+            if not report.all_invariants_ok:
+                # A failing synthesized scenario found a bug: print it shrunk
+                # and paste-ready for the matrix (docs/scenarios.md).
+                print(render_pinned(shrink(scenario).scenario,
+                                    reason=f"shrunk from {scenario.name}"))
             print("-" * 64)
         coverage = CoverageReport.from_reports(reports)
 

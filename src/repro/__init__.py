@@ -3,8 +3,8 @@
 The package implements the paper's auditable bootstrapping framework for
 distributed-trust systems, together with every substrate it depends on:
 
-* :mod:`repro.crypto` — finite fields, secp256k1, Schnorr/ECDSA, Shamir and
-  Feldman secret sharing, a simulated bilinear group, BLS (threshold)
+* :mod:`repro.crypto` — finite fields, secp256k1, Schnorr/ECDSA, Shamir secret
+  sharing, a dealerless DKG, a simulated bilinear group, BLS (threshold)
   signatures, Merkle trees, and hash chains.
 * :mod:`repro.wire` / :mod:`repro.net` — canonical binary encoding, a simulated
   network with latency models, an RPC layer, and a vsock-style proxy.

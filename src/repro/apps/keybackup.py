@@ -29,7 +29,6 @@ from repro.core.package import CodePackage, DeveloperIdentity
 from repro.crypto.shamir import Share, ShamirSecretSharing
 from repro.errors import (
     ApplicationError,
-    MisbehaviorDetected,
     ReproError,
     ReshardError,
 )
@@ -354,10 +353,6 @@ class KeyBackupClient(AppClient):
             except ReproError as exc:
                 outcomes.append(exc)
         return outcomes
-
-    def recover_key_bytes(self, user_id: str, length: int = 32) -> bytes:
-        """Recover the key and return it as fixed-length bytes."""
-        return self.recover_key(user_id).to_bytes(length, "big")
 
     def delete_backup(self, user_id: str) -> int:
         """Delete the user's shares everywhere; returns how many domains had one.

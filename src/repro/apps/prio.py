@@ -16,8 +16,6 @@ the substitution).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.crypto import rng
 from repro.core.package import CodePackage, DeveloperIdentity
 from repro.errors import ApplicationError

@@ -9,11 +9,6 @@ from repro.crypto import rng
 __all__ = [
     "constant_time_equal",
     "random_bytes",
-    "to_hex",
-    "from_hex",
-    "int_to_bytes",
-    "bytes_to_int",
-    "chunked",
 ]
 
 
@@ -36,36 +31,3 @@ def random_bytes(n: int) -> bytes:
     if n < 0:
         raise ValueError("cannot request a negative number of random bytes")
     return rng.token_bytes(n)
-
-
-def to_hex(data: bytes) -> str:
-    """Render ``data`` as a lowercase hex string."""
-    return data.hex()
-
-
-def from_hex(text: str) -> bytes:
-    """Parse a hex string (with or without a ``0x`` prefix) into bytes."""
-    text = text.strip()
-    if text.startswith(("0x", "0X")):
-        text = text[2:]
-    return bytes.fromhex(text)
-
-
-def int_to_bytes(value: int, length: int) -> bytes:
-    """Encode a non-negative integer big-endian into exactly ``length`` bytes."""
-    if value < 0:
-        raise ValueError("int_to_bytes only encodes non-negative integers")
-    return value.to_bytes(length, "big")
-
-
-def bytes_to_int(data: bytes) -> int:
-    """Decode a big-endian byte string into a non-negative integer."""
-    return int.from_bytes(data, "big")
-
-
-def chunked(data: bytes, size: int):
-    """Yield successive ``size``-byte chunks of ``data`` (last may be short)."""
-    if size <= 0:
-        raise ValueError("chunk size must be positive")
-    for start in range(0, len(data), size):
-        yield data[start:start + size]

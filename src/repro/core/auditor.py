@@ -15,11 +15,10 @@ combines three activities:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.client import AuditingClient, AuditReport
 from repro.core.deployment import Deployment
-from repro.errors import AuditError
 from repro.transparency.monitor import LogMonitor
 from repro.wire.codec import decode
 

@@ -309,10 +309,6 @@ class Deployment:
         """Sequence number of the most recent release (-1 before any release)."""
         return self._sequence
 
-    def enclave_domains(self) -> list[TrustDomain]:
-        """The domains backed by secure hardware."""
-        return [domain for domain in self.domains if domain.enclave is not None]
-
     def hardware_census(self) -> dict:
         """How many domains run on each hardware type (for ablation reporting)."""
         census: dict[str, int] = {}

@@ -38,7 +38,7 @@ from repro.sandbox.wvm.assembler import assemble
 from repro.sandbox.wvm.vm import WvmLimits
 from repro.sandbox.wvm_executor import WvmExecutor
 from repro.transparency.log import DigestLog
-from repro.wire.codec import canonical_digest, encode
+from repro.wire.codec import canonical_digest
 
 __all__ = ["framework_source", "UpdateAnnouncement", "FrameworkState", "TrustDomainFramework"]
 

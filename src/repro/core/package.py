@@ -150,7 +150,3 @@ class DeveloperIdentity:
             package_digest=manifest.package_digest,
             signature=signature,
         )
-
-    def export_private_key(self) -> bytes:
-        """Export the private key (used by compromise scenarios in experiments)."""
-        return self._signing_key.to_bytes()

@@ -6,8 +6,9 @@ The framework in the paper depends on several cryptographic primitives:
 * Merkle trees for the CT-style transparency log,
 * digital signatures for developer code updates and simulated hardware
   attestation (Schnorr and ECDSA over secp256k1),
-* secret sharing for the motivating secret-key-backup application (Shamir and
-  Feldman verifiable secret sharing),
+* Shamir secret sharing for the motivating secret-key-backup application,
+  and Feldman verifiable secret sharing, which no application deals with
+  (the DKG deals verifiable sharings with its own G2 commitments),
 * BLS threshold signatures for the evaluated custody application (over a
   simulated bilinear group — see :mod:`repro.crypto.bilinear`).
 

@@ -100,10 +100,6 @@ class BilinearGroup:
     # ------------------------------------------------------------------
     # Generators and identities
     # ------------------------------------------------------------------
-    def g1_generator(self) -> G1Element:
-        """The fixed G1 generator."""
-        return G1Element(1)
-
     def g2_generator(self) -> G2Element:
         """The fixed G2 generator."""
         return G2Element(1)

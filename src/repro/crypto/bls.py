@@ -21,7 +21,7 @@ from repro.crypto.bilinear import (
     G1Element,
     G2Element,
 )
-from repro.crypto.field import PrimeField, lagrange_interpolate_at_zero
+from repro.crypto.field import PrimeField
 from repro.crypto.shamir import Share, ShamirSecretSharing
 from repro.errors import CryptoError, ThresholdError
 
@@ -156,10 +156,6 @@ class BlsThresholdScheme:
         sharing = ShamirSecretSharing(self.threshold, self.num_signers, _SCALAR_FIELD)
         shares = sharing.split(keypair.secret_key)
         return keypair.public_key, shares
-
-    def public_key_share(self, share: Share) -> G2Element:
-        """Derive the public verification key for a single signer's share."""
-        return self.group.multiply(self.group.g2_generator(), share.value)
 
     # ------------------------------------------------------------------
     # Signing

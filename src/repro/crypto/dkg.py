@@ -15,7 +15,7 @@ memory. The core framework's custody application uses it as an optional
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.crypto.bilinear import BLS_SCALAR_ORDER, BilinearGroup, G2Element
 from repro.crypto.field import PrimeField

@@ -1,18 +1,21 @@
 """Feldman verifiable secret sharing (VSS).
 
 Plain Shamir sharing assumes the dealer is honest. In the paper's setting the
-application developer *is* a potential adversary, so the key-backup and custody
-applications use Feldman VSS: alongside the shares, the dealer publishes
-commitments ``C_j = g^{a_j}`` to the coefficients of the sharing polynomial,
-and every trust domain can check its share against the commitments before
-accepting it. The commitments are secp256k1 points.
+application developer *is* a potential adversary, so a dealer can publish,
+alongside the shares, commitments ``C_j = g^{a_j}`` to the coefficients of the
+sharing polynomial, and every trust domain can check its share against the
+commitments before accepting it. The commitments are secp256k1 points.
+
+No application deals through this module: key backup and custody use plain
+Shamir sharing, and the DKG deals its own G2 commitments
+(:mod:`repro.crypto.dkg`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.secp256k1 import SECP256K1, Point
+from repro.crypto.secp256k1 import SECP256K1
 from repro.crypto.shamir import Share, ShamirSecretSharing
 from repro.crypto.field import PrimeField
 from repro.errors import SecretSharingError

@@ -10,11 +10,11 @@ and the Prio-style private aggregation application.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.errors import CryptoError
 
-__all__ = ["PrimeField", "FieldElement", "lagrange_interpolate_at_zero"]
+__all__ = ["PrimeField", "FieldElement"]
 
 
 def _is_probable_prime(n: int, rounds: int = 16) -> bool:
@@ -190,29 +190,3 @@ class PrimeField:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PrimeField(modulus={self.modulus})"
-
-
-def lagrange_interpolate_at_zero(points: Sequence[tuple[FieldElement, FieldElement]]) -> FieldElement:
-    """Interpolate the polynomial through ``points`` and evaluate it at zero.
-
-    ``points`` is a sequence of ``(x, y)`` pairs with distinct ``x``. This is the
-    reconstruction step shared by Shamir secret sharing and threshold BLS
-    signature aggregation (where it runs in the exponent).
-    """
-    if not points:
-        raise CryptoError("cannot interpolate zero points")
-    field = points[0][0].field
-    xs = [p[0] for p in points]
-    if len({x.value for x in xs}) != len(xs):
-        raise CryptoError("interpolation points must have distinct x coordinates")
-    result = field.zero()
-    for i, (x_i, y_i) in enumerate(points):
-        numerator = field.one()
-        denominator = field.one()
-        for j, (x_j, _) in enumerate(points):
-            if i == j:
-                continue
-            numerator = numerator * (-x_j)
-            denominator = denominator * (x_i - x_j)
-        result = result + y_i * numerator * denominator.inverse()
-    return result

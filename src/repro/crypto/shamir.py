@@ -21,9 +21,9 @@ __all__ = ["Share", "ShamirSecretSharing", "horner_evaluate_many"]
 def _lagrange_at_zero_int(points: list[tuple[int, int]], modulus: int) -> int:
     """Lagrange interpolation at zero on raw integers (the reconstruction hot path).
 
-    Equivalent to :func:`repro.crypto.field.lagrange_interpolate_at_zero` but
-    without per-operation :class:`FieldElement` allocations, which dominate
-    reconstruction cost when recovering thousands of keys.
+    Works on plain integers, not :class:`FieldElement` values, whose
+    per-operation allocations would dominate reconstruction cost when
+    recovering thousands of keys.
     """
     total = 0
     for i, (x_i, y_i) in enumerate(points):
@@ -179,10 +179,6 @@ class ShamirSecretSharing:
                         "extra shares are inconsistent with the reconstruction"
                     )
         return secret
-
-    def reconstruct_bytes(self, shares: list[Share], length: int = 32) -> bytes:
-        """Reconstruct and return the secret as a fixed-length byte string."""
-        return self.reconstruct(shares).to_bytes(length, "big")
 
     def _interpolate_full(self, points: list[tuple[FieldElement, FieldElement]]) -> list[FieldElement]:
         """Recover polynomial coefficients by Lagrange interpolation (for consistency checks)."""

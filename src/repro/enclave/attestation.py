@@ -16,7 +16,7 @@ useful misbehavior evidence.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common import constant_time_equal
 from repro.crypto.hashes import sha256
@@ -78,15 +78,6 @@ class AttestationVerifier:
         if isinstance(evidence, SgxQuote):
             return self._verify_sgx(evidence, nonce, expected_measurement, user_data)
         return AttestationResult(False, reason=f"unsupported evidence type {type(evidence).__name__}")
-
-    def verify_or_raise(self, evidence, nonce: bytes,
-                        expected_measurement: Measurement | None = None,
-                        user_data: bytes = b"") -> AttestationResult:
-        """Like :meth:`verify` but raises :class:`AttestationError` on failure."""
-        result = self.verify(evidence, nonce, expected_measurement, user_data)
-        if not result:
-            raise AttestationError(f"attestation failed: {result.reason}")
-        return result
 
     # ------------------------------------------------------------------
     # Internals

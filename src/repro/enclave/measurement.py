@@ -27,10 +27,6 @@ class Measurement:
         """Hex form of the digest (what a registry or log entry displays)."""
         return self.digest.hex()
 
-    def matches(self, code: bytes) -> bool:
-        """Check whether this measurement corresponds to ``code``."""
-        return measure_code(code, self.label) == self
-
     def to_dict(self) -> dict:
         """Plain-data form for wire transfer and logs."""
         return {"digest": self.digest.hex(), "code_size": self.code_size, "label": self.label}

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.crypto.hashes import hkdf
-from repro.crypto.keys import SigningKey
 from repro.enclave.measurement import Measurement, measure_code
 from repro.enclave.memory import EnclaveMemory
 from repro.enclave.sealing import SealedBlob, seal, unseal

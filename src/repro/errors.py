@@ -10,7 +10,6 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "CryptoError",
-    "InvalidSignatureError",
     "InvalidPointError",
     "SecretSharingError",
     "ThresholdError",
@@ -23,7 +22,6 @@ __all__ = [
     "SimulationError",
     "EnclaveError",
     "AttestationError",
-    "MeasurementMismatchError",
     "SealingError",
     "EnclaveCompromisedError",
     "SandboxError",
@@ -61,10 +59,6 @@ class ReproError(Exception):
 
 class CryptoError(ReproError):
     """Base class for cryptographic failures."""
-
-
-class InvalidSignatureError(CryptoError):
-    """A signature failed to verify."""
 
 
 class InvalidPointError(CryptoError):
@@ -126,10 +120,6 @@ class EnclaveError(ReproError):
 
 class AttestationError(EnclaveError):
     """An attestation document or quote failed verification."""
-
-
-class MeasurementMismatchError(AttestationError):
-    """The attested measurement does not match the expected code digest."""
 
 
 class SealingError(EnclaveError):

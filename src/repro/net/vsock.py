@@ -50,7 +50,7 @@ class HopStats:
 class SocketHop:
     """One socket forwarding hop (e.g. host→enclave vsock, or framework→app socket).
 
-    Forwarding is deliberately implemented as real work — chunked buffer
+    Forwarding is deliberately implemented as real work — piecewise buffer
     copies through a reassembly buffer plus a checksum — because the paper's
     measured TEE overhead is the CPU and syscall cost of moving bytes through
     extra sockets, not propagation delay.
@@ -111,11 +111,6 @@ class VsockProxyChain:
         for hop in reversed(self.hops):
             payload = hop.forward(payload)
         return payload
-
-    @property
-    def total_forwarded_messages(self) -> int:
-        """Total messages forwarded across all hops."""
-        return sum(h.stats.forwarded_messages for h in self.hops)
 
     @property
     def total_simulated_latency(self) -> float:

@@ -38,7 +38,3 @@ class Executor:
     def invoke(self, entry: str, args: list) -> ExecutionResult:
         """Invoke the application entry point ``entry`` with ``args``."""
         raise NotImplementedError
-
-    def describe(self) -> dict:
-        """Environment metadata for experiment logs."""
-        return {"name": self.name}

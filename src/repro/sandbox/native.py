@@ -27,10 +27,6 @@ class NativeExecutor(Executor):
         """Register a callable as an entry point."""
         self._entry_points[entry] = fn
 
-    def entry_names(self) -> list[str]:
-        """Names of all registered entry points."""
-        return sorted(self._entry_points)
-
     def invoke(self, entry: str, args: list) -> ExecutionResult:
         """Call the entry point directly."""
         fn = self._entry_points.get(entry)

@@ -26,7 +26,6 @@ __all__ = [
     "HOST_HASH_TO_G1",
     "bls_share_source",
     "bls_share_module",
-    "modexp_source",
     "modexp_module",
     "fibonacci_module",
 ]
@@ -171,11 +170,6 @@ def bls_share_source() -> str:
 def bls_share_module() -> WvmModule:
     """The assembled BLS signature-share module."""
     return assemble(_BLS_SHARE_ASM)
-
-
-def modexp_source() -> str:
-    """Assembly text of the modular-exponentiation program."""
-    return _MODEXP_ASM
 
 
 def modexp_module() -> WvmModule:

@@ -23,7 +23,7 @@ application code as untrusted input behind a narrow, data-only interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import SandboxError, SandboxEscapeError
 from repro.wire.codec import decode, encode

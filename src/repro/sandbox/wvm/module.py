@@ -68,10 +68,6 @@ class WvmModule:
             raise AssemblerError(f"no function at index {index}")
         return self.functions[index]
 
-    def export_names(self) -> list[str]:
-        """All exported entry-point names."""
-        return sorted(self.exports)
-
     # ------------------------------------------------------------------
     # Serialization — this is the artifact whose digest goes in the log.
     # ------------------------------------------------------------------

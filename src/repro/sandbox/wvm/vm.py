@@ -105,11 +105,6 @@ class WvmInstance:
         frames = [self._new_frame(function_index, args)]
         return self._run_blocks(stack, frames)
 
-    @property
-    def fuel_remaining(self) -> int:
-        """Fuel left before the instance traps with :class:`FuelExhaustedError`."""
-        return max(0, self.limits.max_fuel - self.fuel_used)
-
     # ------------------------------------------------------------------
     # Interpreter core
     # ------------------------------------------------------------------

@@ -27,7 +27,7 @@ and that the move was clean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ReshardError
 from repro.service.gates import (

@@ -44,8 +44,7 @@ class RingDiff:
 
     The diff is direction-agnostic: for a grow every ``target_shard`` is a
     freshly added shard, for a shrink every ``source_shard`` is a retiring
-    one, and the moved-fraction/spread properties hold symmetrically
-    (:meth:`source_shards` / :meth:`target_shards` expose either side).
+    one, and the moved-fraction/spread properties hold symmetrically.
     """
 
     total_keys: int
@@ -69,14 +68,6 @@ class RingDiff:
         for key, source, target in self.moved:
             routes.setdefault((source, target), []).append(key)
         return routes
-
-    def source_shards(self) -> set:
-        """Every shard a moved key leaves (a shrink's retiring shards)."""
-        return {source for _, source, _ in self.moved}
-
-    def target_shards(self) -> set:
-        """Every shard a moved key lands on (a grow's new shards)."""
-        return {target for _, _, target in self.moved}
 
 
 class HashRing:
@@ -129,13 +120,6 @@ class HashRing:
         if index == len(self._hashes):
             index = 0  # wrap past the top of the circle
         return self._shards[index]
-
-    def distribution(self, keys) -> list[int]:
-        """How many of ``keys`` land on each shard (diagnostics/benchmarks)."""
-        counts = [0] * self.shard_count
-        for key in keys:
-            counts[self.shard_for(key)] += 1
-        return counts
 
     def resize(self, shard_count: int) -> "HashRing":
         """A ring over ``shard_count`` shards with this ring's vnodes and salt.

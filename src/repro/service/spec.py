@@ -19,7 +19,7 @@ the four example apps had grown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.deployment import Deployment, DeploymentConfig
 from repro.core.package import CodePackage, DeveloperIdentity

@@ -244,11 +244,6 @@ class CoverageReport:
         return cls({report.scenario.name: frozenset(report.coverage_cells)
                     for report in reports})
 
-    def merge(self, other: "CoverageReport") -> "CoverageReport":
-        merged = dict(self.per_scenario)
-        merged.update(other.per_scenario)
-        return CoverageReport(merged)
-
     @property
     def covered(self) -> frozenset:
         cells: set = set()

@@ -1,10 +1,11 @@
 """Pinned scenarios promoted from the coverage-guided synthesis sweep.
 
-Generated by :func:`repro.sim.synthesis.render_pinned_module` (promotion
-workflow in ``docs/scenarios.md``). Each block is one synthesized scenario
-kept verbatim so the combination it exercises stays in the regression
-matrix no matter how the generator's draw order evolves. Regenerate this
-file rather than editing it by hand.
+Each block is one synthesized scenario as
+:func:`repro.sim.synthesis.render_pinned` prints it, reason comment included
+(promotion workflow in ``docs/scenarios.md``), so the combination it
+exercises stays in the regression matrix no matter how the generator's
+draw order evolves. Add a block by pasting ``render_pinned`` output rather
+than by writing one by hand.
 """
 
 from __future__ import annotations

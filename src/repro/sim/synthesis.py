@@ -57,7 +57,6 @@ __all__ = [
     "ShrinkResult",
     "shrink",
     "render_pinned",
-    "render_pinned_module",
 ]
 
 #: Probabilistic per-message kinds — they only exist while traffic flows.
@@ -401,54 +400,3 @@ def render_pinned(scenario: Scenario, reason: str = "") -> str:
             lines.append(f"    {field.name}={value!r},")
     lines.append(")")
     return "\n".join(lines)
-
-
-def render_pinned_module(entries) -> str:
-    """Render ``(scenario, reason)`` pairs as the whole pinned-matrix module.
-
-    The emitted source is ``repro/sim/scenarios/pinned.py``: a
-    ``pinned_matrix()`` the default matrix appends, one
-    :func:`render_pinned` block per promoted scenario. Checking the
-    rendered module in (instead of re-synthesizing at import time) is what
-    makes a promotion permanent — the scenario survives any later change to
-    the generator's draw order. Regenerate the file rather than editing it.
-    """
-    entries = list(entries)
-    fault_names = sorted({type(item).__name__
-                          for scenario, _reason in entries
-                          for item in (*scenario.rules, *scenario.events)})
-    lines = [
-        '"""Pinned scenarios promoted from the coverage-guided synthesis sweep.',
-        "",
-        "Generated by :func:`repro.sim.synthesis.render_pinned_module` "
-        "(promotion",
-        "workflow in ``docs/scenarios.md``). Each block is one synthesized "
-        "scenario",
-        "kept verbatim so the combination it exercises stays in the regression",
-        "matrix no matter how the generator's draw order evolves. Regenerate "
-        "this",
-        'file rather than editing it by hand.',
-        '"""',
-        "",
-        "from __future__ import annotations",
-        "",
-    ]
-    if fault_names:
-        lines.append("from repro.sim.faults import (")
-        for name in fault_names:
-            lines.append(f"    {name},")
-        lines.append(")")
-    lines.append("from repro.sim.scenarios.spec import Scenario")
-    lines.append("")
-    lines.append('__all__ = ["pinned_matrix"]')
-    lines.append("")
-    lines.append("")
-    lines.append("def pinned_matrix() -> list[Scenario]:")
-    lines.append('    """The pinned scenarios the default matrix appends."""')
-    lines.append("    return [")
-    for scenario, reason in entries:
-        for line in render_pinned(scenario, reason).splitlines():
-            lines.append(f"        {line}" if line else "")
-        lines[-1] += ","
-    lines.append("    ]")
-    return "\n".join(lines) + "\n"

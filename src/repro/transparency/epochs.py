@@ -29,7 +29,7 @@ replayable bit-for-bit (simulated time travels as integer microseconds).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.crypto.hashes import sha256
 from repro.crypto.keys import SigningKey, VerifyingKey

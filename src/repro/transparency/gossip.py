@@ -10,7 +10,7 @@ publicly verifiable evidence of misbehavior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.crypto.keys import VerifyingKey
 from repro.errors import SplitViewError

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.crypto.hashchain import ChainEntry, HashChain
 from repro.errors import LogError
-from repro.wire.codec import canonical_digest, decode, encode
+from repro.wire.codec import encode
 
 __all__ = ["DigestLogEntry", "DigestLog"]
 
@@ -118,10 +118,6 @@ class DigestLog:
     def export(self) -> list[dict]:
         """Serializable view of the whole log for RPC responses."""
         return [entry.to_dict() for entry in self._entries]
-
-    def digest_history(self) -> list[bytes]:
-        """Just the code digests, oldest first."""
-        return [entry.code_digest for entry in self._entries]
 
     # ------------------------------------------------------------------
     # Client-side verification

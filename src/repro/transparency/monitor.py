@@ -9,10 +9,9 @@ their publishing keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from repro.errors import LogConsistencyError
 from repro.transparency.ct_log import CtLog, SignedTreeHead
 
 __all__ = ["MonitorAlert", "LogMonitor"]

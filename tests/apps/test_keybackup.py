@@ -31,7 +31,7 @@ class TestBackupAndRecovery:
         client = KeyBackupClient(service)
         secret = b"\x07" * 32
         client.backup_key("carol", secret)
-        assert client.recover_key_bytes("carol") == secret
+        assert client.recover_key("carol") == int.from_bytes(secret, "big")
 
     def test_unknown_user_recovery_fails(self, service):
         client = KeyBackupClient(service)

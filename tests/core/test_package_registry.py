@@ -73,10 +73,6 @@ class TestUpdateManifest:
         with pytest.raises(UpdateRejectedError):
             DeveloperIdentity("acme").sign_update(make_package(), -1)
 
-    def test_private_key_export(self):
-        developer = DeveloperIdentity("acme")
-        assert len(developer.export_private_key()) == 32
-
 
 class TestReleaseRegistry:
     def _registry(self):

@@ -53,10 +53,13 @@ class TestTrustDomain:
                              vendor=HardwareVendor("aws-nitro-sim"), use_vsock=True)
         package = wvm_package()
         domain.install_update(developer.sign_update(package, 0), package)
-        before = domain.vsock.total_forwarded_messages
+        hops = domain.vsock.hops
+        before = [hop.stats.forwarded_messages for hop in hops]
         domain.invoke_application("scalar_mul", [2, 3, BLS_SCALAR_ORDER])
-        # One request in through both hops plus one response out through both.
-        assert domain.vsock.total_forwarded_messages == before + 4
+        # One request in and one response out through each of the two hops.
+        assert len(hops) == 2
+        assert [hop.stats.forwarded_messages for hop in hops] == [
+            count + 2 for count in before]
 
     def test_install_and_invoke_through_domain(self):
         developer = DeveloperIdentity("acme")
@@ -151,7 +154,10 @@ class TestDeployment:
     def test_enclave_domains_listing(self):
         deployment = Deployment("dep", DeveloperIdentity("acme"),
                                 DeploymentConfig(num_domains=4))
-        assert len(deployment.enclave_domains()) == 3
+        # Domain 0 is the developer's own machine; the rest are enclaves.
+        census = deployment.hardware_census()
+        assert census.pop(HardwareType.NONE.value) == 1
+        assert sum(census.values()) == 3
 
 
 class TestDeploymentOverRpc:

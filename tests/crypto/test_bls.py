@@ -16,18 +16,22 @@ from repro.crypto.bls import (
 from repro.errors import CryptoError, InvalidPointError, ThresholdError
 
 GROUP = BilinearGroup()
+# A G1 element as the signing path makes them (a hashed message).
+G1 = GROUP.hash_to_g1(b"test/g1")
 
 
 class TestBilinearGroup:
     def test_pairing_bilinearity(self):
-        g1, g2 = GROUP.g1_generator(), GROUP.g2_generator()
+        g1, g2 = G1, GROUP.g2_generator()
         a, b = 12345, 67890
         left = GROUP.pairing(GROUP.multiply(g1, a), GROUP.multiply(g2, b))
         right = GROUP.multiply(GROUP.pairing(g1, g2), a * b)
         assert left == right
 
     def test_pairing_identity(self):
-        assert GROUP.pairing(GROUP.g1_identity(), GROUP.g2_generator()) == GROUP.gt_identity()
+        identity = GROUP.pairing(GROUP.g1_identity(), GROUP.g2_generator())
+        assert identity == GROUP.pairing(G1, GROUP.g2_identity())
+        assert identity != GROUP.pairing(G1, GROUP.g2_generator())
 
     def test_pairing_type_checks(self):
         with pytest.raises(CryptoError):
@@ -35,10 +39,10 @@ class TestBilinearGroup:
 
     def test_add_different_groups_rejected(self):
         with pytest.raises(CryptoError):
-            GROUP.add(GROUP.g1_generator(), GROUP.g2_generator())
+            GROUP.add(G1, GROUP.g2_generator())
 
     def test_negate(self):
-        element = GROUP.multiply(GROUP.g1_generator(), 555)
+        element = GROUP.multiply(G1, 555)
         assert GROUP.add(element, GROUP.negate(element)) == GROUP.g1_identity()
 
     def test_hash_to_g1_deterministic_and_distinct(self):
@@ -47,14 +51,14 @@ class TestBilinearGroup:
 
     def test_serialization_round_trip(self):
         for element in (
-            GROUP.multiply(GROUP.g1_generator(), 7),
+            GROUP.multiply(G1, 7),
             GROUP.multiply(GROUP.g2_generator(), 8),
-            GROUP.pairing(GROUP.g1_generator(), GROUP.g2_generator()),
+            GROUP.pairing(G1, GROUP.g2_generator()),
         ):
             assert GROUP.element_from_bytes(element.to_bytes()) == element
 
     def test_serialization_length(self):
-        assert len(GROUP.g1_generator().to_bytes()) == 48
+        assert len(G1.to_bytes()) == 48
 
     def test_deserialize_bad_length(self):
         with pytest.raises(InvalidPointError):
@@ -66,15 +70,15 @@ class TestBilinearGroup:
             GROUP.element_from_bytes(data)
 
     def test_serialization_does_not_expose_exponent(self):
-        element = GROUP.multiply(GROUP.g1_generator(), 3)
-        assert (3).to_bytes(44, "big") not in element.to_bytes()
+        element = GROUP.multiply(G1, 3)
+        assert element.exponent.to_bytes(44, "big") not in element.to_bytes()
 
     def test_multi_pairing_matches_products(self):
         pairs = [
-            (GROUP.multiply(GROUP.g1_generator(), 3), GROUP.multiply(GROUP.g2_generator(), 5)),
-            (GROUP.multiply(GROUP.g1_generator(), 7), GROUP.multiply(GROUP.g2_generator(), 11)),
+            (GROUP.multiply(G1, 3), GROUP.multiply(GROUP.g2_generator(), 5)),
+            (GROUP.multiply(G1, 7), GROUP.multiply(GROUP.g2_generator(), 11)),
         ]
-        expected = GROUP.multiply(GROUP.pairing(GROUP.g1_generator(), GROUP.g2_generator()), 3 * 5 + 7 * 11)
+        expected = GROUP.multiply(GROUP.pairing(G1, GROUP.g2_generator()), 3 * 5 + 7 * 11)
         assert GROUP.multi_pairing(pairs) == expected
 
     def test_random_scalar_in_range(self):
@@ -183,7 +187,7 @@ class TestThresholdBls:
         scheme = BlsThresholdScheme(2, 3)
         _, shares = scheme.keygen()
         partial = scheme.sign_share(shares[0], b"m")
-        share_pk = scheme.public_key_share(shares[0])
+        share_pk = GROUP.multiply(GROUP.g2_generator(), shares[0].value)
         assert scheme.verify_share(share_pk, b"m", partial)
         assert not scheme.verify_share(share_pk, b"other", partial)
 
@@ -192,7 +196,7 @@ class TestThresholdBls:
         _, shares = scheme.keygen()
         good = scheme.sign_share(shares[0], b"m")
         bad = scheme.sign_share(shares[1], b"tampered")
-        share_pk = scheme.public_key_share(shares[0])
+        share_pk = GROUP.multiply(GROUP.g2_generator(), shares[0].value)
         assert scheme.verify_share(share_pk, b"m", good)
         assert not scheme.verify_share(share_pk, b"m", bad)
 

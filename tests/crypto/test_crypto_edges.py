@@ -9,7 +9,7 @@ arithmetic behaves at the modulus boundaries.
 import pytest
 
 from repro.crypto.feldman import FeldmanShare, FeldmanVSS
-from repro.crypto.field import FieldElement, PrimeField, lagrange_interpolate_at_zero
+from repro.crypto.field import FieldElement, PrimeField
 from repro.crypto.shamir import Share, ShamirSecretSharing
 from repro.errors import CryptoError, SecretSharingError, ThresholdError
 
@@ -133,10 +133,10 @@ class TestFieldBoundaries:
             PrimeField(97)(1) + PrimeField(101)(1)
 
     def test_interpolation_requires_distinct_points(self):
-        field = PrimeField(97)
-        points = [(field(1), field(3)), (field(1), field(5))]
-        with pytest.raises(CryptoError, match="distinct"):
-            lagrange_interpolate_at_zero(points)
+        """Two points at one x (reconstruction's Lagrange step) are refused."""
+        scheme = ShamirSecretSharing(2, 3, PrimeField(97))
+        with pytest.raises(CryptoError, match="duplicate"):
+            scheme.reconstruct([Share(1, 3), Share(1, 5)])
 
     def test_to_bytes_round_trip_at_boundary(self):
         field = PrimeField(2**61 - 1, unsafe_skip_check=True)

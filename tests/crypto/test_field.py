@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.field import FieldElement, PrimeField, lagrange_interpolate_at_zero
+from repro.crypto.field import FieldElement, PrimeField
+from repro.crypto.shamir import ShamirSecretSharing, Share
 from repro.errors import CryptoError
 
 F17 = PrimeField(17)
@@ -120,30 +121,35 @@ class TestFieldHelpers:
 
 
 class TestLagrangeInterpolation:
+    """Lagrange interpolation at zero over GF(17), as Shamir reconstruction
+    runs it: a share is a point ``(index, value)`` on the polynomial."""
+
+    @staticmethod
+    def interpolate(threshold, points):
+        scheme = ShamirSecretSharing(threshold, 16, F17)
+        return scheme.reconstruct([Share(x, y) for x, y in points])
+
     def test_recovers_constant_polynomial(self):
-        points = [(F17(1), F17(5)), (F17(2), F17(5))]
-        assert lagrange_interpolate_at_zero(points) == F17(5)
+        assert self.interpolate(2, [(1, 5), (2, 5)]) == 5
 
     def test_recovers_linear_polynomial(self):
         # f(x) = 3 + 2x over GF(17)
-        points = [(F17(1), F17(5)), (F17(4), F17(11))]
-        assert lagrange_interpolate_at_zero(points) == F17(3)
+        assert self.interpolate(2, [(1, 5), (4, 11)]) == 3
 
     def test_recovers_quadratic_polynomial(self):
         # f(x) = 7 + x + 2x^2 over GF(17)
         def f(x):
-            return F17(7) + F17(x) + F17(2) * F17(x) * F17(x)
+            return (7 + x + 2 * x * x) % 17
 
-        points = [(F17(x), f(x)) for x in (2, 5, 9)]
-        assert lagrange_interpolate_at_zero(points) == F17(7)
+        assert self.interpolate(3, [(x, f(x)) for x in (2, 5, 9)]) == 7
 
     def test_requires_points(self):
         with pytest.raises(CryptoError):
-            lagrange_interpolate_at_zero([])
+            self.interpolate(2, [])
 
     def test_rejects_duplicate_x(self):
         with pytest.raises(CryptoError):
-            lagrange_interpolate_at_zero([(F17(1), F17(2)), (F17(1), F17(3))])
+            self.interpolate(2, [(1, 2), (1, 3)])
 
 
 @settings(max_examples=50)

@@ -83,13 +83,6 @@ class TestNitroVerification:
         assert not result.valid
         assert "signature" in result.reason
 
-    def test_verify_or_raise(self):
-        nitro, _, verifier = setup_pair()
-        document = nitro.attest(b"c")
-        assert verifier.verify_or_raise(document, b"c").valid
-        with pytest.raises(AttestationError):
-            verifier.verify_or_raise(document, b"wrong")
-
 
 class TestSgxVerification:
     def test_valid_quote_accepted(self):

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.enclave.measurement import measure_code
 from repro.enclave.memory import EnclaveMemory
 from repro.enclave.nitro import NitroAttestationDocument, NitroStyleEnclave
 from repro.enclave.sealing import SealedBlob
@@ -34,7 +35,7 @@ class TestEnclaveBasics:
         info = enclave.info()
         assert info.hardware_type == HardwareType.NITRO
         assert info.vendor_name == "aws-nitro-sim"
-        assert info.measurement.matches(FRAMEWORK_CODE)
+        assert info.measurement == measure_code(FRAMEWORK_CODE, "framework")
 
     def test_loaded_code_readable(self):
         assert make_nitro().loaded_code() == FRAMEWORK_CODE

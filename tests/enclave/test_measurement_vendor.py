@@ -19,8 +19,8 @@ class TestMeasurement:
 
     def test_matches(self):
         m = measure_code(b"framework", "fw")
-        assert m.matches(b"framework")
-        assert not m.matches(b"other")
+        assert measure_code(b"framework", "fw") == m
+        assert measure_code(b"other", "fw") != m
 
     def test_code_size_recorded(self):
         assert measure_code(b"12345").code_size == 5

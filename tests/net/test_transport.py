@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import NetworkError, TransportClosedError
 from repro.net.clock import SimClock
-from repro.net.latency import ConstantLatency, UniformLatency
+from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.transport import FaultDecision, Network
 
 
@@ -204,9 +204,18 @@ class TestConservation:
         """Fault-injected duplicates must not arrive in lockstep with the
         original: each copy samples its own link latency (they used to share
         one deliver_at, so reordering between copies was impossible)."""
+        class Stepped(LatencyModel):
+            """Each sample is 10 ms longer than the last."""
+
+            def __init__(self):
+                self.samples = 0
+
+            def sample(self, size_bytes):
+                self.samples += 1
+                return 0.01 * self.samples
+
         clock = SimClock()
-        network = Network(clock=clock,
-                          default_latency=UniformLatency(0.01, 0.05, seed=7))
+        network = Network(clock=clock, default_latency=Stepped())
         alice = network.endpoint("alice")
         bob = network.endpoint("bob")
         arrivals = []

@@ -104,7 +104,6 @@ class TestExecutors:
     def test_executor_base_is_abstract(self):
         with pytest.raises(NotImplementedError):
             Executor().invoke("x", [])
-        assert Executor().describe() == {"name": "abstract"}
 
     def test_native_executor_registration_and_invoke(self):
         executor = NativeExecutor()
@@ -113,7 +112,6 @@ class TestExecutors:
         assert result.value == 42
         assert result.fuel_used == 0
         assert result.environment == "native"
-        assert executor.entry_names() == ["double"]
 
     def test_native_executor_unknown_entry(self):
         with pytest.raises(SandboxError):

@@ -2,6 +2,8 @@
 fail-safe guarantees, the migration coordinator, and the scatter negative
 paths the migration drivers rely on."""
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import (
@@ -117,9 +119,10 @@ class TestRingProperties:
     def test_spread_stays_under_docstring_bound(self, shard_count):
         """The largest shard carries < 1.6x the mean at 128 vnodes."""
         ring = HashRing(shard_count, vnodes=128)
-        counts = ring.distribution(f"user-{i}" for i in range(20000))
-        mean = sum(counts) / len(counts)
-        assert max(counts) < 1.6 * mean, counts
+        counts = Counter(ring.shard_for(f"user-{i}") for i in range(20000))
+        assert sorted(counts) == list(range(shard_count))
+        mean = sum(counts.values()) / shard_count
+        assert max(counts.values()) < 1.6 * mean, counts
 
     def test_distinct_salts_give_uncorrelated_placements(self):
         """Two services' rings place the same keys independently."""
@@ -177,8 +180,9 @@ class TestRingShrinkProperties:
         """Every moved key leaves a retired shard and lands on a survivor."""
         ring = HashRing(4)
         diff = ring.diff(ring.shrink(2), self.KEYS)
-        assert diff.source_shards() == {2, 3}
-        assert diff.target_shards() <= {0, 1}
+        assert diff.moved_count > 0
+        assert all(source in (2, 3) and target in (0, 1)
+                   for _, source, target in diff.moved)
         # Keys on surviving shards never trade places between survivors.
         for key in self.KEYS:
             if ring.shard_for(key) < 2:

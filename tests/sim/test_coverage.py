@@ -163,13 +163,6 @@ class TestCoverageReport:
         assert marginals["fault"]["drop"]["possible"] == 16  # 5 + 7 + 4
         assert marginals["phase"]["mid-audit"]["covered"] == 0
 
-    def test_merge_unions_cells(self):
-        a = CoverageReport({"a": frozenset({("fault", "drop", "app", "odoh")})})
-        b = CoverageReport({"b": frozenset({("fault", "delay", "app", "prio")})})
-        merged = a.merge(b)
-        assert len(merged.covered) == 2
-        assert set(merged.per_scenario) == {"a", "b"}
-
     def test_uncovered_is_sorted_and_complements_covered(self):
         report = CoverageReport({"a": frozenset({("fault", "drop", "app", "odoh")})})
         dark = report.uncovered()

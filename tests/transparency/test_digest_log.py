@@ -42,7 +42,7 @@ class TestDigestLogBasics:
         log = DigestLog("d")
         log.append(digest(0), "v0", 0.0)
         log.append(digest(1), "v1", 1.0)
-        assert log.digest_history() == [digest(0), digest(1)]
+        assert [entry.code_digest for entry in log.entries()] == [digest(0), digest(1)]
 
     def test_entry_dict_round_trip(self):
         log = DigestLog("d")
